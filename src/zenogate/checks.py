@@ -26,6 +26,7 @@ from .spectral import (
     instantaneous_spectrum,
     three_level_eigenbasis,
     three_level_hamiltonian,
+    three_level_spectra_along,
     winding_number,
 )
 
@@ -116,10 +117,7 @@ def _check_frame_intertwining(rng, cases):
     worst = 0.0
     for _ in range(cases):
         path, _ = _random_loop(rng)
-        spectra = [
-            instantaneous_spectrum(three_level_hamiltonian(a, b))
-            for a, b in zip(path.a, path.b)
-        ]
+        spectra = three_level_spectra_along(path)
         frames = frame_path_from_spectra(path.times, spectra)
         for n in range(frames.nlevels):
             transported = frames.projector_path(n)

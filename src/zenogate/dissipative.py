@@ -14,13 +14,14 @@ in 1/gamma) to the nonselective Zeno result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatch, StiffnessBudgetExceeded
 from .linalg import trace_distance
 from .spectral import FramePath, OperatorPath
+from .zeno import _dephase
 
 STIFFNESS_BUDGET = 0.1
 
@@ -94,16 +95,18 @@ class MasterTrajectory:
         return self.states[-1]
 
 
+def _lindblad(rho, h0, lop, l2, gamma: float) -> np.ndarray:
+    """-i[H_0, rho] - (gamma/2)(L^2 rho + rho L^2 - 2 L rho L) with l2 = L @ L; None drops a term."""
+    out = -1j * (h0 @ rho - rho @ h0) if h0 is not None else np.zeros_like(rho)
+    if lop is not None:
+        out = out - 0.5 * gamma * (l2 @ rho + rho @ l2 - 2.0 * (lop @ rho @ lop))
+    return out
+
+
 def lindblad_rhs(rho: np.ndarray, h0, diss: DissipatorSpec, t: float) -> np.ndarray:
     """Right-hand side -i[H_0, rho] - (gamma/2)(L^2 rho + rho L^2 - 2 L rho L) at time t."""
-    out = np.zeros_like(rho)
-    if h0 is not None:
-        out = -1j * (h0 @ rho - rho @ h0)
-    if diss.gamma > 0:
-        lop = diss.lindblad_op(t)
-        l2 = lop @ lop
-        out = out - 0.5 * diss.gamma * (l2 @ rho + rho @ l2 - 2.0 * (lop @ rho @ lop))
-    return out
+    lop = diss.lindblad_op(t) if diss.gamma > 0 else None
+    return _lindblad(rho, h0, lop, None if lop is None else lop @ lop, diss.gamma)
 
 
 def _rk4_step(rho, dt, f0, fmid_a, fmid_b, f1):
@@ -137,20 +140,9 @@ def integrate_master(h0_of_t, diss: DissipatorSpec, rho0, t_final: float, steps:
     lops = [diss.lindblad_op(t) if diss.gamma > 0 else None for t in half_times]
     l2s = [None if lop is None else lop @ lop for lop in lops]
     h0s = [None if h0_of_t is None else np.asarray(h0_of_t(t), dtype=complex) for t in half_times]
-    gamma = diss.gamma
 
     def make_rhs(i):
-        h0 = h0s[i]
-        lop = lops[i]
-        l2 = l2s[i]
-
-        def rhs(r):
-            out = -1j * (h0 @ r - r @ h0) if h0 is not None else np.zeros_like(r)
-            if lop is not None:
-                out = out - 0.5 * gamma * (l2 @ r + r @ l2 - 2.0 * (lop @ r @ lop))
-            return out
-
-        return rhs
+        return lambda r: _lindblad(r, h0s[i], lops[i], l2s[i], diss.gamma)
 
     times = [0.0]
     states = [rho.copy()]
@@ -200,14 +192,9 @@ def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterTr
     t = 0 and never regenerated.
     """
     mats = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in projectors0]
-    rho = np.asarray(rho0, dtype=complex)
-    rho = sum(m @ rho @ m for m in mats)
+    rho = _dephase(np.asarray(rho0, dtype=complex), mats)
     times = hz_total.times
     ops = hz_total.operators
-
-    def dephase(r):
-        return sum(m @ r @ m for m in mats)
-
     states = [rho.copy()]
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
@@ -216,7 +203,7 @@ def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterTr
 
         def rhs_with(h):
             def rhs(r):
-                pr = dephase(r)
+                pr = _dephase(r, mats)
                 return -1j * (h @ pr - pr @ h)
 
             return rhs
@@ -265,7 +252,7 @@ def dephasing_fixed_point_check(diss: DissipatorSpec, t_probe: float, at_time: f
         probes = coherence_probe_states(frozen)
     worst = 0.0
     for rho in probes:
-        target = sum(m @ rho @ m for m in frozen)
+        target = _dephase(rho, frozen)
         if t_probe == 0.0:
             final = rho
         else:

@@ -31,13 +31,9 @@ def as_complex_matrix(m) -> np.ndarray:
     return out
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |m - m^dag|."""
-    return float(np.abs(m - m.conj().T).max())
+    """Largest entrywise deviation |m - m^dag| (of any matrix, for a (K, d, d) stack)."""
+    return float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max())
 
 
 def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix"):
@@ -107,11 +103,6 @@ def trace_distance(a, b) -> float:
     return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    d = m.shape[0]
-    return spectral_norm(m.conj().T @ m - np.eye(d)) <= tol
-
-
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector together with its rank.
@@ -179,10 +170,3 @@ def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     iw = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     iw = np.where(iw > 1e-13 * max(1.0, iw.max(initial=0.0)), iw, 0.0)
     return float(np.sqrt(iw).sum() ** 2)
-
-
-def gate_fidelity(a: np.ndarray, b: np.ndarray, projector: Projector) -> float:
-    """Overlap fidelity |tr(P a^dag b P)|^2 / rank^2 of two gates on a subspace."""
-    p = projector.matrix
-    ov = np.trace(p @ a.conj().T @ b @ p)
-    return float(abs(ov) ** 2 / projector.rank**2)

@@ -20,11 +20,12 @@ import numpy as np
 from . import dissipative as dis
 from . import zeno as zn
 from .adiabatic import gauge_decompose, propagate_exact
-from .errors import AxisMismatch, ValidationError
+from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import spectral_norm, state_fidelity, trace_distance
 from .scenario import Scenario, scenario_from_dict
 from .spectral import (
     FramePath,
+    _plane_rotation_stack,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
     instantaneous_spectrum,
@@ -32,6 +33,7 @@ from .spectral import (
     three_level_generators,
     three_level_hamiltonian,
     three_level_projectors,
+    three_level_spectra_along,
 )
 
 CSV_COLUMNS = (
@@ -124,27 +126,28 @@ def _three_level_h_of_t(path):
 
 
 def _frames_for(scenario: Scenario, samples: int, duration: float | None = None):
-    """(path, frames) on a uniform grid with the requested number of samples."""
+    """(path, frames, spectra) on a uniform grid with the requested number of samples.
+
+    `spectra` holds the sampled spectral decompositions behind tracked frames
+    (None for closed-form frames).
+    """
     if scenario.model_type == "custom":
         h = _custom_h_of_t(scenario.model_hamiltonians)
         t_end = scenario.model_hamiltonians[-1][0] if duration is None else duration
         grid = np.linspace(0.0, t_end, samples)
         spectra = [instantaneous_spectrum(h(t), scenario.cluster_tol) for t in grid]
-        return None, frame_path_from_spectra(grid, spectra)
+        return None, frame_path_from_spectra(grid, spectra), spectra
     path = scenario.build_path(samples=samples, duration=duration)
     if scenario.control.mode == "wagon_wheel":
         theta0 = float(path.theta()[0])
         frames = zn.wagon_wheel_frames(
             scenario.control.hamiltonian, path.times, three_level_projectors(theta0)
         )
-        return path, frames
+        return path, frames, None
     if scenario.frame_method == "analytic":
-        return path, frame_path_analytic_three_level(path)
-    spectra = [
-        instantaneous_spectrum(three_level_hamiltonian(a, b), scenario.cluster_tol)
-        for a, b in zip(path.a, path.b)
-    ]
-    return path, frame_path_from_spectra(path.times, spectra)
+        return path, frame_path_analytic_three_level(path), None
+    spectra = three_level_spectra_along(path, scenario.cluster_tol)
+    return path, frame_path_from_spectra(path.times, spectra), spectra
 
 
 def _initial_vector(scenario: Scenario, path) -> np.ndarray:
@@ -168,20 +171,42 @@ def _expected_holonomy(scenario: Scenario, path) -> float | None:
     return float((1.0 - alpha) * (theta[-1] - theta[0]) / np.sqrt(2.0))
 
 
-def _subspace_generator(scenario: Scenario, path):
-    theta0 = float(path.theta()[0])
-    return three_level_generators(theta0).subspace_generator
+def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FramePath, gate, tol: float):
+    """Fill the angle fields from `gate`, the run's lab-frame operator on the followed level.
+
+    The angle is read in the gauge of the closed-form frame, the one
+    `phi_expected` assumes.  A tracked W(T) is another gauge: its
+    maximal-overlap continuity already carries the holonomy, so W(T)^dag
+    would strip the angle off.
+    """
+    if scenario.model_type != "three_level" or scenario.level != 0:
+        return
+    theta = path.theta()
+    gens = three_level_generators(float(theta[0]))
+    if scenario.control.mode == "wagon_wheel":
+        wt = frames.frames[-1]  # closed form exp(-2i H_0 T)
+    else:
+        wt = _plane_rotation_stack(gens.frame_generator, theta[-1:] - theta[0])[0]
+    try:
+        record.phi_principal = zn.holonomy_angle(wt.conj().T @ gate, gens.subspace_generator, tol=tol)
+    except NotASubspaceRotation:
+        pass
+    record.phi_expected = _expected_holonomy(scenario, path)
 
 
-def _zeno_limit_gate(h0, frames: FramePath, level: int) -> np.ndarray:
-    return zn.zeno_unitary(zn.zeno_hamiltonian(h0, frames, level))
+def _record_dephased_prediction(record: ResultRecord, h0, frames: FramePath, rho0, rho):
+    """Compare rho with the nonselective Zeno limit W(T) U_Z P[rho0] U_Z^dag W(T)^dag.
 
-
-def _full_zeno_unitary(h0, frames: FramePath) -> np.ndarray:
-    u = np.eye(frames.dim, dtype=complex)
+    U_Z composes the Zeno gates of every level; P is the dephasing onto the
+    initial eigenspaces.
+    """
+    uz = np.eye(frames.dim, dtype=complex)
     for n in range(frames.nlevels):
-        u = _zeno_limit_gate(h0, frames, n) @ u
-    return u
+        uz = zn.zeno_unitary(zn.zeno_hamiltonian(h0, frames, n)) @ uz
+    u = frames.frames[-1] @ uz
+    pred = u @ zn.nonselective_step(rho0, frames.projectors0) @ u.conj().T
+    record.distance = trace_distance(rho, pred)
+    record.fidelity = state_fidelity(rho, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -190,85 +215,53 @@ def _full_zeno_unitary(h0, frames: FramePath) -> np.ndarray:
 
 def _run_zeno(scenario: Scenario, record: ResultRecord):
     n = scenario.N
-    path, frames = _frames_for(scenario, samples=n + 1)
+    path, frames, _ = _frames_for(scenario, samples=n + 1)
     h0 = zn.control_hamiltonian(scenario.control, path)
-    wt = frames.frames[-1]
-    gate_limit = _zeno_limit_gate(h0, frames, scenario.level)
+    psi0 = _initial_vector(scenario, path)
 
     if scenario.nonselective:
-        psi0 = _initial_vector(scenario, path)
         rho0 = np.outer(psi0, psi0.conj())
         rho = zn.nonselective_zeno_evolution(h0, frames, n, rho0, scenario.substeps)
-        uz = _full_zeno_unitary(h0, frames)
-        dephased = zn.nonselective_step(rho0, frames.projectors0)
-        pred = wt @ uz @ dephased @ uz.conj().T @ wt.conj().T
-        record.distance = trace_distance(rho, pred)
-        record.fidelity = state_fidelity(rho, pred)
+        _record_dephased_prediction(record, h0, frames, rho0, rho)
         record.trace_drift = abs(float(np.trace(rho).real) - 1.0)
         return
 
-    psi0 = _initial_vector(scenario, path)
     zr = zn.projected_evolution(h0, frames, scenario.level, n, psi0, scenario.substeps)
     record.p_N = zr.survival_probability
+    wt = frames.frames[-1]
     p0 = frames.projectors0[scenario.level].matrix
+    gate_limit = zn.zeno_unitary(zn.zeno_hamiltonian(h0, frames, scenario.level))
     record.distance = spectral_norm(zr.final_operator - wt @ gate_limit @ p0)
     pred_state = wt @ (gate_limit @ psi0)
     record.fidelity = float(abs(pred_state.conj() @ zr.conditional_state) ** 2)
-    if scenario.model_type == "three_level" and scenario.level == 0:
-        gen = _subspace_generator(scenario, path)
-        try:
-            phi = zn.holonomy_angle(wt.conj().T @ zr.final_operator, gen, tol=scenario.holonomy_tol)
-        except Exception:
-            phi = None
-        record.phi_principal = phi
-        record.phi_expected = _expected_holonomy(scenario, path)
-
-
-def _adiabatic_defaults(scenario: Scenario, duration: float) -> tuple[int, int]:
-    steps = scenario.steps if scenario.steps is not None else max(1024, int(np.ceil(duration * 100)))
-    samples = scenario.path_spec.get("samples") or 2049
-    return steps, samples
+    _record_angle(record, scenario, path, frames, zr.final_operator, scenario.holonomy_tol)
 
 
 def _run_adiabatic(scenario: Scenario, record: ResultRecord):
-    if scenario.model_type == "custom":
-        duration = scenario.model_hamiltonians[-1][0]
-    else:
-        duration = float(scenario.path_spec.get("duration", 1.0))
-    steps, samples = _adiabatic_defaults(scenario, duration)
-    path, frames = _frames_for(scenario, samples=samples)
+    path, frames, spectra = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
+    duration = float(frames.times[-1])
+    steps = scenario.steps if scenario.steps is not None else max(1024, int(np.ceil(duration * 100)))
     if scenario.model_type == "custom":
         h = _custom_h_of_t(scenario.model_hamiltonians)
-        spectra = [instantaneous_spectrum(h(t), scenario.cluster_tol) for t in frames.times]
-        energies = np.array([[e for e in s.energies] for s in spectra])
+        energies = np.array([s.energies for s in spectra])
     else:
         h = _three_level_h_of_t(path)
         r = path.radius()
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
 
-    result = propagate_exact(h, frames.times[-1], steps)
+    result = propagate_exact(h, duration, steps)
     decomp = gauge_decompose(result, frames, energies)
     psi0 = _initial_vector(scenario, path)
     p0 = frames.projectors0[scenario.level].matrix
-    record.q_n = float(
-        np.real(
-            (decomp.gauge_evolution @ psi0).conj()
-            @ ((np.eye(frames.dim) - p0) @ (decomp.gauge_evolution @ psi0))
-        )
-    )
-    gate_limit = _zeno_limit_gate(None, frames, scenario.level)
+    psi = decomp.gauge_evolution @ psi0
+    record.q_n = float(np.real(psi.conj() @ (psi - p0 @ psi)))
+    gate_limit = zn.zeno_unitary(zn.zeno_hamiltonian(None, frames, scenario.level))
     block = p0 @ decomp.gauge_evolution @ p0
     rank = frames.projectors0[scenario.level].rank
     record.fidelity = float(abs(np.trace(gate_limit.conj().T @ block)) ** 2 / rank**2)
     record.distance = spectral_norm(block - p0 @ gate_limit @ p0)
-    if scenario.model_type == "three_level" and scenario.level == 0:
-        gen = _subspace_generator(scenario, path)
-        try:
-            phi = zn.holonomy_angle(block, gen, tol=max(scenario.holonomy_tol, 10.0 * record.distance))
-        except Exception:
-            phi = None
-        record.phi_principal = phi
-        record.phi_expected = _expected_holonomy(scenario, path)
+    tol = max(scenario.holonomy_tol, 10.0 * record.distance)
+    _record_angle(record, scenario, path, frames, result.unitary @ p0, tol)
 
 
 def _dissipative_defaults(scenario: Scenario, duration: float, gap_sq: float) -> int:
@@ -280,10 +273,12 @@ def _dissipative_defaults(scenario: Scenario, duration: float, gap_sq: float) ->
 
 def _run_dissipative(scenario: Scenario, record: ResultRecord):
     reference_samples = 4097
-    path, frames = _frames_for(scenario, samples=reference_samples)
+    path, frames, _ = _frames_for(scenario, samples=reference_samples)
     duration = float(frames.times[-1])
     h0 = zn.control_hamiltonian(scenario.control, path)
-    alphas = scenario.alphas or tuple(float(i) for i in range(frames.nlevels))
+    alphas = tuple(float(i) for i in range(frames.nlevels)) if scenario.alphas is None else scenario.alphas
+    if len(alphas) != frames.nlevels:
+        raise ValidationError(f"alphas needs one weight per level: {len(alphas)} given, {frames.nlevels} levels")
 
     if scenario.model_type == "three_level":
         times, av, bv = path.times, path.a, path.b
@@ -299,21 +294,10 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     diss = dis.DissipatorSpec(gamma=scenario.gamma, alphas=alphas, projectors_at=projectors_at)
     steps = _dissipative_defaults(scenario, duration, diss.max_weight_gap_sq())
     psi0 = _initial_vector(scenario, path)
-    rho0 = (
-        np.outer(psi0, psi0.conj())
-        if scenario.initial_amplitudes is not None or scenario.initial_name
-        else np.eye(frames.dim) / frames.dim
-    )
+    rho0 = np.outer(psi0, psi0.conj())
     traj = dis.integrate_master(h0, diss, rho0, duration, steps, store_every=steps)
-    final = traj.final
     record.trace_drift = traj.trace_drift
-
-    uz = _full_zeno_unitary(h0, frames)
-    wt = frames.frames[-1]
-    dephased = zn.nonselective_step(rho0, frames.projectors0)
-    pred = wt @ uz @ dephased @ uz.conj().T @ wt.conj().T
-    record.distance = trace_distance(final, pred)
-    record.fidelity = state_fidelity(final, pred)
+    _record_dephased_prediction(record, h0, frames, rho0, traj.final)
 
 
 _ENGINES = {"zeno": _run_zeno, "adiabatic": _run_adiabatic, "dissipative": _run_dissipative}
@@ -352,8 +336,8 @@ def _derive(scenario: Scenario, axis: str, value) -> Scenario:
     elif axis == "steps":
         data["steps"] = int(value)
     elif axis == "T":
-        base = data.setdefault("path", {}).get("duration", 1.0)
-        data["path"]["duration"] = float(value)
+        base = scenario.build_path(samples=2).duration  # only the end time is read
+        data.setdefault("path", {})["duration"] = float(value)
         if scenario.steps is not None:
             data["steps"] = max(1, int(np.ceil(scenario.steps * float(value) / base)))
     return scenario_from_dict(data, source=f"<sweep {axis}={value}>")

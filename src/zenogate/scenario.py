@@ -12,26 +12,26 @@ Schema (defaults in parentheses)::
     engine: adiabatic | zeno | dissipative
     model:
       type: three_level | custom  (three_level)
-      hamiltonians:               # custom only: sampled H(t), linearly interpolated
+      hamiltonians:               # custom only: sampled Hermitian H(t), linearly interpolated
         - {t: 0.0, matrix: [[...], ...]}
     path:
       type: circle | polyline | samples   (circle)
       center: [a, b]              ([0, 0])
       radius: r                   (1.0)
       windings: m                 (1)   # signed loops around the origin; 0 if not enclosing
-      duration: T                 (1.0)
+      duration: T                 (1.0)   # a samples path is rescaled to T (default: its last time)
       samples: K                  (engine-dependent)
       points: [[a, b], ...]       # polyline corners
       times/a/b: [...]            # explicit samples
     control:
       mode: none | alpha_frame | wagon_wheel | custom   (none)
       alpha: x                    # alpha_frame strength
-      hamiltonian: [[...], ...]   # constant matrix for wagon_wheel/custom
+      hamiltonian: [[...], ...]   # constant Hermitian matrix for wagon_wheel/custom
     N: 4096                       # zeno: number of measurements
     substeps: 1                   # zeno: propagator substeps per interval
     steps: int                    # integrator steps (engine-dependent default)
     gamma: rate                   # dissipative
-    alphas: [0.0, 1.0, ...]       # dissipative dephasing weights (0..nlevels-1)
+    alphas: [0.0, 1.0, ...]       # dissipative: one dephasing weight per level (0..nlevels-1)
     initial_state:
       name: E_plus | E_minus | E_zero   # three_level eigenvectors at the path start
       amplitudes: [...]                 # or explicit amplitudes
@@ -44,7 +44,8 @@ Schema (defaults in parentheses)::
       cluster: 1e-8
       holonomy: 1e-2
 
-Matrix entries are real numbers or two-element ``[re, im]`` lists.
+Matrix entries are real numbers or two-element ``[re, im]`` lists; every
+matrix must be Hermitian to ``linalg.HERMITICITY_TOL``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import numpy as np
 import yaml
 
 from .errors import CriticalPoint, ParseError, ValidationError
+from .linalg import HERMITICITY_TOL, hermiticity_defect
 from .spectral import ParameterPath, circle_path, polyline_path, winding_number
 from .zeno import ControlConfig
 
@@ -152,23 +154,21 @@ class Scenario:
         if kind == "polyline":
             return polyline_path(spec["points"], duration=spec["duration"], samples=spec["samples"])
         times = np.asarray(spec["times"], dtype=float)
-        scale = 1.0 if duration is None else duration / times[-1]
         return ParameterPath(
-            times=times * scale,
+            times=times * (spec.get("duration", times[-1]) / times[-1]),
             a=np.asarray(spec["a"], dtype=float),
             b=np.asarray(spec["b"], dtype=float),
         )
-
-    @property
-    def declared_windings(self) -> int:
-        if self.path_spec["type"] == "circle":
-            return int(self.path_spec["windings"])
-        return winding_number(self.build_path(samples=self.path_spec.get("samples")))
 
 
 def _require(condition: bool, message: str):
     if not condition:
         raise ValidationError(message)
+
+
+def _require_hermitian(m: np.ndarray, where: str):
+    defect = hermiticity_defect(m)
+    _require(defect <= HERMITICITY_TOL, f"{where} must be Hermitian: defect {defect:.3e} > {HERMITICITY_TOL:.1e}")
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
@@ -204,6 +204,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             model_hams.append((float(item["t"]), m))
         model_hams.sort(key=lambda p: p[0])
         _require(model_hams[0][0] == 0.0, "model.hamiltonians must start at t = 0")
+        _require_hermitian(np.stack([m for _, m in model_hams]), "model.hamiltonians")
 
     pspec = dict(data.get("path", {}))
     ptype = pspec.setdefault("type", "circle")
@@ -254,6 +255,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     cham = None
     if "hamiltonian" in cspec:
         cham = parse_matrix(cspec["hamiltonian"], "control.hamiltonian")
+        _require_hermitian(cham, "control.hamiltonian")
     try:
         control = ControlConfig(mode=mode, alpha=float(cspec.get("alpha", 0.0)), hamiltonian=cham)
     except ValueError as exc:

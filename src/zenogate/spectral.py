@@ -29,7 +29,7 @@ from .errors import (
     OpenPath,
     SubspaceTrackingFailure,
 )
-from .linalg import CLUSTER_TOL, Projector, projector_from_basis, spectral_norm
+from .linalg import CLUSTER_TOL, Projector, spectral_norm
 
 CRITICAL_RADIUS_SQ = 1e-24
 MIN_TRACKING_OVERLAP = 0.5
@@ -210,9 +210,6 @@ class FramePath:
         """Stack of transported projectors W(t_k) P_n(0) W(t_k)^dag."""
         p0 = self.projectors0[level].matrix
         return np.einsum("kij,jl,kml->kim", self.frames, p0, self.frames.conj())
-
-    def at_indices(self, idx) -> "FramePath":
-        return FramePath(times=self.times[idx], frames=self.frames[idx], projectors0=self.projectors0)
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import adiabatic_generator, ordered_exp_from_samples, ordered_product
+from .adiabatic import _midpoint_propagators, adiabatic_generator, ordered_exp_from_samples, ordered_product
 from .errors import (
     GridMismatch,
     IncompleteResolution,
-    InsufficientSamples,
     NotASubspaceRotation,
     ZeroSurvival,
 )
-from .linalg import Projector, expm_hermitian_stack, spectral_norm
+from .linalg import Projector, spectral_norm
 from .spectral import FramePath, OperatorPath, ParameterPath, three_level_generators
 
 
@@ -114,26 +113,6 @@ def _measurement_indices(times: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
-def _interval_propagators(h0_of_t, times: np.ndarray, substeps: int = 1) -> np.ndarray:
-    """Bare propagators U_0(t_{k+1}, t_k) per grid interval, midpoint rule."""
-    dts = np.diff(times)
-    if substeps == 1:
-        mids = times[:-1] + 0.5 * dts
-        hs = np.stack([np.asarray(h0_of_t(t), dtype=complex) for t in mids])
-        hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))
-        return expm_hermitian_stack(hs, -1j * dts)
-    sub = np.arange(substeps) + 0.5
-    mids = (times[:-1, None] + dts[:, None] * sub / substeps).ravel()
-    hs = np.stack([np.asarray(h0_of_t(t), dtype=complex) for t in mids])
-    hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))
-    factors = expm_hermitian_stack(hs, -1j * np.repeat(dts, substeps) / substeps)
-    factors = factors.reshape(dts.size, substeps, *factors.shape[1:])
-    out = factors[:, 0]
-    for j in range(1, substeps):
-        out = np.matmul(factors[:, j], out)
-    return out
-
-
 def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial, substeps: int = 1) -> ZenoRun:
     """Conditioned evolution under N projective measurements along the frame.
 
@@ -148,7 +127,7 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial,
     if h0_of_t is None:
         core = np.matmul(wm[1:].conj().transpose(0, 2, 1), wm[:-1])
     else:
-        u0 = _interval_propagators(h0_of_t, frames.times[idx], substeps)
+        u0 = _midpoint_propagators(h0_of_t, frames.times[idx], substeps)
         core = np.matmul(wm[1:].conj().transpose(0, 2, 1), np.matmul(u0, wm[:-1]))
     factors = np.einsum("ij,kjl,lm->kim", p0, core, p0)
     v = frames.frames[idx[-1]] @ ordered_product(factors)
@@ -186,9 +165,8 @@ def zeno_unitary(hz: OperatorPath) -> np.ndarray:
 
     Acts as the Zeno gate on the generator's support and as the identity on
     the complement, so gates of different levels compose in the full space.
+    Needs at least 2 samples (InsufficientSamples).
     """
-    if hz.times.size < 2:
-        raise InsufficientSamples("Zeno unitary needs at least 2 samples")
     return ordered_exp_from_samples(hz)
 
 
@@ -207,7 +185,7 @@ def effective_frame(h0_of_t, frames: FramePath, t_grid=None) -> FramePath:
             raise GridMismatch("t_grid must coincide with the frame grid")
     if h0_of_t is None:
         return frames
-    factors = _interval_propagators(h0_of_t, frames.times, substeps=1)
+    factors = _midpoint_propagators(h0_of_t, frames.times)
     u = np.empty_like(frames.frames)
     u[0] = np.eye(frames.dim)
     for k in range(factors.shape[0]):
@@ -252,14 +230,24 @@ def unwrap_angle(phi: float, expected: float) -> float:
     return phi + 2 * np.pi * np.round((expected - phi) / (2 * np.pi))
 
 
+def _dephase(rho: np.ndarray, mats) -> np.ndarray:
+    """Unchecked dephasing sum_n P_n rho P_n over projector matrices, re-Hermitized."""
+    out = sum(m @ rho @ m for m in mats)
+    return 0.5 * (out + out.conj().T)
+
+
+def _check_resolution(totals: np.ndarray):
+    """Raise IncompleteResolution unless every summed family in the (K, d, d) stack is the identity."""
+    defect = np.linalg.norm(totals - np.eye(totals.shape[-1]), ord=2, axis=(-2, -1)).max()
+    if defect > 1e-9:
+        raise IncompleteResolution("projectors do not resolve the identity")
+
+
 def nonselective_step(rho: np.ndarray, projectors) -> np.ndarray:
     """Dephasing channel rho -> sum_n P_n rho P_n for a complete projector family."""
     mats = [p.matrix if isinstance(p, Projector) else np.asarray(p, dtype=complex) for p in projectors]
-    total = sum(mats)
-    if spectral_norm(total - np.eye(rho.shape[0])) > 1e-9:
-        raise IncompleteResolution("projectors do not resolve the identity")
-    out = sum(m @ rho @ m for m in mats)
-    return 0.5 * (out + out.conj().T)
+    _check_resolution(sum(mats)[None])
+    return _dephase(rho, mats)
 
 
 def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0, substeps: int = 1) -> np.ndarray:
@@ -267,22 +255,23 @@ def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0, subste
 
     Interleaves bare propagation with the dephasing channel over all levels;
     trace is preserved exactly and coherence across subspaces is removed.
+    Every one of the N + 1 transported projector families must resolve the
+    identity (IncompleteResolution otherwise).
     """
     rho = np.asarray(rho0, dtype=complex)
     idx = _measurement_indices(frames.times, N)
     wm = frames.frames[idx]
-    projs = [
-        np.einsum("kij,jl,kml->kim", wm, frames.projectors0[n].matrix, wm.conj())
-        for n in range(frames.nlevels)
-    ]
+    p0s = np.stack([p.matrix for p in frames.projectors0])
+    projs = np.einsum("kij,njl,kml->knim", wm, p0s, wm.conj())  # (N + 1, nlevels, d, d)
+    _check_resolution(projs.sum(axis=1))
     if h0_of_t is None:
         u0 = None
     else:
-        u0 = _interval_propagators(h0_of_t, frames.times[idx], substeps)
-    rho = nonselective_step(rho, [pk[0] for pk in projs])
+        u0 = _midpoint_propagators(h0_of_t, frames.times[idx], substeps)
+    rho = _dephase(rho, projs[0])
     for k in range(N):
         if u0 is not None:
             rho = u0[k] @ rho @ u0[k].conj().T
-        rho = nonselective_step(rho, [pk[k + 1] for pk in projs])
+        rho = _dephase(rho, projs[k + 1])
         rho = rho / float(np.trace(rho).real)  # counter float drift of the exact trace preservation
     return rho

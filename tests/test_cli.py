@@ -42,6 +42,17 @@ class TestRunCommand:
         scenario = write_scenario(tmp_path, bad)
         assert cli.main(["run", scenario]) == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "engine: dissipative\ngamma: 100.0\nalphas: [0.0]\n",  # one weight, two levels
+            "control:\n  mode: custom\n  hamiltonian: [[0, 1, 0], [0, 0, 0], [0, 0, 0]]\n",
+        ],
+    )
+    def test_inconsistent_inputs_exit_1(self, tmp_path, extra):
+        text = GOOD.replace("engine: zeno\n", "") if extra.startswith("engine") else GOOD
+        assert cli.main(["run", write_scenario(tmp_path, text + extra)]) == 1
+
     def test_missing_file_exit_1(self):
         assert cli.main(["run", "/nonexistent/s.yaml"]) == 1
 

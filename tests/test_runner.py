@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenogate.errors import AxisMismatch
+from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import load_scenario, scenario_from_dict
 from zenogate.zeno import unwrap_angle
@@ -107,6 +107,59 @@ class TestRun:
         rec = run(s)
         assert rec.p_N >= 0.9
         assert rec.distance <= 0.1
+
+
+def sampled_unit_loop(samples, duration=1.0):
+    """The unit circle of `zeno_scenario` given as explicit samples."""
+    s = np.linspace(0.0, 1.0, samples)
+    phi = 2 * np.pi * s
+    return {"type": "samples", "times": (duration * s).tolist(), "a": np.cos(phi).tolist(),
+            "b": np.sin(phi).tolist()}
+
+
+class TestConsistency:
+    @pytest.mark.parametrize("engine, duration", [("zeno", 1.0), ("adiabatic", 2 * np.pi * 20.25)])
+    def test_tracked_frames_give_the_analytic_angle(self, engine, duration):
+        data = {
+            "engine": engine,
+            "path": {"type": "circle", "windings": 1, "duration": duration},
+            "N": 4096,
+            "initial_state": {"name": "E_minus"},
+        }
+        analytic = run(scenario_from_dict(data))
+        tracked = run(scenario_from_dict(dict(data, frame_method="tracked")))
+        assert analytic.phi_principal is not None
+        assert tracked.phi_principal == pytest.approx(analytic.phi_principal, abs=1e-6)
+
+    @pytest.mark.parametrize("alphas", [[0.0], [0.0, 1.0, 2.0]])
+    def test_alphas_must_match_level_count(self, alphas):
+        data = {
+            "engine": "dissipative",
+            "path": {"type": "circle", "windings": 1, "duration": 1.0},
+            "gamma": 100.0,
+            "alphas": alphas,
+            "initial_state": {"amplitudes": [1, 0, 0]},
+        }
+        with pytest.raises(ValidationError, match="alphas"):
+            run(scenario_from_dict(data))
+
+    def test_t_sweep_of_sampled_loop_matches_circle(self):
+        base = {"engine": "adiabatic", "steps": 64, "initial_state": {"name": "E_minus"}}
+        circle = dict(base, path={"type": "circle", "windings": 1, "duration": 1.0, "samples": 257})
+        sampled = dict(base, path=sampled_unit_loop(257))
+        values = [4.0, 8.0]
+        expected = sweep(scenario_from_dict(circle), "T", values).records
+        got = sweep(scenario_from_dict(sampled), "T", values).records
+        for a, b in zip(expected, got):
+            for name in ("q_n", "fidelity", "distance"):
+                assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-9)
+
+    def test_sampled_loop_default_steps_follow_duration(self):
+        t_final = 2 * np.pi * 10.25
+        base = {"engine": "adiabatic", "initial_state": {"name": "E_minus"}}
+        circle = run(scenario_from_dict(dict(base, path={"type": "circle", "windings": 1, "duration": t_final})))
+        sampled = run(scenario_from_dict(dict(base, path=sampled_unit_loop(2049, t_final))))
+        assert sampled.q_n == pytest.approx(circle.q_n, rel=1e-9)
 
 
 class TestSweep:

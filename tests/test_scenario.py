@@ -131,6 +131,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             scenario_from_dict(data)
 
+    def test_matrices_must_be_hermitian(self):
+        lower = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(ValidationError, match="control.hamiltonian"):
+            scenario_from_dict(minimal_zeno(control={"mode": "custom", "hamiltonian": lower}))
+        data = minimal_zeno(initial_state={"amplitudes": [1.0, 0.0, 0.0]})
+        data["model"] = {
+            "type": "custom",
+            "hamiltonians": [{"t": 0.0, "matrix": np.eye(3).tolist()}, {"t": 1.0, "matrix": lower}],
+        }
+        with pytest.raises(ValidationError, match="model.hamiltonians"):
+            scenario_from_dict(data)
+
     def test_amplitudes_normalized(self):
         s = scenario_from_dict(minimal_zeno(initial_state={"amplitudes": [3.0, 0.0, 0.0]}))
         assert np.linalg.norm(s.initial_amplitudes) == pytest.approx(1.0)

@@ -6,6 +6,7 @@ from zenogate.errors import (
     GridMismatch,
     IncompleteResolution,
     InsufficientSamples,
+    NonHermitianInput,
     NotASubspaceRotation,
     ZeroSurvival,
 )
@@ -305,6 +306,12 @@ class TestNonselective:
         with pytest.raises(IncompleteResolution):
             nonselective_step(np.eye(3, dtype=complex) / 3.0, [projs0[0]])
 
+    def test_non_unitary_interior_frame_rejected(self, projs0):
+        frames = constant_frames(projs0)
+        frames.frames[4] = 2.0 * np.eye(3)  # one measurement family sums to 4 * identity
+        with pytest.raises(IncompleteResolution):
+            nonselective_zeno_evolution(None, frames, 8, np.eye(3, dtype=complex) / 3.0)
+
     def test_single_step_dephasing(self, projs0):
         frames = constant_frames(projs0, samples=2)
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)  # cross-subspace superposition
@@ -392,3 +399,16 @@ class TestWagonWheelTimeReversal:
             dists.append(spectral_norm(gate - reversed_gate @ p0))
         for a, b in zip(dists, dists[1:]):
             assert b / a == pytest.approx(0.5, abs=0.15)
+
+
+@pytest.mark.parametrize("evolve", ["projected", "nonselective"])
+def test_non_hermitian_control_rejected(projs0, evolve):
+    h0 = np.zeros((3, 3), dtype=complex)
+    h0[0, 1] = 1.0
+    frames = constant_frames(projs0)
+    _, em, _ = three_level_eigenbasis(0.0)
+    with pytest.raises(NonHermitianInput):
+        if evolve == "projected":
+            projected_evolution(lambda t: h0, frames, 0, 8, em)
+        else:
+            nonselective_zeno_evolution(lambda t: h0, frames, 8, np.outer(em, em.conj()))
