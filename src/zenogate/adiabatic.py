@@ -27,7 +27,7 @@ from .errors import (
     InsufficientSamples,
 )
 from .linalg import assert_hermitian, expm_hermitian_stack, spectral_norm
-from .spectral import FramePath, OperatorPath
+from .spectral import FramePath, OperatorPath, _sample_stack
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _midpoint_propagators(h_of_t, times: np.ndarray, substeps: int = 1) -> np.nd
     """
     dts = np.diff(times) / substeps
     mids = (times[:-1, None] + dts[:, None] * (np.arange(substeps) + 0.5)).ravel()
-    hs = np.stack([np.asarray(h_of_t(t), dtype=complex) for t in mids])
+    hs = _sample_stack(h_of_t, mids)
     assert_hermitian(hs, what="H(t) at a sampled midpoint")
     hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))
     factors = expm_hermitian_stack(hs, -1j * np.repeat(dts, substeps))
@@ -92,9 +92,9 @@ def _midpoint_propagators(h_of_t, times: np.ndarray, substeps: int = 1) -> np.nd
 def propagate_exact(h_of_t, t_final: float, steps: int) -> PropagatorResult:
     """Time-ordered propagator of H(t) over [0, t_final] by the midpoint rule.
 
-    One exactly-unitary exponential factor per step, second-order accurate in
-    the step size.  `estimated_error` compares against the half-resolution
-    product (NaN when steps == 1).
+    `h_of_t` maps the array of midpoint times to a (K, d, d) stack (or one (d, d)
+    matrix); one exactly-unitary factor per step, second order in the step size.
+    `estimated_error` compares against the half-resolution product (NaN when steps == 1).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -176,7 +176,7 @@ def escape_probability(h_of_t, frames: FramePath, level: int, initial, t_final: 
     """Weight outside the followed eigenspace after exact propagation.
 
     q_n = <psi(T)| (1 - P_n(T)) |psi(T)> with P_n(T) the frame-transported
-    projector; zero in the perfectly adiabatic limit.
+    projector, `h_of_t` a grid callable as in propagate_exact; zero in the adiabatic limit.
     """
     initial = np.asarray(initial, dtype=complex)
     _check_in_subspace(frames, level, initial)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridMismatch, StiffnessBudgetExceeded
 from .linalg import trace_distance
-from .spectral import FramePath, OperatorPath
+from .spectral import FramePath, OperatorPath, _sample_stack
 from .zeno import _dephase
 
 STIFFNESS_BUDGET = 0.1
@@ -30,14 +30,14 @@ STIFFNESS_BUDGET = 0.1
 class DissipatorSpec:
     """Dephasing channel: rate, per-level weights, and the moving projector family.
 
-    `projectors_at` maps a time to the list of projector matrices (resolving
-    the identity); weights must be pairwise distinct or the corresponding
-    coherences would not decay.
+    `projectors_at` maps a time array to the per-level projector stacks (a constant
+    (d, d) matrix is broadcast), resolving the identity; weights must be pairwise
+    distinct or the corresponding coherences would not decay.
     """
 
     gamma: float
     alphas: tuple
-    projectors_at: object  # Callable[[float], sequence of (d, d) arrays]
+    projectors_at: object  # Callable[[times], sequence of (K, d, d) or (d, d) arrays]
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -49,7 +49,7 @@ class DissipatorSpec:
                     raise ValueError(f"dephasing weights must be pairwise distinct: {al[i]} ~ {al[j]}")
         object.__setattr__(self, "alphas", al)
 
-    def lindblad_op(self, t: float) -> np.ndarray:
+    def lindblad_op(self, t) -> np.ndarray:
         projs = self.projectors_at(t)
         return sum(a * np.asarray(p, dtype=complex) for a, p in zip(self.alphas, projs))
 
@@ -68,17 +68,8 @@ def projectors_from_frames(frames: FramePath):
     Entrywise linear interpolation of the transported projectors; adequate
     when the frame grid is much finer than the integrator grid.
     """
-    stacks = [frames.projector_path(n) for n in range(frames.nlevels)]
-    times = frames.times
-
-    def projectors_at(t):
-        k = np.searchsorted(times, t, side="right") - 1
-        k = min(max(k, 0), times.size - 2)
-        s = (t - times[k]) / (times[k + 1] - times[k])
-        s = min(max(s, 0.0), 1.0)
-        return [(1.0 - s) * st[k] + s * st[k + 1] for st in stacks]
-
-    return projectors_at
+    paths = [OperatorPath(times=frames.times, operators=frames.projector_path(n)) for n in range(frames.nlevels)]
+    return lambda t: [p.at(t) for p in paths]
 
 
 @dataclass
@@ -121,11 +112,11 @@ def integrate_master(h0_of_t, diss: DissipatorSpec, rho0, t_final: float, steps:
                      store_every: int = 1) -> MasterTrajectory:
     """Classical RK4 integration of the dephasing master equation in the lab frame.
 
-    The step size must respect the stiffness budget
-    dt * gamma * max(c_n - c_m)^2 <= 0.1 (raises StiffnessBudgetExceeded
-    otherwise, rather than substepping silently).  Each step re-Hermitizes
-    and renormalizes the trace; the accumulated renormalization is reported
-    in `trace_drift`, not hidden.
+    `h0_of_t` and the projectors are each evaluated once, on the half-step grid.
+    The step size must respect the budget dt * gamma * max(c_n - c_m)^2 <= 0.1
+    (StiffnessBudgetExceeded otherwise, rather than substepping silently).  Each
+    step re-Hermitizes and renormalizes the trace; the accumulated
+    renormalization is reported in `trace_drift`, not hidden.
     """
     rho = np.asarray(rho0, dtype=complex)
     dt = t_final / steps
@@ -137,12 +128,13 @@ def integrate_master(h0_of_t, diss: DissipatorSpec, rho0, t_final: float, steps:
             )
     # Precompute stage operators on the half-step grid (2*steps + 1 points).
     half_times = np.arange(2 * steps + 1) * (0.5 * dt)
-    lops = [diss.lindblad_op(t) if diss.gamma > 0 else None for t in half_times]
-    l2s = [None if lop is None else lop @ lop for lop in lops]
-    h0s = [None if h0_of_t is None else np.asarray(h0_of_t(t), dtype=complex) for t in half_times]
+    lops = _sample_stack(diss.lindblad_op, half_times) if diss.gamma > 0 else None
+    l2s = None if lops is None else lops @ lops
+    h0s = None if h0_of_t is None else _sample_stack(h0_of_t, half_times)
 
     def make_rhs(i):
-        return lambda r: _lindblad(r, h0s[i], lops[i], l2s[i], diss.gamma)
+        h0, lop, l2 = (None if stack is None else stack[i] for stack in (h0s, lops, l2s))
+        return lambda r: _lindblad(r, h0, lop, l2, diss.gamma)
 
     times = [0.0]
     states = [rho.copy()]

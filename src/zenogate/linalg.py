@@ -117,7 +117,7 @@ class Projector:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def defects(self) -> dict:
         """Numerical deviation from the projector invariants."""

@@ -25,6 +25,7 @@ from .linalg import spectral_norm, state_fidelity, trace_distance
 from .scenario import Scenario, scenario_from_dict
 from .spectral import (
     FramePath,
+    OperatorPath,
     _plane_rotation_stack,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
@@ -33,7 +34,6 @@ from .spectral import (
     three_level_generators,
     three_level_hamiltonian,
     three_level_projectors,
-    three_level_spectra_along,
 )
 
 CSV_COLUMNS = (
@@ -99,55 +99,40 @@ def _format_value(v) -> str:
 # Context assembly
 # ---------------------------------------------------------------------------
 
-def _custom_h_of_t(samples):
-    times = np.array([t for t, _ in samples], dtype=float)
-    mats = np.stack([m for _, m in samples])
-
-    def h(t):
-        if t <= times[0]:
-            return mats[0]
-        if t >= times[-1]:
-            return mats[-1]
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        s = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - s) * mats[k] + s * mats[k + 1]
-
-    return h
+def _model_hamiltonian(scenario: Scenario, path):
+    """The model's H(t) as a callable on a whole time grid; (a, b) interpolate linearly between path samples."""
+    if scenario.model_type == "custom":
+        times, mats = zip(*scenario.model_hamiltonians)
+        return OperatorPath(times=times, operators=np.stack(mats)).at
+    return lambda t: three_level_hamiltonian(np.interp(t, path.times, path.a), np.interp(t, path.times, path.b))
 
 
-def _three_level_h_of_t(path):
-    # controls interpolate piecewise linearly in (a, b) between path samples
-    times, a, b = path.times, path.a, path.b
-
-    def h(t):
-        return three_level_hamiltonian(np.interp(t, times, a), np.interp(t, times, b))
-
-    return h
-
-
-def _frames_for(scenario: Scenario, samples: int, duration: float | None = None):
+def _frames_for(scenario: Scenario, samples: int):
     """(path, frames, spectra) on a uniform grid with the requested number of samples.
 
-    `spectra` holds the sampled spectral decompositions behind tracked frames
-    (None for closed-form frames).
+    `path` is None for a custom model; `spectra` holds the sampled spectral
+    decompositions behind tracked frames (None for closed-form frames).
+    Inputs that do not fit the model's levels or dimension raise ValidationError.
     """
-    if scenario.model_type == "custom":
-        h = _custom_h_of_t(scenario.model_hamiltonians)
-        t_end = scenario.model_hamiltonians[-1][0] if duration is None else duration
-        grid = np.linspace(0.0, t_end, samples)
-        spectra = [instantaneous_spectrum(h(t), scenario.cluster_tol) for t in grid]
-        return None, frame_path_from_spectra(grid, spectra), spectra
-    path = scenario.build_path(samples=samples, duration=duration)
-    if scenario.control.mode == "wagon_wheel":
+    path = None if scenario.model_type == "custom" else scenario.build_path(samples=samples)
+    spectra = None
+    if path is not None and scenario.control.mode == "wagon_wheel":
         theta0 = float(path.theta()[0])
-        frames = zn.wagon_wheel_frames(
-            scenario.control.hamiltonian, path.times, three_level_projectors(theta0)
-        )
-        return path, frames, None
-    if scenario.frame_method == "analytic":
-        return path, frame_path_analytic_three_level(path), None
-    spectra = three_level_spectra_along(path, scenario.cluster_tol)
-    return path, frame_path_from_spectra(path.times, spectra), spectra
+        frames = zn.wagon_wheel_frames(scenario.control.hamiltonian, path.times, three_level_projectors(theta0))
+    elif scenario.frame_method == "analytic":
+        frames = frame_path_analytic_three_level(path)
+    else:
+        times = np.linspace(0.0, scenario.model_hamiltonians[-1][0], samples) if path is None else path.times
+        spectra = [instantaneous_spectrum(h, scenario.cluster_tol) for h in _model_hamiltonian(scenario, path)(times)]
+        frames = frame_path_from_spectra(times, spectra)
+    if scenario.level >= frames.nlevels:
+        raise ValidationError(f"level {scenario.level} does not exist: the model has {frames.nlevels} levels")
+    dim = frames.projectors0[0].dim
+    for where, m in (("initial_state.amplitudes", scenario.initial_amplitudes),
+                     ("control.hamiltonian", scenario.control.hamiltonian)):
+        if m is not None and m.shape[0] != dim:
+            raise ValidationError(f"{where} has dimension {m.shape[0]}, the model has dimension {dim}")
+    return path, frames, spectra
 
 
 def _initial_vector(scenario: Scenario, path) -> np.ndarray:
@@ -241,15 +226,13 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     path, frames, spectra = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
     duration = float(frames.times[-1])
     steps = scenario.steps if scenario.steps is not None else max(1024, int(np.ceil(duration * 100)))
-    if scenario.model_type == "custom":
-        h = _custom_h_of_t(scenario.model_hamiltonians)
-        energies = np.array([s.energies for s in spectra])
-    else:
-        h = _three_level_h_of_t(path)
+    if spectra is None:
         r = path.radius()
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
+    else:
+        energies = np.array([s.energies for s in spectra])
 
-    result = propagate_exact(h, duration, steps)
+    result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
     decomp = gauge_decompose(result, frames, energies)
     psi0 = _initial_vector(scenario, path)
     p0 = frames.projectors0[scenario.level].matrix
@@ -281,13 +264,9 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
         raise ValidationError(f"alphas needs one weight per level: {len(alphas)} given, {frames.nlevels} levels")
 
     if scenario.model_type == "three_level":
-        times, av, bv = path.times, path.a, path.b
-
         def projectors_at(t):
-            a = np.interp(t, times, av)
-            b = np.interp(t, times, bv)
-            p0, p1 = three_level_projectors(np.arctan2(b, a))
-            return [p0.matrix, p1.matrix]
+            theta = np.arctan2(np.interp(t, path.times, path.b), np.interp(t, path.times, path.a))
+            return [p.matrix for p in three_level_projectors(theta)]
     else:
         projectors_at = dis.projectors_from_frames(frames)
 

@@ -11,8 +11,8 @@ Schema (defaults in parentheses)::
     name: str                     # optional identifier; defaults to digest prefix
     engine: adiabatic | zeno | dissipative
     model:
-      type: three_level | custom  (three_level)
-      hamiltonians:               # custom only: sampled Hermitian H(t), linearly interpolated
+      type: three_level | custom  (three_level)   # a custom model takes no path: its last t is the duration
+      hamiltonians:               # custom only: sampled Hermitian H(t) at distinct t, linearly interpolated
         - {t: 0.0, matrix: [[...], ...]}
     path:
       type: circle | polyline | samples   (circle)
@@ -44,14 +44,16 @@ Schema (defaults in parentheses)::
       cluster: 1e-8
       holonomy: 1e-2
 
-Matrix entries are real numbers or two-element ``[re, im]`` lists; every
-matrix must be Hermitian to ``linalg.HERMITICITY_TOL``.
+Every number must be finite, and counts (N, substeps, steps, level, seed,
+windings, samples) integral.  Matrix entries are real numbers or two-element
+``[re, im]`` lists; every matrix must be Hermitian to ``linalg.HERMITICITY_TOL``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,20 +87,34 @@ def _reject_unknown(section: dict, allowed: set, where: str):
             raise ParseError(f"unknown key {key!r} in {where}")
 
 
+def _number(value, where: str, integral: bool = False):
+    """Scalar field `where` as a finite float, or as an int when `integral`; ValidationError otherwise."""
+    try:
+        real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or (integral and not x.is_integer()):
+        raise ValidationError(f"{where} must be {'an integer' if integral else 'a finite number'}, got {value!r}")
+    return int(value) if integral else x
+
+
 def _parse_entry(value, where: str) -> complex:
+    """One matrix or vector entry; a non-finite matrix fails the Hermiticity check."""
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
     raise ParseError(f"matrix entry in {where} must be a number or [re, im], got {value!r}")
 
 
 def parse_matrix(rows, where: str) -> np.ndarray:
     try:
         m = np.array([[_parse_entry(v, where) for v in row] for row in rows], dtype=complex)
-    except (TypeError, ParseError) as exc:
-        if isinstance(exc, ParseError):
-            raise
+    except (TypeError, ValueError) as exc:  # a ragged row list is a ValueError
         raise ParseError(f"{where} is not a matrix (list of rows)") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{where} must be square, got shape {m.shape}")
@@ -192,7 +208,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     model_hams = []
     if model_type == "custom":
         samples = model.get("hamiltonians")
-        _require(bool(samples), "model.hamiltonians is required for a custom model")
+        _require(isinstance(samples, (list, tuple)) and samples, "model.hamiltonians must be a non-empty list")
         dim = None
         for i, item in enumerate(samples):
             if not isinstance(item, dict) or set(item) != {"t", "matrix"}:
@@ -201,9 +217,10 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             if dim is None:
                 dim = m.shape[0]
             _require(m.shape[0] == dim, "model.hamiltonians matrices must share one dimension")
-            model_hams.append((float(item["t"]), m))
+            model_hams.append((_number(item["t"], f"model.hamiltonians[{i}].t"), m))
         model_hams.sort(key=lambda p: p[0])
         _require(model_hams[0][0] == 0.0, "model.hamiltonians must start at t = 0")
+        _require(len({t for t, _ in model_hams}) == len(model_hams), "model.hamiltonians times must be distinct")
         _require_hermitian(np.stack([m for _, m in model_hams]), "model.hamiltonians")
 
     pspec = dict(data.get("path", {}))
@@ -214,28 +231,36 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         pspec.setdefault("radius", 1.0)
         pspec.setdefault("windings", 1)
         pspec.setdefault("duration", 1.0)
+        center = pspec["center"]
+        _require(isinstance(center, (list, tuple)) and len(center) == 2, "path.center must be [a, b]")
+        pspec["center"] = [_number(c, "path.center") for c in center]
+        pspec["radius"] = _number(pspec["radius"], "path.radius")
         _require(pspec["radius"] > 0, "path.radius must be positive")
-        _require(isinstance(pspec["windings"], int), "path.windings must be an integer")
+        pspec["windings"] = _number(pspec["windings"], "path.windings", integral=True)
     elif ptype == "polyline":
         _require("points" in pspec, "path.points is required for a polyline path")
         pspec.setdefault("duration", 1.0)
     else:
         for key in ("times", "a", "b"):
             _require(key in pspec, f"path.{key} is required for sampled paths")
+    for key in ("duration", "samples"):
+        if key in pspec:
+            pspec[key] = _number(pspec[key], f"path.{key}", integral=key == "samples")
     _require(pspec.get("duration", 1.0) > 0, "path.duration must be positive")
 
-    n_meas = int(data.get("N", 4096))
+    n_meas = _number(data.get("N", 4096), "N", integral=True)
     _require(n_meas >= 1, "N must be a positive integer")
-    substeps = int(data.get("substeps", 1))
+    substeps = _number(data.get("substeps", 1), "substeps", integral=True)
     _require(substeps >= 1, "substeps must be a positive integer")
     steps = data.get("steps")
     if steps is not None:
-        steps = int(steps)
+        steps = _number(steps, "steps", integral=True)
         _require(steps >= 1, "steps must be a positive integer")
-    level = int(data.get("level", 0))
+    level = _number(data.get("level", 0), "level", integral=True)
     _require(level >= 0, "level must be nonnegative")
-    seed = int(data.get("seed", 0))
-    nonselective = bool(data.get("nonselective", False))
+    seed = _number(data.get("seed", 0), "seed", integral=True)
+    nonselective = data.get("nonselective", False)
+    _require(isinstance(nonselective, bool), "nonselective must be true or false")
     frame_method = data.get("frame_method", "analytic" if model_type == "three_level" else "tracked")
     _require(frame_method in ("analytic", "tracked"), "frame_method must be analytic or tracked")
     if model_type == "custom":
@@ -245,10 +270,12 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     alphas = data.get("alphas")
     if engine == "dissipative":
         _require(gamma is not None, "gamma is required for the dissipative engine")
-        gamma = float(gamma)
+    if gamma is not None:
+        gamma = _number(gamma, "gamma")
         _require(gamma >= 0, "gamma must be nonnegative")
-        if alphas is not None:
-            alphas = tuple(float(a) for a in alphas)
+    if alphas is not None:
+        _require(isinstance(alphas, (list, tuple)), "alphas must be a list of weights")
+        alphas = tuple(_number(a, "alphas") for a in alphas)
 
     cspec = data.get("control", {})
     mode = cspec.get("mode", "none")
@@ -257,7 +284,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         cham = parse_matrix(cspec["hamiltonian"], "control.hamiltonian")
         _require_hermitian(cham, "control.hamiltonian")
     try:
-        control = ControlConfig(mode=mode, alpha=float(cspec.get("alpha", 0.0)), hamiltonian=cham)
+        control = ControlConfig(mode=mode, alpha=_number(cspec.get("alpha", 0.0), "control.alpha"), hamiltonian=cham)
     except ValueError as exc:
         raise ValidationError(f"control: {exc}") from exc
     if control.mode == "alpha_frame":
@@ -272,7 +299,9 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         _require(model_type == "three_level", f"named state {iname!r} does not exist for a custom model")
     amps = None
     if iamps is not None:
+        _require(isinstance(iamps, (list, tuple)), "initial_state.amplitudes must be a list")
         amps = np.array([_parse_entry(v, "initial_state.amplitudes") for v in iamps], dtype=complex)
+        _require(bool(np.isfinite(amps).all()), "initial_state.amplitudes must be finite")
         norm = np.linalg.norm(amps)
         _require(norm > 0, "initial_state.amplitudes must be nonzero")
         amps = amps / norm
@@ -299,9 +328,9 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         seed=seed,
         nonselective=nonselective,
         frame_method=frame_method,
-        runtime_budget_s=None if budget is None else float(budget),
-        cluster_tol=float(tols.get("cluster", 1e-8)),
-        holonomy_tol=float(tols.get("holonomy", 1e-2)),
+        runtime_budget_s=None if budget is None else _number(budget, "runtime_budget_s"),
+        cluster_tol=_number(tols.get("cluster", 1e-8), "tolerances.cluster"),
+        holonomy_tol=_number(tols.get("holonomy", 1e-2), "tolerances.holonomy"),
         raw=data,
     )
 
@@ -317,6 +346,10 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
                 winding_number(path) == pspec["windings"],
                 f"path.windings = {pspec['windings']} does not match the loop's actual winding",
             )
+    # A custom model's sampled times fix its duration, so a path would be silently ignored.
+    if model_type == "custom":
+        _require("path" not in data, "a custom model takes no path section")
+        _require(model_hams[-1][0] > 0, "model.hamiltonians must span a positive duration")
     return scenario
 
 

@@ -229,6 +229,21 @@ class OperatorPath:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "operators", ops)
 
+    def at(self, t) -> np.ndarray:
+        """Operators at the time(s) `t`: piecewise linear between samples, constant outside the grid."""
+        t, times, ops = np.asarray(t, dtype=float), self.times, self.operators
+        if times.size == 1:
+            return np.broadcast_to(ops[0], t.shape + ops.shape[1:])
+        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+        s = np.clip((t - times[k]) / (times[k + 1] - times[k]), 0.0, 1.0)[..., None, None]
+        return (1.0 - s) * ops[k] + s * ops[k + 1]
+
+
+def _sample_stack(op_of_t, times: np.ndarray) -> np.ndarray:
+    """op_of_t evaluated once on the whole 1-d grid, as a (K, d, d) complex stack (a constant is broadcast)."""
+    ops = np.asarray(op_of_t(times), dtype=complex)
+    return np.broadcast_to(ops, (times.size,) + ops.shape[-2:])
+
 
 def frame_path_from_spectra(times, spectra) -> FramePath:
     """Build W(t_k) from instantaneous spectral decompositions by subspace tracking.
@@ -308,17 +323,18 @@ def frame_path_from_spectra(times, spectra) -> FramePath:
 # Built-in three-level family
 # ---------------------------------------------------------------------------
 
-def three_level_hamiltonian(a: float, b: float) -> np.ndarray:
-    """Real symmetric 3x3 Hamiltonian of the two-control family.
+def three_level_hamiltonian(a, b) -> np.ndarray:
+    """Real symmetric 3x3 Hamiltonian of the two-control family ((K, 3, 3) for arrays of controls).
 
     Eigenvalues are 0 (twofold) and 2*sqrt(a^2 + b^2); the gap closes at the
     critical point (a, b) = (0, 0), which is rejected.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     rsq = a * a + b * b
-    if rsq < CRITICAL_RADIUS_SQ:
+    if np.any(rsq < CRITICAL_RADIUS_SQ):
         raise CriticalPoint("three-level Hamiltonian is undefined at (a, b) = (0, 0)")
     r = np.sqrt(rsq)
-    return np.array(
+    h = np.array(
         [
             [r, a, b],
             [a, a * a / r, a * b / r],
@@ -326,19 +342,21 @@ def three_level_hamiltonian(a: float, b: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+    return np.moveaxis(h, (0, 1), (-2, -1))
 
 
-def three_level_eigenbasis(theta: float, theta0: float = 0.0):
-    """Instantaneous eigenvectors (E_plus, E_minus, E_zero) at polar angle `theta`.
+def three_level_eigenbasis(theta, theta0: float = 0.0):
+    """Instantaneous eigenvectors (E_plus, E_minus, E_zero) at polar angle(s) `theta`.
 
     The vectors depend only on `theta`; they equal the `theta0` vectors
     transported by the analytic frame, which is what `theta0` records.
     """
     del theta0  # transported and direct forms coincide identically
     c, s = np.cos(theta), np.sin(theta)
-    e_plus = np.array([1.0, c, s], dtype=complex) / np.sqrt(2.0)
-    e_minus = np.array([1.0, -c, -s], dtype=complex) / np.sqrt(2.0)
-    e_zero = np.array([0.0, -s, c], dtype=complex)
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    e_plus = np.stack([one, c, s], axis=-1).astype(complex) / np.sqrt(2.0)
+    e_minus = np.stack([one, -c, -s], axis=-1).astype(complex) / np.sqrt(2.0)
+    e_zero = np.stack([zero, -s, c], axis=-1).astype(complex)
     return e_plus, e_minus, e_zero
 
 
@@ -364,12 +382,10 @@ def three_level_generators(theta0: float = 0.0) -> ThreeLevelGenerators:
     return ThreeLevelGenerators(frame_generator=g, subspace_generator=g0, theta0=theta0)
 
 
-def three_level_projectors(theta: float):
-    """(rank-2 degenerate projector, rank-1 excited projector) at angle theta."""
-    e_plus, e_minus, e_zero = three_level_eigenbasis(theta)
-    p0 = np.outer(e_minus, e_minus.conj()) + np.outer(e_zero, e_zero.conj())
-    p1 = np.outer(e_plus, e_plus.conj())
-    return Projector(matrix=p0, rank=2), Projector(matrix=p1, rank=1)
+def three_level_projectors(theta):
+    """(rank-2 degenerate projector, rank-1 excited projector) at angle theta; matrices stack over an array."""
+    p_plus, p_minus, p_zero = (e[..., :, None] * e[..., None, :].conj() for e in three_level_eigenbasis(theta))
+    return Projector(matrix=p_minus + p_zero, rank=2), Projector(matrix=p_plus, rank=1)
 
 
 def _plane_rotation_stack(generator: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -392,7 +408,4 @@ def frame_path_analytic_three_level(path: ParameterPath) -> FramePath:
 
 def three_level_spectra_along(path: ParameterPath, cluster_tol: float = CLUSTER_TOL):
     """Instantaneous spectra of the three-level Hamiltonian at every path sample."""
-    return [
-        instantaneous_spectrum(three_level_hamiltonian(a, b), cluster_tol)
-        for a, b in zip(path.a, path.b)
-    ]
+    return [instantaneous_spectrum(h, cluster_tol) for h in three_level_hamiltonian(path.a, path.b)]

@@ -32,7 +32,7 @@ from .errors import (
     ZeroSurvival,
 )
 from .linalg import Projector, spectral_norm
-from .spectral import FramePath, OperatorPath, ParameterPath, three_level_generators
+from .spectral import FramePath, OperatorPath, ParameterPath, _sample_stack, three_level_generators
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class ControlConfig:
 
 
 def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None):
-    """Materialize a control config as a callable t -> H_0(t), or None."""
+    """Materialize a control config as a callable on a time array (H_0 stack or one constant matrix), or None."""
     if config.mode == "none":
         return None
     if config.mode == "alpha_frame":
@@ -79,7 +79,7 @@ def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None
         times = path.times
 
         def h0(t):
-            return config.alpha * np.interp(t, times, thdot) * g
+            return config.alpha * np.interp(t, times, thdot)[..., None, None] * g
 
         return h0
     h = np.asarray(config.hamiltonian, dtype=complex)
@@ -117,8 +117,8 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial,
     """Conditioned evolution under N projective measurements along the frame.
 
     `frames` must be sampled so that the uniform measurement times k*T/N are
-    grid points.  Between measurements the bare Hamiltonian propagates with
-    one midpoint factor per interval (`substeps` refines stiff controls).
+    grid points.  Between measurements `h0_of_t`, called once on all midpoint times, propagates
+    with one midpoint factor per interval (`substeps` refines stiff controls).
     """
     initial = np.asarray(initial, dtype=complex)
     idx = _measurement_indices(frames.times, N)
@@ -146,14 +146,14 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial,
 def zeno_hamiltonian(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
     """Emergent generator of the conditioned subspace evolution, sampled on the frame grid.
 
-    Sum of the frame-rotated, projected bare Hamiltonian and the geometric
-    term from the moving measurement basis.
+    Sum of the frame-rotated, projected bare Hamiltonian (`h0_of_t` evaluated once on
+    the frame times) and the geometric term from the moving measurement basis.
     """
     geometric = adiabatic_generator(frames, level)
     if h0_of_t is None:
         return geometric
     p0 = frames.projectors0[level].matrix
-    h0s = np.stack([np.asarray(h0_of_t(t), dtype=complex) for t in frames.times])
+    h0s = _sample_stack(h0_of_t, frames.times)
     rotated = np.matmul(frames.frames.conj().transpose(0, 2, 1), np.matmul(h0s, frames.frames))
     projected = np.einsum("ij,kjl,lm->kim", p0, rotated, p0)
     projected = 0.5 * (projected + projected.conj().transpose(0, 2, 1))
@@ -171,7 +171,7 @@ def zeno_unitary(hz: OperatorPath) -> np.ndarray:
 
 
 def effective_frame(h0_of_t, frames: FramePath, t_grid=None) -> FramePath:
-    """Measurement frame as seen from the interaction picture of H_0.
+    """Measurement frame as seen from the interaction picture of H_0 (`h0_of_t`, a grid callable).
 
     W_eff(t) = U_0(t, 0)^dag W(t); the Zeno Hamiltonian of (H_0, W) equals
     the purely geometric generator of W_eff, which is how a bare Hamiltonian
@@ -253,7 +253,7 @@ def nonselective_step(rho: np.ndarray, projectors) -> np.ndarray:
 def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0, substeps: int = 1) -> np.ndarray:
     """Density-matrix evolution under N unread measurements along the frame.
 
-    Interleaves bare propagation with the dephasing channel over all levels;
+    Interleaves bare propagation (`h0_of_t` sampled once) with dephasing over all levels;
     trace is preserved exactly and coherence across subspaces is removed.
     Every one of the N + 1 transported projector families must resolve the
     identity (IncompleteResolution otherwise).

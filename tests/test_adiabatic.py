@@ -296,3 +296,9 @@ def test_ordered_exp_needs_two_samples(projs0):
     op = OperatorPath(times=np.array([0.0]), operators=np.zeros((1, 3, 3), dtype=complex))
     with pytest.raises(InsufficientSamples):
         ordered_exp_from_samples(op)
+
+
+def test_propagate_exact_samples_h_once_per_grid(recording):
+    h = recording(loop_hamiltonian(1.0))
+    propagate_exact(h, 1.0, 64)
+    assert h.shapes == [(64,), (32,)]

@@ -53,6 +53,10 @@ class TestRunCommand:
         text = GOOD.replace("engine: zeno\n", "") if extra.startswith("engine") else GOOD
         assert cli.main(["run", write_scenario(tmp_path, text + extra)]) == 1
 
+    def test_malformed_number_exit_1(self, tmp_path, capsys):
+        assert cli.main(["run", write_scenario(tmp_path, GOOD.replace("N: 1024", "N: 64.7"))]) == 1
+        assert "N must be an integer" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self):
         assert cli.main(["run", "/nonexistent/s.yaml"]) == 1
 
@@ -70,6 +74,16 @@ class TestSweepCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "loglog_slope[survival_deficit]" in out
+
+    def test_custom_model_t_sweep_exit_1(self, tmp_path):
+        rows = "[[1, 1, 0], [1, 1, 0], [0, 0, 0]]"
+        text = (
+            "engine: adiabatic\nsteps: 16\ninitial_state:\n  amplitudes: [1, -1, 0]\nmodel:\n  type: custom\n"
+            f"  hamiltonians:\n    - {{t: 0.0, matrix: {rows}}}\n    - {{t: 1.0, matrix: {rows}}}\n"
+        )
+        scenario = write_scenario(tmp_path, text)
+        assert cli.main(["run", scenario]) == 0
+        assert cli.main(["sweep", scenario, "--axis", "T", "--values", "1,2"]) == 1
 
     def test_axis_mismatch_exit_2(self, tmp_path):
         scenario = write_scenario(tmp_path, GOOD)

@@ -286,3 +286,13 @@ class TestDephasingFixedPoint:
         d1 = dephasing_fixed_point_check(diss, 0.25)
         d2 = dephasing_fixed_point_check(diss, 0.5)
         assert d2 == pytest.approx(d1**2, rel=0.05)  # pure exponential in t
+
+
+def test_integrate_master_samples_each_operator_once(recording):
+    loop = loop_dissipator(2.0, 1.0)
+    diss = DissipatorSpec(gamma=loop.gamma, alphas=loop.alphas, projectors_at=recording(loop.projectors_at))
+    h = 0.3 * np.diag([1.0, -1.0, 0.0]).astype(complex)
+    h0 = recording(lambda t: h)
+    integrate_master(h0, diss, np.eye(3, dtype=complex) / 3, 1.0, 32)
+    assert h0.shapes == [(65,)]
+    assert diss.projectors_at.shapes == [(65,)]

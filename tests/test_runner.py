@@ -253,3 +253,57 @@ def test_shipped_scenarios_run_within_budget(path):
     assert scenario.runtime_budget_s is not None
     assert elapsed <= scenario.runtime_budget_s
     assert record.engine == scenario.engine
+
+
+def custom_unit_loop(samples=65, duration=1.0):
+    """The three-level unit loop given as a custom model sampled at `samples` times."""
+    hams = []
+    for t, th in zip(np.linspace(0.0, duration, samples), np.linspace(0.0, 2 * np.pi, samples)):
+        c, s = np.cos(th), np.sin(th)
+        m = [[1.0, c, s], [c, c * c, c * s], [s, c * s, s * s]]
+        hams.append({"t": float(t), "matrix": m})
+    return {"type": "custom", "hamiltonians": hams}
+
+
+class TestScenarioBoundary:
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"level": 5}, "level"),
+            ({"path": {"type": "circle", "windings": 1, "radius": "abc"}}, "path.radius"),
+            ({"path": {"type": "circle", "windings": 1, "duration": "x"}}, "path.duration"),
+            ({"engine": "dissipative", "gamma": float("inf")}, "gamma"),
+            ({"N": "abc"}, "N"),
+            ({"N": 64.7}, "N"),
+            ({"substeps": 1.5}, "substeps"),
+            ({"initial_state": {"amplitudes": [1.0, 0.0]}}, "initial_state.amplitudes"),
+            ({"control": {"mode": "custom", "hamiltonian": [[0.0, 1.0], [1.0, 0.0]]}}, "control.hamiltonian"),
+        ],
+        ids=["level", "radius", "duration", "gamma_inf", "N_text", "N_fraction", "substeps_fraction",
+             "amplitudes_dim", "control_dim"],
+    )
+    def test_malformed_input_is_a_validation_error(self, overrides, field):
+        data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 64,
+                "initial_state": {"name": "E_minus"}}
+        data.update(overrides)
+        with pytest.raises(ValidationError, match=field):
+            run(scenario_from_dict(data))
+
+    def test_custom_model_rejects_a_path(self):
+        data = {"engine": "zeno", "model": custom_unit_loop(), "N": 64,
+                "initial_state": {"amplitudes": [1.0, -1.0, 0.0]}}
+        run(scenario_from_dict(data))
+        with pytest.raises(ValidationError, match="custom model takes no path"):
+            scenario_from_dict(dict(data, path={"type": "circle", "windings": 1, "duration": 2.0}))
+
+    def test_custom_model_needs_a_positive_duration(self):
+        data = {"engine": "zeno", "model": custom_unit_loop(1), "N": 4,
+                "initial_state": {"amplitudes": [1.0, -1.0, 0.0]}}
+        with pytest.raises(ValidationError, match="positive duration"):
+            scenario_from_dict(data)
+
+    def test_t_sweep_of_custom_model_rejected(self):
+        data = {"engine": "adiabatic", "model": custom_unit_loop(257), "steps": 64,
+                "initial_state": {"amplitudes": [1.0, -1.0, 0.0]}}
+        with pytest.raises(ValidationError, match="no path"):
+            sweep(scenario_from_dict(data), "T", [1.0, 2.0])

@@ -4,6 +4,7 @@ import pytest
 from zenogate.errors import CriticalPoint, OpenPath, SubspaceTrackingFailure
 from zenogate.linalg import Projector, expm_hermitian, spectral_norm
 from zenogate.spectral import (
+    OperatorPath,
     ParameterPath,
     SpectralDecomposition,
     circle_path,
@@ -289,3 +290,33 @@ class TestPathConstructors:
         assert not ParameterPath(
             times=np.linspace(0, 1, 17), a=np.cos(theta), b=np.sin(theta)
         ).closed
+
+
+class TestGridEvaluation:
+    def test_model_functions_stack_over_arrays(self):
+        theta = np.linspace(-4.0, 4.0, 33)
+        a, b = 0.7 * np.cos(theta), 0.7 * np.sin(theta)
+        hs = three_level_hamiltonian(a, b)
+        vecs = three_level_eigenbasis(theta)
+        projs = three_level_projectors(theta)
+        assert hs.shape == projs[0].matrix.shape == (33, 3, 3) and projs[0].dim == 3
+        for k in range(theta.size):
+            assert np.array_equal(hs[k], three_level_hamiltonian(a[k], b[k]))
+            for v, ref in zip(vecs, three_level_eigenbasis(theta[k])):
+                assert np.array_equal(v[k], ref)
+            for p, ref in zip(projs, three_level_projectors(theta[k])):
+                assert np.array_equal(p.matrix[k], ref.matrix)
+
+    def test_critical_point_anywhere_in_an_array(self):
+        with pytest.raises(CriticalPoint):
+            three_level_hamiltonian(np.array([1.0, 0.0, -1.0]), np.zeros(3))
+
+    def test_operator_path_interpolation(self, rng):
+        times = np.array([0.0, 0.5, 2.0])
+        ops = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        path = OperatorPath(times=times, operators=ops)
+        assert np.array_equal(path.at(times), ops)
+        mids = 0.5 * (times[:-1] + times[1:])
+        assert np.allclose(path.at(mids), 0.5 * (ops[:-1] + ops[1:]), rtol=0.0, atol=1e-15)
+        assert np.array_equal(path.at(np.array([-1.0, 5.0])), ops[[0, -1]])
+        assert np.array_equal(path.at(0.5), ops[1])

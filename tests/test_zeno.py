@@ -412,3 +412,30 @@ def test_non_hermitian_control_rejected(projs0, evolve):
             projected_evolution(lambda t: h0, frames, 0, 8, em)
         else:
             nonselective_zeno_evolution(lambda t: h0, frames, 8, np.outer(em, em.conj()))
+
+
+@pytest.mark.parametrize(
+    "evolve, shape",
+    [("projected", (16,)), ("nonselective", (16,)), ("zeno_hamiltonian", (65,)), ("effective_frame", (64,))],
+)
+def test_control_sampled_once_on_the_grid(recording, evolve, shape):
+    path, frames = loop_frames(65)
+    h0 = recording(control_hamiltonian(ControlConfig(mode="alpha_frame", alpha=0.5), path))
+    _, em, _ = three_level_eigenbasis(0.0)
+    {
+        "projected": lambda: projected_evolution(h0, frames, 0, 16, em),
+        "nonselective": lambda: nonselective_zeno_evolution(h0, frames, 16, np.outer(em, em.conj())),
+        "zeno_hamiltonian": lambda: zeno_hamiltonian(h0, frames, 0),
+        "effective_frame": lambda: effective_frame(h0, frames),
+    }[evolve]()
+    assert h0.shapes == [shape]
+
+
+def test_alpha_frame_control_stacks_over_times():
+    path, _ = loop_frames(65)
+    h0 = control_hamiltonian(ControlConfig(mode="alpha_frame", alpha=0.5), path)
+    times = np.linspace(0.0, 1.0, 7)
+    stack = h0(times)
+    assert stack.shape == (7, 3, 3)
+    for k, t in enumerate(times):
+        assert np.array_equal(stack[k], h0(t))
