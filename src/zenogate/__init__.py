@@ -50,16 +50,19 @@ from .spectral import (
     OperatorPath,
     ParameterPath,
     SpectralDecomposition,
+    SpectrumStack,
     ThreeLevelGenerators,
     circle_path,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
+    instantaneous_spectra,
     instantaneous_spectrum,
     polyline_path,
     three_level_eigenbasis,
     three_level_generators,
     three_level_hamiltonian,
     three_level_projectors,
+    track_levels,
     winding_number,
 )
 from .runner import ResultRecord, SweepSummary, emit, run, sweep

@@ -42,12 +42,21 @@ def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "m
         raise NonHermitianInput(f"{what} is not Hermitian: defect {defect:.3e} > {tol:.1e}")
 
 
+def _eigh_stack(ms, herm_tol: float = HERMITICITY_TOL):
+    """Checked Hermitian eigendecompositions of a (K, d, d) stack, ascending eigenvalues per matrix."""
+    ms = np.array(ms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ValueError(f"expected a (K, d, d) stack of square matrices, got shape {ms.shape}")
+    if not np.isfinite(ms).all():
+        raise ValueError("matrix has non-finite entries")
+    assert_hermitian(ms, herm_tol)
+    return np.linalg.eigh(ms)
+
+
 def _eigh(m: np.ndarray, herm_tol: float = HERMITICITY_TOL):
     """Checked Hermitian eigendecomposition, ascending eigenvalues."""
-    m = as_complex_matrix(m)
-    assert_hermitian(m, herm_tol)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    w, v = _eigh_stack(as_complex_matrix(m)[None], herm_tol)
+    return w[0], v[0]
 
 
 def hermitian_eigendecomposition(m, herm_tol: float = HERMITICITY_TOL):

@@ -9,7 +9,6 @@ is called) and deterministic for a fixed scenario and seed.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import time
@@ -28,12 +27,12 @@ from .spectral import (
     OperatorPath,
     _plane_rotation_stack,
     frame_path_analytic_three_level,
-    frame_path_from_spectra,
-    instantaneous_spectrum,
+    instantaneous_spectra,
     three_level_eigenbasis,
     three_level_generators,
     three_level_hamiltonian,
     three_level_projectors,
+    track_levels,
 )
 
 CSV_COLUMNS = (
@@ -108,14 +107,14 @@ def _model_hamiltonian(scenario: Scenario, path):
 
 
 def _frames_for(scenario: Scenario, samples: int):
-    """(path, frames, spectra) on a uniform grid with the requested number of samples.
+    """(path, frames, energies) on a uniform grid with the requested number of samples.
 
-    `path` is None for a custom model; `spectra` holds the sampled spectral
-    decompositions behind tracked frames (None for closed-form frames).
+    `path` is None for a custom model; `energies[k, n]` is the energy of
+    tracked level n at sample k (None for closed-form frames).
     Inputs that do not fit the model's levels or dimension raise ValidationError.
     """
     path = None if scenario.model_type == "custom" else scenario.build_path(samples=samples)
-    spectra = None
+    energies = None
     if path is not None and scenario.control.mode == "wagon_wheel":
         theta0 = float(path.theta()[0])
         frames = zn.wagon_wheel_frames(scenario.control.hamiltonian, path.times, three_level_projectors(theta0))
@@ -123,8 +122,9 @@ def _frames_for(scenario: Scenario, samples: int):
         frames = frame_path_analytic_three_level(path)
     else:
         times = np.linspace(0.0, scenario.model_hamiltonians[-1][0], samples) if path is None else path.times
-        spectra = [instantaneous_spectrum(h, scenario.cluster_tol) for h in _model_hamiltonian(scenario, path)(times)]
-        frames = frame_path_from_spectra(times, spectra)
+        spectra = instantaneous_spectra(_model_hamiltonian(scenario, path)(times), scenario.cluster_tol)
+        frames, order = track_levels(times, spectra)
+        energies = np.take_along_axis(spectra.energies, order, axis=1)
     if scenario.level >= frames.nlevels:
         raise ValidationError(f"level {scenario.level} does not exist: the model has {frames.nlevels} levels")
     dim = frames.projectors0[0].dim
@@ -132,7 +132,7 @@ def _frames_for(scenario: Scenario, samples: int):
                      ("control.hamiltonian", scenario.control.hamiltonian)):
         if m is not None and m.shape[0] != dim:
             raise ValidationError(f"{where} has dimension {m.shape[0]}, the model has dimension {dim}")
-    return path, frames, spectra
+    return path, frames, energies
 
 
 def _initial_vector(scenario: Scenario, path) -> np.ndarray:
@@ -223,14 +223,12 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
 
 
 def _run_adiabatic(scenario: Scenario, record: ResultRecord):
-    path, frames, spectra = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
+    path, frames, energies = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
     duration = float(frames.times[-1])
     steps = scenario.steps if scenario.steps is not None else max(1024, int(np.ceil(duration * 100)))
-    if spectra is None:
+    if energies is None:
         r = path.radius()
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
-    else:
-        energies = np.array([s.energies for s in spectra])
 
     result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
     decomp = gauge_decompose(result, frames, energies)
@@ -305,18 +303,19 @@ _AXES = {
 
 
 def _derive(scenario: Scenario, axis: str, value) -> Scenario:
-    data = copy.deepcopy(scenario.raw)
+    """The scenario with `axis` set to `value`; `scenario.raw` stays as it is, only the edited section is copied."""
+    data = dict(scenario.raw)
     if axis == "N":
         data["N"] = int(value)
     elif axis == "gamma":
         data["gamma"] = float(value)
     elif axis == "alpha":
-        data.setdefault("control", {})["alpha"] = float(value)
+        data["control"] = {**data.get("control", {}), "alpha": float(value)}
     elif axis == "steps":
         data["steps"] = int(value)
     elif axis == "T":
         base = scenario.build_path(samples=2).duration  # only the end time is read
-        data.setdefault("path", {})["duration"] = float(value)
+        data["path"] = {**data.get("path", {}), "duration": float(value)}
         if scenario.steps is not None:
             data["steps"] = max(1, int(np.ceil(scenario.steps * float(value) / base)))
     return scenario_from_dict(data, source=f"<sweep {axis}={value}>")

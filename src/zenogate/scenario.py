@@ -309,10 +309,11 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     tols = data.get("tolerances", {})
     budget = data.get("runtime_budget_s")
 
+    digest = scenario_digest(data)
     scenario = Scenario(
         engine=engine,
-        name=str(data.get("name", "")) or scenario_digest(data)[:12],
-        digest=scenario_digest(data),
+        name=str(data.get("name", "")) or digest[:12],
+        digest=digest,
         model_type=model_type,
         model_hamiltonians=model_hams,
         path_spec=pspec,

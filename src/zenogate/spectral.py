@@ -49,6 +49,9 @@ class ParameterPath:
         b = np.asarray(self.b, dtype=float)
         if not (t.shape == a.shape == b.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("times, a, b must be equal-length 1-d arrays with >= 2 samples")
+        for name, x in (("times", t), ("a", a), ("b", b)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite")
         if abs(t[0]) > 0.0:
             raise ValueError("path must start at time 0")
         if np.any(np.diff(t) <= 0):
@@ -156,26 +159,92 @@ class SpectralDecomposition:
         return {"completeness": completeness, "orthogonality": ortho}
 
 
-def instantaneous_spectrum(h, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix with eigenvalue clustering.
+@dataclass(frozen=True)
+class SpectrumStack:
+    """Instantaneous spectra of K samples, levels in energy order within each sample.
 
-    Eigenvalues closer than ``cluster_tol * max(1, |H|)`` are merged into a
-    single degenerate level and share one projector.
+    Level n of sample k has energy ``energies[k, n]`` and rank ``ranks[k, n]``;
+    its orthonormal basis is the next ``ranks[k, n]`` columns of
+    ``vectors[k]`` after those of the levels below it.  A sample with fewer
+    levels than the widest one is padded with NaN energies and rank 0, and
+    with zero columns where its ranks sum to less than the widest one's.
     """
-    w, v = linalg._eigh(h)
-    tol = cluster_tol * max(1.0, float(np.abs(w).max(initial=0.0)))
-    energies = []
-    projectors = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol:
-            block = v[:, start:i]
-            p = block @ block.conj().T
-            p = 0.5 * (p + p.conj().T)
-            energies.append(float(w[start:i].mean()))
-            projectors.append(Projector(matrix=p, rank=i - start))
-            start = i
-    return SpectralDecomposition(energies=tuple(energies), projectors=tuple(projectors))
+
+    energies: np.ndarray  # (K, L)
+    ranks: np.ndarray  # (K, L) int
+    vectors: np.ndarray  # (K, d, largest rank sum)
+
+    @property
+    def nlevels(self) -> np.ndarray:
+        """Level count of every sample."""
+        return np.count_nonzero(self.ranks, axis=1)
+
+    def offsets(self) -> np.ndarray:
+        """(K, L) index of each level's first column in `vectors`."""
+        return np.cumsum(self.ranks, axis=1) - self.ranks
+
+    def members(self) -> np.ndarray:
+        """(K, L, columns) mask: column c of ``vectors[k]`` belongs to level l."""
+        columns, start = np.arange(self.vectors.shape[2]), self.offsets()[..., None]
+        return (columns >= start) & (columns < start + self.ranks[..., None])
+
+    def projectors(self) -> np.ndarray:
+        """(K, L, d, d) eigenprojectors: the symmetrized sum of v v^dag over each level's basis."""
+        p = np.einsum("kac,klc,kbc->klab", self.vectors, self.members(), self.vectors.conj())
+        return 0.5 * (p + p.conj().swapaxes(-1, -2))
+
+    def decomposition(self, k: int) -> SpectralDecomposition:
+        """Sample k as a SpectralDecomposition."""
+        n = int(self.nlevels[k])
+        one = SpectrumStack(energies=self.energies[k : k + 1, :n], ranks=self.ranks[k : k + 1, :n],
+                            vectors=self.vectors[k : k + 1])
+        return SpectralDecomposition(
+            energies=tuple(float(e) for e in one.energies[0]),
+            projectors=tuple(Projector(matrix=p, rank=int(r)) for p, r in zip(one.projectors()[0], one.ranks[0])),
+        )
+
+    @classmethod
+    def from_decompositions(cls, spectra) -> SpectrumStack:
+        """Stack per-sample decompositions (hand-built ones included).
+
+        A level's basis is the top `rank` eigenvectors of its projector matrix.
+        """
+        spectra = list(spectra)
+        shape = (len(spectra), max(s.nlevels for s in spectra))
+        energies, ranks = np.full(shape, np.nan), np.zeros(shape, dtype=int)
+        projs = np.zeros(shape + (spectra[0].dim,) * 2, dtype=complex)
+        for k, s in enumerate(spectra):
+            energies[k, : s.nlevels] = s.energies
+            ranks[k, : s.nlevels] = [p.rank for p in s.projectors]
+            projs[k, : s.nlevels] = [p.matrix for p in s.projectors]
+        vectors = np.zeros((shape[0], projs.shape[-1], ranks.sum(axis=1).max()), dtype=complex)
+        stack = cls(energies=energies, ranks=ranks, vectors=vectors)
+        k, n, c = np.nonzero(np.arange(ranks.max()) < ranks[..., None])
+        stack.vectors[k, :, stack.offsets()[k, n] + c] = np.linalg.eigh(projs)[1][k, n, :, -1 - c]
+        return stack
+
+
+def instantaneous_spectra(hs, cluster_tol: float = CLUSTER_TOL) -> SpectrumStack:
+    """Spectral decompositions of a (K, d, d) stack of Hermitian matrices, with eigenvalue clustering.
+
+    Within each sample, an eigenvalue within ``cluster_tol * max(1, max|w|)``
+    of the one below it joins that one's level; a level's energy is the mean
+    of its eigenvalues and its basis their eigenvectors.  One checked
+    eigendecomposition serves the whole stack.
+    """
+    w, v = linalg._eigh_stack(hs)
+    tol = cluster_tol * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+    labels = np.zeros(w.shape, dtype=int)
+    labels[:, 1:] = np.cumsum(np.diff(w, axis=1) > tol[:, None], axis=1)
+    members = labels[:, None, :] == np.arange(labels.max(initial=0) + 1)[:, None]  # (K, L, d)
+    ranks = members.sum(axis=2)
+    energies = np.where(ranks > 0, (members * w[:, None, :]).sum(axis=2) / np.maximum(ranks, 1), np.nan)
+    return SpectrumStack(energies=energies, ranks=ranks, vectors=v)
+
+
+def instantaneous_spectrum(h, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+    """Spectral decomposition of one Hermitian matrix: the K = 1 case of :func:`instantaneous_spectra`."""
+    return instantaneous_spectra(linalg.as_complex_matrix(h)[None], cluster_tol).decomposition(0)
 
 
 @dataclass(frozen=True)
@@ -245,78 +314,177 @@ def _sample_stack(op_of_t, times: np.ndarray) -> np.ndarray:
     return np.broadcast_to(ops, (times.size,) + ops.shape[-2:])
 
 
-def frame_path_from_spectra(times, spectra) -> FramePath:
-    """Build W(t_k) from instantaneous spectral decompositions by subspace tracking.
+def _level_bases(vectors: np.ndarray, offsets: np.ndarray, levels: np.ndarray, width: int) -> np.ndarray:
+    """(K, d, width) first `width` basis columns of level levels[k] of every sample k."""
+    start = np.take_along_axis(offsets, levels[:, None], axis=1)
+    return np.take_along_axis(vectors, (start + np.arange(width))[:, None, :], axis=2)
+
+
+def _overlaps(spectra: SpectrumStack) -> np.ndarray:
+    """overlaps[k - 1, i, j] = |P_j(k) P_i(k - 1)|_2 for every pair of consecutive samples.
+
+    This is the top singular value of the block Q_j(k)^dag Q_i(k - 1) of
+    V(k)^dag V(k - 1): its Frobenius norm when either level has rank one,
+    else taken from :func:`_polar` (indices past a level's rank are clamped,
+    then masked out).
+    """
+    v, ranks, offsets = spectra.vectors, spectra.ranks, spectra.offsets()
+    m = v[1:].conj().swapaxes(-1, -2) @ v[:-1]
+    members = spectra.members().astype(float)
+    top = _small_matmul(_small_matmul(members[:-1], np.abs(m).swapaxes(-1, -2) ** 2), members[1:].swapaxes(-1, -2))
+    k, i, j = np.nonzero((ranks[:-1, :, None] > 1) & (ranks[1:, None, :] > 1))
+    if k.size:
+        width = np.arange(ranks.max())
+        rows, cols = offsets[k + 1, j][:, None] + width, offsets[k, i][:, None] + width
+        keep = (width < ranks[k + 1, j][:, None])[:, :, None] & (width < ranks[k, i][:, None])[:, None, :]
+        last = v.shape[2] - 1
+        block = np.where(keep, m[k[:, None, None], np.minimum(rows, last)[:, :, None],
+                                 np.minimum(cols, last)[:, None, :]], 0.0)
+        top[k, i, j] = _polar(block)[0][:, 0] ** 2
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _match_levels(spectra: SpectrumStack, overlaps: np.ndarray):
+    """Greedy overlap matching of levels between consecutive samples, in level order.
+
+    At each sample, tracked level n = 0, 1, ... takes the still unclaimed
+    level of largest overlap with its level at the previous sample (the
+    lower index on a tie).  Stretches of samples where every tracked level
+    keeps its level index are found in one vectorized test; the greedy
+    pass runs, over integers, only where an index changes.
+
+    Returns ``(order, failure)``: tracked level n is level ``order[k, n]`` of
+    sample k, filled up to the first failing sample; `failure` is None or
+    ``(k, message)`` for the first sample whose level count, overlap or rank
+    rules the match out.
+    """
+    count, nlev = spectra.ranks.shape[0], int(spectra.nlevels[0])
+    rank0 = spectra.ranks[0, :nlev]
+    order = np.zeros((count, nlev), dtype=int)
+    order[0] = prev = np.arange(nlev)
+    later = np.triu(np.ones((nlev, nlev), dtype=bool), 1)
+    k = 1
+    while k < count:
+        held = overlaps[k - 1 :, prev[:, None], prev]  # [., n, m]: tracked n against the level tracked m held
+        own = np.diagonal(held, axis1=1, axis2=2)[..., None]
+        wins = np.where(prev > prev[:, None], own >= held, own > held) | ~later
+        keeps = (
+            (spectra.nlevels[k:] == nlev)
+            & (spectra.ranks[k:, prev] == rank0).all(axis=1)
+            & (own[..., 0] > MIN_TRACKING_OVERLAP).all(axis=1)
+            & wins.all(axis=(1, 2))
+        )
+        stop = k + int(np.argmin(keeps)) if not keeps.all() else count
+        order[k:stop] = prev
+        if stop == count:
+            break
+        if spectra.nlevels[stop] != nlev:
+            return order, (stop, f"level count changed from {nlev} to {spectra.nlevels[stop]} at sample {stop}")
+        rows = overlaps[stop - 1].tolist()
+        cur = []
+        for n in range(nlev):
+            row = rows[prev[n]]
+            j = max((j for j in range(nlev) if j not in cur), key=row.__getitem__)
+            if row[j] <= MIN_TRACKING_OVERLAP:
+                message = f"projector overlap {row[j]:.3f} <= {MIN_TRACKING_OVERLAP}"
+                return order, (stop, f"{message} for level {n} at sample {stop}")
+            if spectra.ranks[stop, j] != rank0[n]:
+                message = f"rank changed from {rank0[n]} to {spectra.ranks[stop, j]}"
+                return order, (stop, f"{message} for level {n} at sample {stop}")
+            cur.append(j)
+        order[stop] = prev = np.array(cur)
+        k = stop + 1
+    return order, None
+
+
+def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks with a small inner dimension, as that many elementwise products.
+
+    np.matmul pays a fixed cost per matrix, which dominates for r x r blocks.
+    """
+    return sum(a[..., :, i, None] * b[..., None, i, :] for i in range(a.shape[-1]))
+
+
+def _prefix_products(stack: np.ndarray) -> np.ndarray:
+    """out[k] = stack[k] @ ... @ stack[0], in log2(K) batched doubling steps."""
+    out = stack.copy()
+    shift = 1
+    while shift < out.shape[0]:
+        out[shift:] = _small_matmul(out[shift:], out[:-shift])
+        shift *= 2
+    return out
+
+
+def _polar(a: np.ndarray):
+    """(descending singular values, unitary polar factors) of a (K, r, r) stack.
+
+    Ranks 1 and 2 take closed forms instead of one LAPACK call per matrix:
+    a 1 x 1 block is its modulus times its phase, and a 2 x 2 block
+    a = U diag(s_1, s_2) V^dag has a + e^{i arg det a} adj(a)^dag = (s_1 + s_2) U.
+    """
+    r = a.shape[-1]
+    if r > 2:
+        u, s, vh = np.linalg.svd(a)
+        return s, u @ vh
+    det = a[..., 0, 0] if r == 1 else a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    phase = (det / np.where(det != 0, np.abs(det), 1.0))[..., None, None]
+    if r == 1:
+        return np.abs(det)[..., None], phase
+    adj_h = np.stack([a[..., 1, 1], -a[..., 1, 0], -a[..., 0, 1], a[..., 0, 0]], axis=-1).reshape(a.shape).conj()
+    z = a + phase * adj_h
+    total = np.sqrt(0.5 * (np.abs(z) ** 2).sum(axis=(-1, -2)))  # s_1 + s_2
+    top = 0.5 * (total + np.sqrt(np.maximum(total**2 - 4.0 * np.abs(det), 0.0)))
+    bottom = np.abs(det) / np.where(top > 0, top, 1.0)
+    return np.stack([top, bottom], axis=-1), z / np.where(total > 0, total, 1.0)[..., None, None]
+
+
+def track_levels(times, spectra: SpectrumStack):
+    """Build W(t_k) from instantaneous spectra by subspace tracking.
 
     Levels are matched between consecutive samples by projector overlap (not
     by energy order), and within each matched eigenspace the incremental
     rotation is the polar factor of the projected, frame-transported basis:
-    maximal-overlap continuity.  Raises SubspaceTrackingFailure when level
-    counts/ranks change or the overlap drops to 1/2 or below (level crossing
-    or too-coarse sampling).
+    maximal-overlap continuity.  With Q_n(k) the level's orthonormal basis,
+    the transported basis is Q_n(k) U_n(k), where U_n(k) =
+    polar(Q_n(k)^dag Q_n(k-1)) U_n(k-1) is a prefix product of r x r factors.
+    Raises SubspaceTrackingFailure, naming the first failing sample, when
+    level counts/ranks change, the overlap drops to 1/2 or below (level
+    crossing or too-coarse sampling) or a transported basis loses rank.
+
+    Returns ``(frames, order)``: tracked level n is level ``order[k, n]``
+    (energy order) of sample k.
     """
     times = np.asarray(times, dtype=float)
-    spectra = list(spectra)
-    if times.size != len(spectra) or times.size < 1:
+    if times.size != spectra.ranks.shape[0] or times.size < 1:
         raise ValueError("need one spectral decomposition per time sample")
-    first = spectra[0]
-    dim = first.dim
-    nlev = first.nlevels
-    ranks = [p.rank for p in first.projectors]
+    order, failure = _match_levels(spectra, _overlaps(spectra))
+    tracked = times.size if failure is None else failure[0]
+    vectors, offsets = spectra.vectors[:tracked], spectra.offsets()[:tracked]
+    ranks = spectra.ranks[0, : order.shape[1]]
+    bases = [_level_bases(vectors, offsets, order[:tracked, n], rank) for n, rank in enumerate(ranks)]
+    steps = [_polar(_small_matmul(q[1:].conj().swapaxes(-1, -2), q[:-1])) for q in bases]
+    lost = [(int(k) + 1, n) for n, (s, _) in enumerate(steps) for k in np.flatnonzero(s[:, -1] <= 1e-12)[:1]]
+    if lost:
+        k, n = min(lost)
+        raise SubspaceTrackingFailure(f"transported basis lost rank for level {n} at sample {k}")
+    if failure is not None:
+        raise SubspaceTrackingFailure(failure[1])
 
-    # Orthonormal bases of the initial eigenspaces; transported in step.
-    bases = []
-    for p in first.projectors:
-        w, v = np.linalg.eigh(p.matrix)
-        bases.append(v[:, w > 0.5].copy())
-    bases0 = [b.copy() for b in bases]
-
-    frames = np.empty((times.size, dim, dim), dtype=complex)
+    dim = spectra.vectors.shape[1]
+    frames = np.zeros((times.size, dim, dim), dtype=complex)
+    for q, (_, factors) in zip(bases, steps):
+        rot = np.concatenate([np.eye(q.shape[2])[None], _prefix_products(factors)])
+        # Each polar factor is unitary only to rounding, and products accumulate
+        # the defect: one Newton-Schulz step takes it back to rounding.
+        rot = 1.5 * rot - 0.5 * _small_matmul(rot, _small_matmul(rot.conj().swapaxes(-1, -2), rot))
+        frames += _small_matmul(_small_matmul(q, rot), q[0].conj().T)
     frames[0] = np.eye(dim)
-    prev_projs = [p.matrix for p in first.projectors]
+    return FramePath(times=times, frames=frames, projectors0=spectra.decomposition(0).projectors), order
 
-    for k in range(1, times.size):
-        spec = spectra[k]
-        if spec.nlevels != nlev:
-            raise SubspaceTrackingFailure(
-                f"level count changed from {nlev} to {spec.nlevels} at sample {k}"
-            )
-        cand = [p.matrix for p in spec.projectors]
-        cand_ranks = [p.rank for p in spec.projectors]
-        used = set()
-        new_projs = [None] * nlev
-        for n in range(nlev):
-            overlaps = [
-                -1.0 if j in used else spectral_norm(cand[j] @ prev_projs[n])
-                for j in range(nlev)
-            ]
-            j = int(np.argmax(overlaps))
-            if overlaps[j] <= MIN_TRACKING_OVERLAP:
-                raise SubspaceTrackingFailure(
-                    f"projector overlap {overlaps[j]:.3f} <= {MIN_TRACKING_OVERLAP} "
-                    f"for level {n} at sample {k}"
-                )
-            if cand_ranks[j] != ranks[n]:
-                raise SubspaceTrackingFailure(
-                    f"rank changed from {ranks[n]} to {cand_ranks[j]} for level {n} at sample {k}"
-                )
-            used.add(j)
-            new_projs[n] = cand[j]
 
-        w = np.zeros((dim, dim), dtype=complex)
-        for n in range(nlev):
-            m = new_projs[n] @ bases[n]
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
-            if s[-1] <= 1e-12:
-                raise SubspaceTrackingFailure(
-                    f"transported basis lost rank for level {n} at sample {k}"
-                )
-            bases[n] = u @ vh
-            w += bases[n] @ bases0[n].conj().T
-        frames[k] = w
-        prev_projs = new_projs
-
-    return FramePath(times=times, frames=frames, projectors0=first.projectors)
+def frame_path_from_spectra(times, spectra) -> FramePath:
+    """Tracked frames from one SpectralDecomposition per time sample (see :func:`track_levels`)."""
+    return track_levels(times, SpectrumStack.from_decompositions(spectra))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +572,3 @@ def frame_path_analytic_three_level(path: ParameterPath) -> FramePath:
     frames = _plane_rotation_stack(gens.frame_generator, theta - theta[0])
     p0, p1 = three_level_projectors(theta[0])
     return FramePath(times=path.times, frames=frames, projectors0=(p0, p1))
-
-
-def three_level_spectra_along(path: ParameterPath, cluster_tol: float = CLUSTER_TOL):
-    """Instantaneous spectra of the three-level Hamiltonian at every path sample."""
-    return [instantaneous_spectrum(h, cluster_tol) for h in three_level_hamiltonian(path.a, path.b)]

@@ -57,6 +57,12 @@ class TestRunCommand:
         assert cli.main(["run", write_scenario(tmp_path, GOOD.replace("N: 1024", "N: 64.7"))]) == 1
         assert "N must be an integer" in capsys.readouterr().err
 
+    def test_non_finite_sampled_path_exit_1(self, tmp_path, capsys):
+        path = "  type: samples\n  times: [0, .nan, 1]\n  a: [1, 0, -1]\n  b: [0, 1, 0]\n"
+        text = GOOD.replace("  windings: 1\n", path).replace("N: 1024", "N: 64")
+        assert cli.main(["run", write_scenario(tmp_path, text)]) == 1
+        assert "times must be finite" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self):
         assert cli.main(["run", "/nonexistent/s.yaml"]) == 1
 

@@ -1,3 +1,4 @@
+import copy
 import time
 from pathlib import Path
 
@@ -154,6 +155,15 @@ class TestConsistency:
             for name in ("q_n", "fidelity", "distance"):
                 assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-9)
 
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_tracked_energies_follow_levels_through_a_crossing(self, level):
+        """diag(E_0, E_1) swaps energy order at t = 0.3; each level must keep its own dynamical phase."""
+        hams = [{"t": 0.0, "matrix": [[0.4, 0.0], [0.0, 0.6]]}, {"t": 0.6, "matrix": [[0.6, 0.0], [0.0, 0.4]]},
+                {"t": 1.0, "matrix": [[0.7, 0.0], [0.0, 0.3]]}]
+        data = {"engine": "adiabatic", "model": {"type": "custom", "hamiltonians": hams}, "steps": 4096,
+                "level": level, "initial_state": {"amplitudes": [1.0 - level, float(level)]}}
+        assert run(scenario_from_dict(data)).distance <= 1e-7
+
     def test_sampled_loop_default_steps_follow_duration(self):
         t_final = 2 * np.pi * 10.25
         base = {"engine": "adiabatic", "initial_state": {"name": "E_minus"}}
@@ -163,6 +173,18 @@ class TestConsistency:
 
 
 class TestSweep:
+    @pytest.mark.parametrize(
+        "axis, values, overrides",
+        [("T", [2.0, 3.0], {}), ("alpha", [0.2, 0.4], {"control": {"mode": "alpha_frame", "alpha": 0.5}})],
+    )
+    def test_base_document_left_unmodified(self, axis, values, overrides):
+        data = {"engine": "zeno", "path": {"type": "circle", "windings": 1, "duration": 1.0}, "N": 64,
+                "initial_state": {"name": "E_minus"}, **overrides}
+        scenario = scenario_from_dict(data)
+        before = copy.deepcopy(scenario.raw)
+        sweep(scenario, axis, values)
+        assert scenario.raw == before
+
     def test_n_axis_slopes(self):
         summary = sweep(zeno_scenario(), "N", [2**k for k in range(6, 11)])
         assert summary.slopes["survival_deficit"] == pytest.approx(-1.0, abs=0.15)

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from zenogate.errors import ParseError, ValidationError
 from zenogate.scenario import Scenario, load_scenario, scenario_digest, scenario_from_dict
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal_zeno(**overrides):
@@ -143,6 +147,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="model.hamiltonians"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["times", "a", "b"])
+    def test_sampled_path_must_be_finite(self, field):
+        path = {"type": "samples", "times": [0.0, 0.5, 1.0], "a": [1.0, 0.0, -1.0], "b": [0.0, 1.0, 0.0]}
+        path[field] = [path[field][0], float("nan"), path[field][2]]
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            scenario_from_dict(minimal_zeno(path=path))
+
     def test_amplitudes_normalized(self):
         s = scenario_from_dict(minimal_zeno(initial_state={"amplitudes": [3.0, 0.0, 0.0]}))
         assert np.linalg.norm(s.initial_amplitudes) == pytest.approx(1.0)
@@ -158,6 +169,29 @@ class TestDigest:
         a = {"engine": "zeno", "N": 8}
         b = {"engine": "zeno", "N": 16}
         assert scenario_digest(a) != scenario_digest(b)
+
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("adiabatic_slow_loop", "89133a113ee7c9902c8d9c895c9f3eded37000a455babf1a2e4f382a6506ebc1"),
+            ("dephasing_superposition", "aef54c349288171b26974ff9d2d6ea718c123bed58a8240388dcfbf448919465"),
+            ("dissipative_gate", "22e78b737dff12d435d4a1c756ecf5850bbfd8b7be5abf5e6ae1a0283beb2b59"),
+            ("wagon_wheel", "43ce284358347218792c824e3037e560b0d9b7796da7bd5555730ab4585bb0c0"),
+            ("zeno_alpha_half", "1bd4e400572ee685a1ef4c53647afefd97afe3f8b93135c529d348e2a2808132"),
+            ("zeno_no_winding", "2fe376acb4945337da8ad443c0dda637ac8d07b07c55816731a148a29ddb1c46"),
+            ("zeno_winding_one", "04668bc697cc2b6bdd1cd2c3cfdf9b1db49d3406c922538cb60e739e8d470625"),
+            ("zeno_winding_two", "192634e059aecd3be98d6ee258a334c77cb11206d079525e01001a06b75d4f3e"),
+        ],
+    )
+    def test_shipped_scenario_digests_unchanged(self, name, digest):
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        assert scenario.digest == digest
+
+    def test_unnamed_scenario_is_named_by_its_digest(self):
+        data = minimal_zeno()
+        scenario = scenario_from_dict(data)
+        assert scenario.name == scenario_digest(data)[:12] == scenario.digest[:12]
 
 
 class TestBuildPath:
