@@ -21,16 +21,6 @@ CLUSTER_TOL = 1e-8          # eigenvalue clustering, relative to max(1, |H|)
 GRAM_CONDITION_LIMIT = 1e12
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Validate and return a square, finite complex128 copy of `m`."""
-    out = np.array(m, dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out.view(float))):
-        raise ValueError("matrix has non-finite entries")
-    return out
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation |m - m^dag| (of any matrix, for a (K, d, d) stack)."""
     return float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max())
@@ -43,8 +33,12 @@ def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "m
 
 
 def _eigh_stack(ms, herm_tol: float = HERMITICITY_TOL):
-    """Checked Hermitian eigendecompositions of a (K, d, d) stack, ascending eigenvalues per matrix."""
-    ms = np.array(ms, dtype=complex)
+    """Checked Hermitian eigendecompositions of a (K, d, d) stack, ascending eigenvalues per matrix.
+
+    The one place that checks matrices before eigh: square, finite entries,
+    Hermitian to `herm_tol`.
+    """
+    ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"expected a (K, d, d) stack of square matrices, got shape {ms.shape}")
     if not np.isfinite(ms).all():
@@ -55,7 +49,7 @@ def _eigh_stack(ms, herm_tol: float = HERMITICITY_TOL):
 
 def _eigh(m: np.ndarray, herm_tol: float = HERMITICITY_TOL):
     """Checked Hermitian eigendecomposition, ascending eigenvalues."""
-    w, v = _eigh_stack(as_complex_matrix(m)[None], herm_tol)
+    w, v = _eigh_stack(np.asarray(m)[None], herm_tol)
     return w[0], v[0]
 
 

@@ -244,7 +244,7 @@ def instantaneous_spectra(hs, cluster_tol: float = CLUSTER_TOL) -> SpectrumStack
 
 def instantaneous_spectrum(h, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     """Spectral decomposition of one Hermitian matrix: the K = 1 case of :func:`instantaneous_spectra`."""
-    return instantaneous_spectra(linalg.as_complex_matrix(h)[None], cluster_tol).decomposition(0)
+    return instantaneous_spectra(np.asarray(h)[None], cluster_tol).decomposition(0)
 
 
 @dataclass(frozen=True)
@@ -349,52 +349,33 @@ def _match_levels(spectra: SpectrumStack, overlaps: np.ndarray):
 
     At each sample, tracked level n = 0, 1, ... takes the still unclaimed
     level of largest overlap with its level at the previous sample (the
-    lower index on a tie).  Stretches of samples where every tracked level
-    keeps its level index are found in one vectorized test; the greedy
-    pass runs, over integers, only where an index changes.
+    lower index on a tie).  The loop runs over Python integers and floats.
 
     Returns ``(order, failure)``: tracked level n is level ``order[k, n]`` of
-    sample k, filled up to the first failing sample; `failure` is None or
-    ``(k, message)`` for the first sample whose level count, overlap or rank
-    rules the match out.
+    sample k, for every sample before the first failing one; `failure` is
+    None or ``(k, message)`` for the first sample whose level count, overlap
+    or rank rules the match out.
     """
-    count, nlev = spectra.ranks.shape[0], int(spectra.nlevels[0])
-    rank0 = spectra.ranks[0, :nlev]
-    order = np.zeros((count, nlev), dtype=int)
-    order[0] = prev = np.arange(nlev)
-    later = np.triu(np.ones((nlev, nlev), dtype=bool), 1)
-    k = 1
-    while k < count:
-        held = overlaps[k - 1 :, prev[:, None], prev]  # [., n, m]: tracked n against the level tracked m held
-        own = np.diagonal(held, axis1=1, axis2=2)[..., None]
-        wins = np.where(prev > prev[:, None], own >= held, own > held) | ~later
-        keeps = (
-            (spectra.nlevels[k:] == nlev)
-            & (spectra.ranks[k:, prev] == rank0).all(axis=1)
-            & (own[..., 0] > MIN_TRACKING_OVERLAP).all(axis=1)
-            & wins.all(axis=(1, 2))
-        )
-        stop = k + int(np.argmin(keeps)) if not keeps.all() else count
-        order[k:stop] = prev
-        if stop == count:
-            break
-        if spectra.nlevels[stop] != nlev:
-            return order, (stop, f"level count changed from {nlev} to {spectra.nlevels[stop]} at sample {stop}")
-        rows = overlaps[stop - 1].tolist()
-        cur = []
-        for n in range(nlev):
-            row = rows[prev[n]]
-            j = max((j for j in range(nlev) if j not in cur), key=row.__getitem__)
+    nlevels, ranks, overlaps = spectra.nlevels.tolist(), spectra.ranks.tolist(), overlaps.tolist()
+    levels = range(nlevels[0])
+    order = [list(levels)]
+    for k in range(1, len(nlevels)):
+        if nlevels[k] != len(levels):
+            return np.array(order), (k, f"level count changed from {len(levels)} to {nlevels[k]} at sample {k}")
+        rows, cur, free = overlaps[k - 1], [], list(levels)
+        for n, i in enumerate(order[-1]):
+            row = rows[i]
+            j = max(free, key=row.__getitem__)  # the first, so the lowest, of equal overlaps
             if row[j] <= MIN_TRACKING_OVERLAP:
                 message = f"projector overlap {row[j]:.3f} <= {MIN_TRACKING_OVERLAP}"
-                return order, (stop, f"{message} for level {n} at sample {stop}")
-            if spectra.ranks[stop, j] != rank0[n]:
-                message = f"rank changed from {rank0[n]} to {spectra.ranks[stop, j]}"
-                return order, (stop, f"{message} for level {n} at sample {stop}")
+                return np.array(order), (k, f"{message} for level {n} at sample {k}")
+            if ranks[k][j] != ranks[0][n]:
+                message = f"rank changed from {ranks[0][n]} to {ranks[k][j]}"
+                return np.array(order), (k, f"{message} for level {n} at sample {k}")
+            free.remove(j)
             cur.append(j)
-        order[stop] = prev = np.array(cur)
-        k = stop + 1
-    return order, None
+        order.append(cur)
+    return np.array(order), None
 
 
 def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -420,7 +401,9 @@ def _polar(a: np.ndarray):
 
     Ranks 1 and 2 take closed forms instead of one LAPACK call per matrix:
     a 1 x 1 block is its modulus times its phase, and a 2 x 2 block
-    a = U diag(s_1, s_2) V^dag has a + e^{i arg det a} adj(a)^dag = (s_1 + s_2) U.
+    a = U diag(s_1, s_2) V^dag has a +- e^{i arg det a} adj(a)^dag =
+    (s_1 +- s_2) U diag(1, +-1) V^dag, so both s_1 + s_2 and s_1 - s_2 come
+    from a Frobenius norm, without cancellation.
     """
     r = a.shape[-1]
     if r > 2:
@@ -433,7 +416,8 @@ def _polar(a: np.ndarray):
     adj_h = np.stack([a[..., 1, 1], -a[..., 1, 0], -a[..., 0, 1], a[..., 0, 0]], axis=-1).reshape(a.shape).conj()
     z = a + phase * adj_h
     total = np.sqrt(0.5 * (np.abs(z) ** 2).sum(axis=(-1, -2)))  # s_1 + s_2
-    top = 0.5 * (total + np.sqrt(np.maximum(total**2 - 4.0 * np.abs(det), 0.0)))
+    diff = np.sqrt(0.5 * (np.abs(a - phase * adj_h) ** 2).sum(axis=(-1, -2)))  # s_1 - s_2
+    top = 0.5 * (total + diff)
     bottom = np.abs(det) / np.where(top > 0, top, 1.0)
     return np.stack([top, bottom], axis=-1), z / np.where(total > 0, total, 1.0)[..., None, None]
 

@@ -17,6 +17,23 @@ from zenogate.spectral import (
     three_level_hamiltonian,
     track_levels,
 )
+from zenogate.spectral import _polar
+
+
+def reference_spectrum(h, cluster_tol=1e-8):
+    """Per-sample clusterer: walk the ascending eigenvalues, start a level at each gap above the tolerance."""
+    w, v = np.linalg.eigh(h)
+    tol = cluster_tol * max(1.0, float(np.abs(w).max()))
+    energies, ranks, projectors, start = [], [], [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > tol:
+            block = v[:, start:i]
+            p = block @ block.conj().T
+            energies.append(float(w[start:i].mean()))
+            ranks.append(i - start)
+            projectors.append(0.5 * (p + p.conj().T))
+            start = i
+    return energies, ranks, projectors
 
 
 def reference_frames(times, spectra):
@@ -56,12 +73,29 @@ def frame_defects(frames):
     return np.linalg.norm(w.conj().transpose(0, 2, 1) @ w - np.eye(frames.dim), ord=2, axis=(1, 2))
 
 
+def mixed_degeneracies(rng):
+    """Six 4x4 Hamiltonians with levels of every rank pattern, one with a 1e-12 near-tie."""
+    u = np.linalg.qr(rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4)))[0]
+    d = np.array([[0.0, 0.0, 1.0, 2.0], [-1.0, 3.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1.0],
+                  [0.5, 1.5, 2.5, 3.5], [2.0, 2.0, 0.0, 0.0], [1.0, 1.0 + 1e-12, 4.0, 4.0]])
+    return np.einsum("kij,kj,klj->kil", u, d, u.conj())
+
+
 class TestInstantaneousSpectra:
+    def test_stack_matches_the_per_sample_clustering(self, rng):
+        hs = mixed_degeneracies(rng)
+        stack = instantaneous_spectra(hs)
+        projectors = stack.projectors()
+        for k, h in enumerate(hs):
+            energies, ranks, reference = reference_spectrum(h)
+            n = len(ranks)
+            assert stack.ranks[k].tolist() == ranks + [0] * (stack.ranks.shape[1] - n)
+            np.testing.assert_allclose(stack.energies[k, :n], energies, rtol=0, atol=1e-14)
+            assert np.isnan(stack.energies[k, n:]).all()
+            assert np.abs(projectors[k, :n] - np.array(reference)).max() <= 1e-14
+
     def test_single_matrix_is_a_slice_of_the_stack(self, rng):
-        u = np.linalg.qr(rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4)))[0]
-        d = np.array([[0.0, 0.0, 1.0, 2.0], [-1.0, 3.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1.0],
-                      [0.5, 1.5, 2.5, 3.5], [2.0, 2.0, 0.0, 0.0], [1.0, 1.0 + 1e-12, 4.0, 4.0]])
-        hs = np.einsum("kij,kj,klj->kil", u, d, u.conj())
+        hs = mixed_degeneracies(rng)
         stack = instantaneous_spectra(hs)
         for k, h in enumerate(hs):
             one, part = instantaneous_spectrum(h), stack.decomposition(k)
@@ -88,6 +122,17 @@ class TestInstantaneousSpectra:
             for p, q in zip(stack.decomposition(k).projectors, spec.projectors):
                 assert p.rank == q.rank
                 assert np.abs(p.matrix - q.matrix).max() <= 1e-14
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-6, 0.3])
+def test_closed_form_singular_values_near_a_tie(rng, gap):
+    """The 2x2 closed form keeps s_1 and s_2 to rounding when they (nearly) coincide."""
+    u = np.linalg.qr(rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2)))[0]
+    v = np.linalg.qr(rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2)))[0]
+    a = u @ np.diag([1.0, 1.0 - gap]) @ v.conj().swapaxes(-1, -2)
+    s, polar = _polar(a)
+    assert np.abs(s - [1.0, 1.0 - gap]).max() <= 1e-14
+    assert np.abs(polar - u @ v.conj().swapaxes(-1, -2)).max() <= 1e-13
 
 
 class TestTrackLevels:
