@@ -49,7 +49,6 @@ from .spectral import (
     FramePath,
     OperatorPath,
     ParameterPath,
-    SpectralDecomposition,
     SpectrumStack,
     ThreeLevelGenerators,
     circle_path,

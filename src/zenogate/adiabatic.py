@@ -44,13 +44,11 @@ class PropagatorResult:
 class GaugeDecomposition:
     """U(t) split into frame, dynamical phases, and gauge evolution.
 
-    `dynamical_phases[n]` is int_0^t E_n(s) ds; `gauge_evolution` is U_G(t);
-    `diagonal_generators[n]` holds the sampled block generator H_G[n].
+    `dynamical_phases[n]` is int_0^t E_n(s) ds; `gauge_evolution` is U_G(t).
     """
 
     dynamical_phases: np.ndarray
     gauge_evolution: np.ndarray
-    diagonal_generators: tuple
 
 
 def ordered_product(stack: np.ndarray) -> np.ndarray:
@@ -213,5 +211,4 @@ def gauge_decompose(u: PropagatorResult, frames: FramePath, energies) -> GaugeDe
         np.exp(+1j * phases[n]) * (frames.projectors0[n].matrix @ core)
         for n in range(frames.nlevels)
     )
-    gens = tuple(adiabatic_generator(frames, n) for n in range(frames.nlevels))
-    return GaugeDecomposition(dynamical_phases=phases, gauge_evolution=ug, diagonal_generators=gens)
+    return GaugeDecomposition(dynamical_phases=phases, gauge_evolution=ug)

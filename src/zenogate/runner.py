@@ -4,7 +4,7 @@
 ResultRecord of plot-ready scalars; `sweep` repeats a scenario along one
 axis and fits log-log convergence slopes; `emit` writes records as CSV or a
 JSON document.  All computation is pure (nothing is written unless `emit`
-is called) and deterministic for a fixed scenario and seed.
+is called) and deterministic for a fixed scenario.
 """
 
 from __future__ import annotations
@@ -236,11 +236,13 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     p0 = frames.projectors0[scenario.level].matrix
     psi = decomp.gauge_evolution @ psi0
     record.q_n = float(np.real(psi.conj() @ (psi - p0 @ psi)))
-    gate_limit = zn.zeno_unitary(zn.zeno_hamiltonian(None, frames, scenario.level))
-    block = p0 @ decomp.gauge_evolution @ p0
-    rank = frames.projectors0[scenario.level].rank
-    record.fidelity = float(abs(np.trace(gate_limit.conj().T @ block)) ** 2 / rank**2)
-    record.distance = spectral_norm(block - p0 @ gate_limit @ p0)
+    gate = p0 @ zn.zeno_unitary(zn.zeno_hamiltonian(None, frames, scenario.level)) @ p0
+    evolved = decomp.gauge_evolution @ p0
+    # |<G, U_G P>|^2 / (|G|^2 |U_G P|^2) with Frobenius products: at most 1 by
+    # Cauchy-Schwarz, and leakage still lowers it because U_G is unitary.
+    overlap = abs(np.vdot(gate, evolved)) ** 2
+    record.fidelity = float(overlap / (np.vdot(gate, gate).real * np.vdot(evolved, evolved).real))
+    record.distance = spectral_norm(p0 @ decomp.gauge_evolution @ p0 - gate)
     tol = max(scenario.holonomy_tol, 10.0 * record.distance)
     _record_angle(record, scenario, path, frames, result.unitary @ p0, tol)
 

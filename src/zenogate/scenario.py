@@ -36,7 +36,6 @@ Schema (defaults in parentheses)::
       name: E_plus | E_minus | E_zero   # three_level eigenvectors at the path start
       amplitudes: [...]                 # or explicit amplitudes
     level: 0                      # eigenspace index followed by the run
-    seed: 0                       # affects randomized probes only, never the physics
     nonselective: false           # zeno: evolve a density matrix, outcomes unread
     frame_method: analytic | tracked    (analytic for three_level, tracked for custom)
     runtime_budget_s: float       # optional declared runtime bound
@@ -44,7 +43,7 @@ Schema (defaults in parentheses)::
       cluster: 1e-8
       holonomy: 1e-2
 
-Every number must be finite, and counts (N, substeps, steps, level, seed,
+Every number must be finite, and counts (N, substeps, steps, level,
 windings, samples) integral.  Matrix entries are real numbers or two-element
 ``[re, im]`` lists; every matrix must be Hermitian to ``linalg.HERMITICITY_TOL``.
 """
@@ -69,7 +68,7 @@ NAMED_STATES = ("E_plus", "E_minus", "E_zero")
 
 _TOP_KEYS = {
     "name", "engine", "model", "path", "control", "N", "substeps", "steps",
-    "gamma", "alphas", "initial_state", "level", "seed", "nonselective",
+    "gamma", "alphas", "initial_state", "level", "nonselective",
     "frame_method", "runtime_budget_s", "tolerances",
 }
 _SECTION_KEYS = {
@@ -146,7 +145,6 @@ class Scenario:
     initial_name: str | None = None
     initial_amplitudes: np.ndarray | None = None
     level: int = 0
-    seed: int = 0
     nonselective: bool = False
     frame_method: str = "analytic"
     runtime_budget_s: float | None = None
@@ -258,7 +256,6 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         _require(steps >= 1, "steps must be a positive integer")
     level = _number(data.get("level", 0), "level", integral=True)
     _require(level >= 0, "level must be nonnegative")
-    seed = _number(data.get("seed", 0), "seed", integral=True)
     nonselective = data.get("nonselective", False)
     _require(isinstance(nonselective, bool), "nonselective must be true or false")
     frame_method = data.get("frame_method", "analytic" if model_type == "three_level" else "tracked")
@@ -326,7 +323,6 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         initial_name=iname,
         initial_amplitudes=amps,
         level=level,
-        seed=seed,
         nonselective=nonselective,
         frame_method=frame_method,
         runtime_budget_s=None if budget is None else _number(budget, "runtime_budget_s"),

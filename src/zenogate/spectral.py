@@ -29,7 +29,7 @@ from .errors import (
     OpenPath,
     SubspaceTrackingFailure,
 )
-from .linalg import CLUSTER_TOL, Projector, spectral_norm
+from .linalg import CLUSTER_TOL, Projector
 
 CRITICAL_RADIUS_SQ = 1e-24
 MIN_TRACKING_OVERLAP = 0.5
@@ -134,32 +134,6 @@ def winding_number(path: ParameterPath) -> int:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Instantaneous energies and eigenprojectors, ordered by energy."""
-
-    energies: tuple
-    projectors: tuple
-
-    @property
-    def nlevels(self) -> int:
-        return len(self.energies)
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].dim
-
-    def defects(self) -> dict:
-        """Deviation from completeness and mutual orthogonality."""
-        total = sum(p.matrix for p in self.projectors)
-        completeness = spectral_norm(total - np.eye(self.dim))
-        ortho = 0.0
-        for i in range(self.nlevels):
-            for j in range(i + 1, self.nlevels):
-                ortho = max(ortho, spectral_norm(self.projectors[i].matrix @ self.projectors[j].matrix))
-        return {"completeness": completeness, "orthogonality": ortho}
-
-
-@dataclass(frozen=True)
 class SpectrumStack:
     """Instantaneous spectra of K samples, levels in energy order within each sample.
 
@@ -193,36 +167,6 @@ class SpectrumStack:
         p = np.einsum("kac,klc,kbc->klab", self.vectors, self.members(), self.vectors.conj())
         return 0.5 * (p + p.conj().swapaxes(-1, -2))
 
-    def decomposition(self, k: int) -> SpectralDecomposition:
-        """Sample k as a SpectralDecomposition."""
-        n = int(self.nlevels[k])
-        one = SpectrumStack(energies=self.energies[k : k + 1, :n], ranks=self.ranks[k : k + 1, :n],
-                            vectors=self.vectors[k : k + 1])
-        return SpectralDecomposition(
-            energies=tuple(float(e) for e in one.energies[0]),
-            projectors=tuple(Projector(matrix=p, rank=int(r)) for p, r in zip(one.projectors()[0], one.ranks[0])),
-        )
-
-    @classmethod
-    def from_decompositions(cls, spectra) -> SpectrumStack:
-        """Stack per-sample decompositions (hand-built ones included).
-
-        A level's basis is the top `rank` eigenvectors of its projector matrix.
-        """
-        spectra = list(spectra)
-        shape = (len(spectra), max(s.nlevels for s in spectra))
-        energies, ranks = np.full(shape, np.nan), np.zeros(shape, dtype=int)
-        projs = np.zeros(shape + (spectra[0].dim,) * 2, dtype=complex)
-        for k, s in enumerate(spectra):
-            energies[k, : s.nlevels] = s.energies
-            ranks[k, : s.nlevels] = [p.rank for p in s.projectors]
-            projs[k, : s.nlevels] = [p.matrix for p in s.projectors]
-        vectors = np.zeros((shape[0], projs.shape[-1], ranks.sum(axis=1).max()), dtype=complex)
-        stack = cls(energies=energies, ranks=ranks, vectors=vectors)
-        k, n, c = np.nonzero(np.arange(ranks.max()) < ranks[..., None])
-        stack.vectors[k, :, stack.offsets()[k, n] + c] = np.linalg.eigh(projs)[1][k, n, :, -1 - c]
-        return stack
-
 
 def instantaneous_spectra(hs, cluster_tol: float = CLUSTER_TOL) -> SpectrumStack:
     """Spectral decompositions of a (K, d, d) stack of Hermitian matrices, with eigenvalue clustering.
@@ -242,9 +186,9 @@ def instantaneous_spectra(hs, cluster_tol: float = CLUSTER_TOL) -> SpectrumStack
     return SpectrumStack(energies=energies, ranks=ranks, vectors=v)
 
 
-def instantaneous_spectrum(h, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+def instantaneous_spectrum(h, cluster_tol: float = CLUSTER_TOL) -> SpectrumStack:
     """Spectral decomposition of one Hermitian matrix: the K = 1 case of :func:`instantaneous_spectra`."""
-    return instantaneous_spectra(np.asarray(h)[None], cluster_tol).decomposition(0)
+    return instantaneous_spectra(np.asarray(h)[None], cluster_tol)
 
 
 @dataclass(frozen=True)
@@ -440,7 +384,7 @@ def track_levels(times, spectra: SpectrumStack):
     """
     times = np.asarray(times, dtype=float)
     if times.size != spectra.ranks.shape[0] or times.size < 1:
-        raise ValueError("need one spectral decomposition per time sample")
+        raise ValueError("need one spectrum per time sample")
     order, failure = _match_levels(spectra, _overlaps(spectra))
     tracked = times.size if failure is None else failure[0]
     vectors, offsets = spectra.vectors[:tracked], spectra.offsets()[:tracked]
@@ -463,12 +407,14 @@ def track_levels(times, spectra: SpectrumStack):
         rot = 1.5 * rot - 0.5 * _small_matmul(rot, _small_matmul(rot.conj().swapaxes(-1, -2), rot))
         frames += _small_matmul(_small_matmul(q, rot), q[0].conj().T)
     frames[0] = np.eye(dim)
-    return FramePath(times=times, frames=frames, projectors0=spectra.decomposition(0).projectors), order
+    first = SpectrumStack(energies=spectra.energies[:1], ranks=spectra.ranks[:1], vectors=spectra.vectors[:1])
+    projectors0 = tuple(Projector(matrix=p, rank=int(r)) for p, r in zip(first.projectors()[0], ranks))
+    return FramePath(times=times, frames=frames, projectors0=projectors0), order
 
 
-def frame_path_from_spectra(times, spectra) -> FramePath:
-    """Tracked frames from one SpectralDecomposition per time sample (see :func:`track_levels`)."""
-    return track_levels(times, SpectrumStack.from_decompositions(spectra))[0]
+def frame_path_from_spectra(times, spectra: SpectrumStack) -> FramePath:
+    """Tracked frames from the spectra of every time sample (see :func:`track_levels`)."""
+    return track_levels(times, spectra)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +443,8 @@ def three_level_hamiltonian(a, b) -> np.ndarray:
     return np.moveaxis(h, (0, 1), (-2, -1))
 
 
-def three_level_eigenbasis(theta, theta0: float = 0.0):
-    """Instantaneous eigenvectors (E_plus, E_minus, E_zero) at polar angle(s) `theta`.
-
-    The vectors depend only on `theta`; they equal the `theta0` vectors
-    transported by the analytic frame, which is what `theta0` records.
-    """
-    del theta0  # transported and direct forms coincide identically
+def three_level_eigenbasis(theta):
+    """Instantaneous eigenvectors (E_plus, E_minus, E_zero) at polar angle(s) `theta`."""
     c, s = np.cos(theta), np.sin(theta)
     one, zero = np.ones_like(c), np.zeros_like(c)
     e_plus = np.stack([one, c, s], axis=-1).astype(complex) / np.sqrt(2.0)

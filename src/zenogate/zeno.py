@@ -31,7 +31,7 @@ from .errors import (
     NotASubspaceRotation,
     ZeroSurvival,
 )
-from .linalg import Projector, spectral_norm
+from .linalg import Projector, _eigh, spectral_norm
 from .spectral import FramePath, OperatorPath, ParameterPath, _sample_stack, three_level_generators
 
 
@@ -92,9 +92,8 @@ def wagon_wheel_frames(h0, times, projectors0) -> FramePath:
     In the Zeno limit the conditioned dynamics then runs time-reversed
     relative to H_0 on each measured subspace.
     """
-    h0 = np.asarray(h0, dtype=complex)
     times = np.asarray(times, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (h0 + h0.conj().T))
+    w, v = _eigh(h0)
     frames = np.einsum("ij,kj,lj->kil", v, np.exp(-2j * np.outer(times, w)), v.conj())
     return FramePath(times=times, frames=frames, projectors0=tuple(projectors0))
 

@@ -18,7 +18,7 @@ from zenogate.spectral import (
     circle_path,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
-    instantaneous_spectrum,
+    instantaneous_spectra,
     three_level_eigenbasis,
     three_level_generators,
     three_level_hamiltonian,
@@ -144,11 +144,7 @@ def test_criterion_5_spectral_identity():
         return three_level_hamiltonian(np.cos(omega * t), np.sin(omega * t))
 
     analytic = frame_path_analytic_three_level(path)
-    spectra = [
-        instantaneous_spectrum(three_level_hamiltonian(a, b))
-        for a, b in zip(path.a, path.b)
-    ]
-    tracked = frame_path_from_spectra(path.times, spectra)
+    tracked = frame_path_from_spectra(path.times, instantaneous_spectra(three_level_hamiltonian(path.a, path.b)))
     worst = 0.0
     for frames in (analytic, tracked):
         for level, energy in ((0, 0.0), (1, 2.0)):

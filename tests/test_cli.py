@@ -33,9 +33,10 @@ class TestRunCommand:
         assert out.exists()
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
-        scenario = write_scenario(tmp_path, GOOD + "gama: 3\n")
-        assert cli.main(["run", scenario]) == 1
-        assert "gama" in capsys.readouterr().err
+        for key, value in (("gama", 3), ("seed", 0)):
+            scenario = write_scenario(tmp_path, GOOD + f"{key}: {value}\n")
+            assert cli.main(["run", scenario]) == 1
+            assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_validation_error_exit_1(self, tmp_path):
         bad = GOOD.replace("windings: 1", "windings: 1\n  center: [3.0, 0.0]")

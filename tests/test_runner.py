@@ -118,6 +118,14 @@ def sampled_unit_loop(samples, duration=1.0):
             "b": np.sin(phi).tolist()}
 
 
+def crossing_run(level):
+    """Adiabatic custom 2x2 run whose two levels swap energy order at t = 0.3."""
+    hams = [{"t": 0.0, "matrix": [[0.4, 0.0], [0.0, 0.6]]}, {"t": 0.6, "matrix": [[0.6, 0.0], [0.0, 0.4]]},
+            {"t": 1.0, "matrix": [[0.7, 0.0], [0.0, 0.3]]}]
+    return {"engine": "adiabatic", "model": {"type": "custom", "hamiltonians": hams}, "steps": 4096,
+            "level": level, "initial_state": {"amplitudes": [1.0 - level, float(level)]}}
+
+
 class TestConsistency:
     @pytest.mark.parametrize("engine, duration", [("zeno", 1.0), ("adiabatic", 2 * np.pi * 20.25)])
     def test_tracked_frames_give_the_analytic_angle(self, engine, duration):
@@ -158,11 +166,12 @@ class TestConsistency:
     @pytest.mark.parametrize("level", [0, 1])
     def test_tracked_energies_follow_levels_through_a_crossing(self, level):
         """diag(E_0, E_1) swaps energy order at t = 0.3; each level must keep its own dynamical phase."""
-        hams = [{"t": 0.0, "matrix": [[0.4, 0.0], [0.0, 0.6]]}, {"t": 0.6, "matrix": [[0.6, 0.0], [0.0, 0.4]]},
-                {"t": 1.0, "matrix": [[0.7, 0.0], [0.0, 0.3]]}]
-        data = {"engine": "adiabatic", "model": {"type": "custom", "hamiltonians": hams}, "steps": 4096,
-                "level": level, "initial_state": {"amplitudes": [1.0 - level, float(level)]}}
-        assert run(scenario_from_dict(data)).distance <= 1e-7
+        assert run(scenario_from_dict(crossing_run(level))).distance <= 1e-7
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_adiabatic_fidelity_at_most_one(self, level):
+        """A gate reproduced to rounding must not report a fidelity above 1."""
+        assert run(scenario_from_dict(crossing_run(level))).fidelity <= 1.0
 
     def test_sampled_loop_default_steps_follow_duration(self):
         t_final = 2 * np.pi * 10.25

@@ -32,8 +32,9 @@ class TestParsing:
         assert s.name == s.digest[:12]
 
     def test_unknown_top_level_key_named(self):
-        with pytest.raises(ParseError, match="gama"):
-            scenario_from_dict(minimal_zeno(gama=3.0))
+        for key, value in (("gama", 3.0), ("seed", 0)):  # no run reads a seed, so it is not a key
+            with pytest.raises(ParseError, match=key):
+                scenario_from_dict(minimal_zeno(**{key: value}))
 
     def test_unknown_nested_key_named(self):
         data = minimal_zeno()

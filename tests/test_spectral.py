@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from zenogate.errors import CriticalPoint, OpenPath, SubspaceTrackingFailure
-from zenogate.linalg import Projector, expm_hermitian, spectral_norm
+from zenogate.linalg import expm_hermitian, spectral_norm
 from zenogate.spectral import (
     OperatorPath,
     ParameterPath,
-    SpectralDecomposition,
+    SpectrumStack,
     circle_path,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
+    instantaneous_spectra,
     instantaneous_spectrum,
     polyline_path,
     three_level_eigenbasis,
@@ -67,7 +68,7 @@ class TestThreeLevelEigenbasis:
     def test_frame_transport_identity(self, theta, gens):
         theta0 = 0.0
         w = expm_hermitian(gens.frame_generator, -1j * (theta - theta0))
-        moved = three_level_eigenbasis(theta, theta0)
+        moved = three_level_eigenbasis(theta)
         ref = three_level_eigenbasis(theta0)
         for v0, v in zip(ref, moved):
             assert np.abs(w @ v0 - v).max() <= 1e-12
@@ -85,59 +86,50 @@ class TestThreeLevelEigenbasis:
 class TestInstantaneousSpectrum:
     def test_three_level_levels(self):
         spec = instantaneous_spectrum(three_level_hamiltonian(1.0, 0.0))
-        assert spec.nlevels == 2
-        assert spec.energies[0] == pytest.approx(0.0, abs=1e-12)
-        assert spec.energies[1] == pytest.approx(2.0, abs=1e-12)
-        assert spec.projectors[0].rank == 2
-        assert spec.projectors[1].rank == 1
+        assert spec.nlevels.tolist() == [2]
+        assert spec.energies[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert spec.energies[0, 1] == pytest.approx(2.0, abs=1e-12)
+        assert spec.ranks[0].tolist() == [2, 1]
 
     def test_identity_single_level(self):
         spec = instantaneous_spectrum(np.eye(4, dtype=complex))
-        assert spec.nlevels == 1
-        assert spec.projectors[0].rank == 4
-        assert np.allclose(spec.projectors[0].matrix, np.eye(4), atol=1e-14)
+        assert spec.nlevels.tolist() == [1]
+        assert spec.ranks[0].tolist() == [4]
+        assert np.allclose(spec.projectors()[0, 0], np.eye(4), atol=1e-14)
 
     def test_clustering_by_tolerance(self):
         spec = instantaneous_spectrum(np.diag([0.0, 1e-12, 2.0]).astype(complex), cluster_tol=1e-8)
-        assert [p.rank for p in spec.projectors] == [2, 1]
+        assert spec.ranks[0].tolist() == [2, 1]
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_completeness_and_orthogonality(self, r, rng):
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi)
-            spec = instantaneous_spectrum(three_level_hamiltonian(r * np.cos(theta), r * np.sin(theta)))
-            d = spec.defects()
-            assert d["completeness"] <= 1e-9
-            assert d["orthogonality"] <= 1e-9
+            p0, p1 = instantaneous_spectrum(three_level_hamiltonian(r * np.cos(theta), r * np.sin(theta))).projectors()[0]
+            assert spectral_norm(p0 + p1 - np.eye(3)) <= 1e-9
+            assert spectral_norm(p0 @ p1) <= 1e-9
 
 
 class TestFramePathFromSpectra:
     def test_constant_spectra_gives_identity(self):
-        spec = instantaneous_spectrum(three_level_hamiltonian(1.0, 0.0))
-        times = np.linspace(0.0, 1.0, 9)
-        frames = frame_path_from_spectra(times, [spec] * 9)
+        spectra = instantaneous_spectra(three_level_hamiltonian(np.ones(9), np.zeros(9)))
+        frames = frame_path_from_spectra(np.linspace(0.0, 1.0, 9), spectra)
         assert np.allclose(frames.frames, np.eye(3)[None], atol=1e-12)
 
     def test_matches_analytic_up_to_block_gauge(self):
         path = circle_path(windings=1, samples=257)
-        spectra = [
-            instantaneous_spectrum(three_level_hamiltonian(a, b))
-            for a, b in zip(path.a, path.b)
-        ]
+        spectra = instantaneous_spectra(three_level_hamiltonian(path.a, path.b))
         frames = frame_path_from_spectra(path.times, spectra)
+        projectors = spectra.projectors()
         # gauge-invariant content: transported projectors equal the instantaneous ones
         for n in range(2):
             transported = frames.projector_path(n)
             for k in range(0, 257, 32):
-                assert spectral_norm(transported[k] - spectra[k].projectors[n].matrix) <= 1e-8
+                assert spectral_norm(transported[k] - projectors[k, n]) <= 1e-8
 
     def test_frames_unitary_and_start_at_identity(self):
         path = circle_path(windings=1, samples=129)
-        spectra = [
-            instantaneous_spectrum(three_level_hamiltonian(a, b))
-            for a, b in zip(path.a, path.b)
-        ]
-        frames = frame_path_from_spectra(path.times, spectra)
+        frames = frame_path_from_spectra(path.times, instantaneous_spectra(three_level_hamiltonian(path.a, path.b)))
         assert spectral_norm(frames.frames[0] - np.eye(3)) <= 1e-12
         for k in (1, 64, 128):
             w = frames.frames[k]
@@ -145,55 +137,30 @@ class TestFramePathFromSpectra:
 
     def test_tracks_levels_through_energy_order_swap(self):
         """Levels whose energies cross are matched by overlap, not energy order."""
-        def decomp(e_low_on_first):
-            p1 = Projector(matrix=np.diag([1.0, 0.0]).astype(complex), rank=1)
-            p2 = Projector(matrix=np.diag([0.0, 1.0]).astype(complex), rank=1)
-            if e_low_on_first:
-                return SpectralDecomposition(energies=(0.4, 0.6), projectors=(p1, p2))
-            return SpectralDecomposition(energies=(0.4, 0.6), projectors=(p2, p1))
-
-        frames = frame_path_from_spectra([0.0, 1.0], [decomp(True), decomp(False)])
+        # |0> is the lower level at t = 0 and the upper one at t = 1
+        spectra = SpectrumStack(energies=np.array([[0.4, 0.6]] * 2), ranks=np.ones((2, 2), dtype=int),
+                                vectors=np.array([np.eye(2), np.eye(2)[:, ::-1]], dtype=complex))
+        frames = frame_path_from_spectra([0.0, 1.0], spectra)
         # the projectors never move, so the tracked frame stays the identity
         assert np.allclose(frames.frames[1], np.eye(2), atol=1e-12)
 
     def test_failure_on_coarse_sampling(self):
         """A jump onto a mutually unbiased basis leaves every overlap at 1/2."""
-        def rank1(v):
-            v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
-            return Projector(matrix=np.outer(v, v.conj()), rank=1)
-
-        first = SpectralDecomposition(
-            energies=(0.0, 1.0, 2.0, 3.0),
-            projectors=tuple(rank1(np.eye(4)[i]) for i in range(4)),
-        )
         hadamard = np.array(
             [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
         ) / 2.0
-        second = SpectralDecomposition(
-            energies=(0.0, 1.0, 2.0, 3.0),
-            projectors=tuple(rank1(hadamard[:, i]) for i in range(4)),
-        )
+        spectra = SpectrumStack(energies=np.array([[0.0, 1.0, 2.0, 3.0]] * 2), ranks=np.ones((2, 4), dtype=int),
+                                vectors=np.array([np.eye(4), hadamard], dtype=complex))
         with pytest.raises(SubspaceTrackingFailure):
-            frame_path_from_spectra([0.0, 1.0], [first, second])
+            frame_path_from_spectra([0.0, 1.0], spectra)
 
     def test_failure_on_rank_change(self):
         """A level crossing that reshuffles ranks is rejected, not silently tracked."""
-        first = SpectralDecomposition(
-            energies=(0.0, 1.0),
-            projectors=(
-                Projector(matrix=np.diag([1.0, 1.0, 0.0]).astype(complex), rank=2),
-                Projector(matrix=np.diag([0.0, 0.0, 1.0]).astype(complex), rank=1),
-            ),
-        )
-        second = SpectralDecomposition(
-            energies=(0.0, 1.0),
-            projectors=(
-                Projector(matrix=np.diag([1.0, 0.0, 0.0]).astype(complex), rank=1),
-                Projector(matrix=np.diag([0.0, 1.0, 1.0]).astype(complex), rank=2),
-            ),
-        )
+        # ranks (2, 1) over the columns of the identity, then (1, 2)
+        spectra = SpectrumStack(energies=np.array([[0.0, 1.0]] * 2), ranks=np.array([[2, 1], [1, 2]]),
+                                vectors=np.array([np.eye(3)] * 2, dtype=complex))
         with pytest.raises(SubspaceTrackingFailure):
-            frame_path_from_spectra([0.0, 1.0], [first, second])
+            frame_path_from_spectra([0.0, 1.0], spectra)
 
 
 class TestFramePathAnalytic:

@@ -6,9 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zenogate.errors import SubspaceTrackingFailure
-from zenogate.linalg import Projector, random_hermitian, spectral_norm
+from zenogate.linalg import random_hermitian, spectral_norm
 from zenogate.spectral import (
-    SpectralDecomposition,
     SpectrumStack,
     circle_path,
     frame_path_from_spectra,
@@ -37,21 +36,22 @@ def reference_spectrum(h, cluster_tol=1e-8):
 
 
 def reference_frames(times, spectra):
-    """Per-sample tracker: greedy overlap matching, then W_k from B_n(k) = polar(P_n(k) B_n(k-1))."""
-    first = spectra[0]
-    bases = [np.linalg.eigh(p.matrix)[1][:, ::-1][:, : p.rank] for p in first.projectors]
+    """Per-sample tracker over `reference_spectrum` results: greedy overlap matching, then
+    W_k from B_n(k) = polar(P_n(k) B_n(k-1))."""
+    _, ranks, first = spectra[0]
+    bases = [np.linalg.eigh(p)[1][:, ::-1][:, :rank] for p, rank in zip(first, ranks)]
     bases0 = [b.copy() for b in bases]
-    frames = [np.eye(first.dim, dtype=complex)]
-    prev = [p.matrix for p in first.projectors]
-    for spec in spectra[1:]:
-        cand = [p.matrix for p in spec.projectors]
+    dim = first[0].shape[0]
+    frames = [np.eye(dim, dtype=complex)]
+    prev = list(first)
+    for _, _, cand in spectra[1:]:
         used = []
-        for n in range(first.nlevels):
+        for n in range(len(first)):
             overlaps = [-1.0 if j in used else spectral_norm(cand[j] @ prev[n]) for j in range(len(cand))]
             used.append(int(np.argmax(overlaps)))
         prev = [cand[j] for j in used]
-        w = np.zeros((first.dim, first.dim), dtype=complex)
-        for n in range(first.nlevels):
+        w = np.zeros((dim, dim), dtype=complex)
+        for n in range(len(first)):
             u, _, vh = np.linalg.svd(prev[n] @ bases[n], full_matrices=False)
             bases[n] = u @ vh
             w += bases[n] @ bases0[n].conj().T
@@ -98,11 +98,11 @@ class TestInstantaneousSpectra:
         hs = mixed_degeneracies(rng)
         stack = instantaneous_spectra(hs)
         for k, h in enumerate(hs):
-            one, part = instantaneous_spectrum(h), stack.decomposition(k)
-            assert one.energies == part.energies
-            assert [p.rank for p in one.projectors] == [p.rank for p in part.projectors]
-            for p, q in zip(one.projectors, part.projectors):
-                np.testing.assert_array_equal(p.matrix, q.matrix)
+            one = instantaneous_spectrum(h)
+            n = one.ranks.shape[1]
+            assert one.ranks[0].tolist() == stack.ranks[k, :n].tolist()
+            np.testing.assert_array_equal(one.energies[0], stack.energies[k, :n])
+            np.testing.assert_array_equal(one.vectors[0], stack.vectors[k])
         assert stack.nlevels.tolist() == [3, 2, 1, 4, 2, 2]
 
     def test_stack_is_checked_like_one_matrix(self):
@@ -113,15 +113,6 @@ class TestInstantaneousSpectra:
         hs[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             instantaneous_spectra(hs)
-
-    def test_hand_built_stack_round_trip(self):
-        specs = [instantaneous_spectrum(h) for h in three_level_hamiltonian(np.cos([0.1, 0.2]), np.sin([0.1, 0.2]))]
-        stack = SpectrumStack.from_decompositions(specs)
-        for k, spec in enumerate(specs):
-            assert stack.decomposition(k).energies == spec.energies
-            for p, q in zip(stack.decomposition(k).projectors, spec.projectors):
-                assert p.rank == q.rank
-                assert np.abs(p.matrix - q.matrix).max() <= 1e-14
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-6, 0.3])
@@ -141,7 +132,7 @@ class TestTrackLevels:
         path = circle_path(windings=windings, radius=1.3, center=(0.2, 0.1), samples=samples)
         hs = three_level_hamiltonian(path.a, path.b)
         frames, _ = track_levels(path.times, instantaneous_spectra(hs))
-        reference = reference_frames(path.times, [instantaneous_spectrum(h) for h in hs])
+        reference = reference_frames(path.times, [reference_spectrum(h) for h in hs])
         assert np.abs(frames.frames - reference).max() <= 1e-12
 
     def test_matches_the_reference_through_a_level_crossing(self, rng):
@@ -150,7 +141,7 @@ class TestTrackLevels:
         hs, _, _ = rotating_family(4, [2, 1, 1], [0.0, 1.0, 2.0], [2.3, 0.1, -1.6], g, times)
         frames, order = track_levels(times, instantaneous_spectra(hs))
         assert (order != order[0]).any()  # the energy order changes along the way
-        assert np.abs(frames.frames - reference_frames(times, [instantaneous_spectrum(h) for h in hs])).max() <= 1e-12
+        assert np.abs(frames.frames - reference_frames(times, [reference_spectrum(h) for h in hs])).max() <= 1e-12
 
     def test_long_loop_stays_unitary(self):
         """Products of 4096 polar factors drift off unitarity unless re-unitarized."""
@@ -197,17 +188,26 @@ def test_tracking_properties_on_smooth_families(dim, cuts, samples, seed):
         assert np.abs(tracked_energies[:, n] - levels[:, level]).max() <= 1e-10
 
 
-def spectrum_of(*blocks):
-    """Hand-built decomposition with one level per block of orthonormal columns (energies 0, 1, ...)."""
-    projectors = []
-    for b in blocks:
-        b = np.asarray(b, dtype=complex).reshape(len(b), -1)
-        projectors.append(Projector(matrix=b @ b.conj().T, rank=b.shape[1]))
-    return SpectralDecomposition(energies=tuple(float(n) for n in range(len(blocks))), projectors=tuple(projectors))
+def spectra_of(*samples):
+    """Hand-built SpectrumStack: sample k has one level per block of orthonormal columns in samples[k].
+
+    Level energies are 0, 1, ...; samples with fewer levels or columns are
+    padded with NaN energies, rank 0 and zero columns.
+    """
+    samples = [[np.asarray(b, dtype=complex).reshape(len(b), -1) for b in blocks] for blocks in samples]
+    shape = (len(samples), max(len(blocks) for blocks in samples))
+    energies, ranks = np.full(shape, np.nan), np.zeros(shape, dtype=int)
+    columns = [np.hstack(blocks) for blocks in samples]
+    vectors = np.zeros((shape[0], columns[0].shape[0], max(c.shape[1] for c in columns)), dtype=complex)
+    for k, blocks in enumerate(samples):
+        energies[k, : len(blocks)] = range(len(blocks))
+        ranks[k, : len(blocks)] = [b.shape[1] for b in blocks]
+        vectors[k, :, : columns[k].shape[1]] = columns[k]
+    return SpectrumStack(energies=energies, ranks=ranks, vectors=vectors)
 
 
 E4 = np.eye(4)
-TWO_PAIRS = spectrum_of(E4[:, :2], E4[:, 2:])
+TWO_PAIRS = (E4[:, :2], E4[:, 2:])
 HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
 
 
@@ -217,20 +217,20 @@ class TestTrackingFailures:
     @pytest.mark.parametrize(
         "sequence, message",
         [
-            ([TWO_PAIRS] * 2 + [spectrum_of(E4[:, :2], E4[:, 2], E4[:, 3])],
+            ([TWO_PAIRS] * 2 + [(E4[:, :2], E4[:, 2], E4[:, 3])],
              "level count changed from 2 to 3 at sample 2"),
-            ([spectrum_of(*E4.T)] * 3 + [spectrum_of(*HADAMARD.T)],
+            ([tuple(E4.T)] * 3 + [tuple(HADAMARD.T)],
              "projector overlap 0.500 <= 0.5 for level 0 at sample 3"),
-            ([spectrum_of(np.eye(3)[:, :2], np.eye(3)[:, 2])] * 2 + [spectrum_of(np.eye(3)[:, 0], np.eye(3)[:, 1:])],
+            ([(np.eye(3)[:, :2], np.eye(3)[:, 2])] * 2 + [(np.eye(3)[:, 0], np.eye(3)[:, 1:])],
              "rank changed from 2 to 1 for level 0 at sample 2"),
-            ([TWO_PAIRS] * 2 + [spectrum_of(E4[:, [0, 2]], E4[:, [1, 3]])],
+            ([TWO_PAIRS] * 2 + [(E4[:, [0, 2]], E4[:, [1, 3]])],
              "transported basis lost rank for level 0 at sample 2"),
-            ([TWO_PAIRS] * 2 + [spectrum_of(E4[:, [0, 2]], E4[:, [1, 3]]), spectrum_of(E4[:, :2], E4[:, 2], E4[:, 3])],
+            ([TWO_PAIRS] * 2 + [(E4[:, [0, 2]], E4[:, [1, 3]]), (E4[:, :2], E4[:, 2], E4[:, 3])],
              "transported basis lost rank for level 0 at sample 2"),
         ],
         ids=["level_count", "overlap", "rank_change", "rank_loss", "rank_loss_before_level_count"],
     )
     def test_first_failing_sample_is_named(self, sequence, message):
         with pytest.raises(SubspaceTrackingFailure) as err:
-            frame_path_from_spectra(np.arange(len(sequence), dtype=float), sequence)
+            frame_path_from_spectra(np.arange(len(sequence), dtype=float), spectra_of(*sequence))
         assert str(err.value) == message

@@ -18,7 +18,7 @@ from zenogate.spectral import (
     circle_path,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
-    instantaneous_spectrum,
+    instantaneous_spectra,
     three_level_eigenbasis,
     three_level_hamiltonian,
     three_level_projectors,
@@ -183,11 +183,7 @@ class TestZenoHamiltonian:
 
 
 def _tracked(path):
-    spectra = [
-        instantaneous_spectrum(three_level_hamiltonian(a, b))
-        for a, b in zip(path.a, path.b)
-    ]
-    return frame_path_from_spectra(path.times, spectra)
+    return frame_path_from_spectra(path.times, instantaneous_spectra(three_level_hamiltonian(path.a, path.b)))
 
 
 class TestZenoUnitary:
@@ -401,7 +397,7 @@ class TestWagonWheelTimeReversal:
             assert b / a == pytest.approx(0.5, abs=0.15)
 
 
-@pytest.mark.parametrize("evolve", ["projected", "nonselective"])
+@pytest.mark.parametrize("evolve", ["projected", "nonselective", "wagon_wheel"])
 def test_non_hermitian_control_rejected(projs0, evolve):
     h0 = np.zeros((3, 3), dtype=complex)
     h0[0, 1] = 1.0
@@ -410,8 +406,10 @@ def test_non_hermitian_control_rejected(projs0, evolve):
     with pytest.raises(NonHermitianInput):
         if evolve == "projected":
             projected_evolution(lambda t: h0, frames, 0, 8, em)
-        else:
+        elif evolve == "nonselective":
             nonselective_zeno_evolution(lambda t: h0, frames, 8, np.outer(em, em.conj()))
+        else:
+            wagon_wheel_frames(h0, frames.times, projs0)
 
 
 @pytest.mark.parametrize(
