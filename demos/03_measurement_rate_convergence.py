@@ -26,7 +26,7 @@ for n in ns:
     _, e_minus, _ = three_level_eigenbasis(0.0)
     run = projected_evolution(None, frames, 0, n, e_minus)
     gate = zeno_unitary(zeno_hamiltonian(None, frames, 0))
-    target = frames.frames[-1] @ gate @ frames.projectors0[0].matrix
+    target = frames.frames[-1] @ gate @ frames.projectors0[0]
     deficits.append(1 - run.survival_probability)
     dists.append(spectral_norm(run.final_operator - target))
     print(f"{n:>6d} {deficits[-1]:>14.3e} {dists[-1]:>14.3e}")

@@ -41,7 +41,7 @@ for turns in (25, 50, 100, 200, 400):
     u = propagate_exact(h, t_final, steps)
     energies = np.column_stack([np.zeros(2049), 2.0 * path.radius()])
     decomp = gauge_decompose(u, frames, energies)
-    p0 = frames.projectors0[0].matrix
+    p0 = frames.projectors0[0]
     target = zeno_unitary(zeno_hamiltonian(None, frames, 0))
     block = p0 @ decomp.gauge_evolution @ p0
     fidelity = abs(np.trace(target.conj().T @ block)) ** 2 / 4.0

@@ -20,7 +20,7 @@ from zenogate import (
 
 h0 = three_level_generators(0.0).frame_generator  # the constant drive
 projs = three_level_projectors(0.0)  # measured eigenbasis at theta = 0
-p0 = projs[0].matrix
+p0 = projs[0]
 duration = np.pi
 _, e_minus, _ = three_level_eigenbasis(0.0)
 

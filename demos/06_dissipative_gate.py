@@ -26,8 +26,7 @@ omega = 2 * np.pi / t_final
 
 
 def projectors_at(t):
-    p0, p1 = three_level_projectors(omega * t)
-    return [p0.matrix, p1.matrix]
+    return three_level_projectors(omega * t)
 
 
 # ideal limit from the measurement picture

@@ -24,8 +24,8 @@ n = 4096
 path = circle_path(windings=1, samples=n + 1)
 frames = frame_path_analytic_three_level(path)
 ep, em, ez = three_level_eigenbasis(0.0)
-p0 = frames.projectors0[0].matrix
-p1 = frames.projectors0[1].matrix
+p0 = frames.projectors0[0]
+p1 = frames.projectors0[1]
 
 
 def blocks(rho):

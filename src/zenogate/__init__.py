@@ -35,7 +35,6 @@ from .dissipative import (
 )
 from .errors import ZenogateError
 from .linalg import (
-    Projector,
     expm_hermitian,
     hermitian_eigendecomposition,
     projector_from_basis,

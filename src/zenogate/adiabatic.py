@@ -68,23 +68,17 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
     return m[0]
 
 
-def _midpoint_propagators(h_of_t, times: np.ndarray, substeps: int = 1) -> np.ndarray:
-    """Propagators U(t_{k+1}, t_k) per grid interval, `substeps` midpoint factors each.
+def _midpoint_propagators(h_of_t, times: np.ndarray) -> np.ndarray:
+    """Propagators U(t_{k+1}, t_k) per grid interval, one midpoint factor each.
 
     Every sampled H must be Hermitian (NonHermitianInput otherwise); the
     symmetrization only removes rounding before the unchecked exponential.
     """
-    dts = np.diff(times) / substeps
-    mids = (times[:-1, None] + dts[:, None] * (np.arange(substeps) + 0.5)).ravel()
-    hs = _sample_stack(h_of_t, mids)
+    dts = np.diff(times)
+    hs = _sample_stack(h_of_t, times[:-1] + 0.5 * dts)
     assert_hermitian(hs, what="H(t) at a sampled midpoint")
     hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))
-    factors = expm_hermitian_stack(hs, -1j * np.repeat(dts, substeps))
-    factors = factors.reshape(dts.size, substeps, *factors.shape[1:])
-    out = factors[:, 0]
-    for j in range(1, substeps):
-        out = np.matmul(factors[:, j], out)
-    return out
+    return expm_hermitian_stack(hs, -1j * dts)
 
 
 def propagate_exact(h_of_t, t_final: float, steps: int) -> PropagatorResult:
@@ -122,7 +116,7 @@ def adiabatic_generator(frames: FramePath, level: int) -> OperatorPath:
     w = frames.frames
     a = wdot.conj().transpose(0, 2, 1) @ w
     a = 0.5 * (a - a.conj().transpose(0, 2, 1))
-    p0 = frames.projectors0[level].matrix
+    p0 = frames.projectors0[level]
     hg = 1j * np.einsum("ij,kjl,lm->kim", p0, a, p0)
     return OperatorPath(times=frames.times, operators=hg)
 
@@ -137,7 +131,7 @@ def ordered_exp_from_samples(op: OperatorPath) -> np.ndarray:
 
 
 def _check_in_subspace(frames: FramePath, level: int, initial: np.ndarray):
-    p0 = frames.projectors0[level].matrix
+    p0 = frames.projectors0[level]
     leak = np.linalg.norm(initial - p0 @ initial)
     if leak > 1e-10:
         raise InitialStateOutsideSubspace(
@@ -183,7 +177,7 @@ def escape_probability(h_of_t, frames: FramePath, level: int, initial, t_final: 
     result = propagate_exact(h_of_t, t_final, steps)
     psi = result.unitary @ initial
     wt = frames.frames[-1]
-    pt = wt @ frames.projectors0[level].matrix @ wt.conj().T
+    pt = wt @ frames.projectors0[level] @ wt.conj().T
     return float((psi.conj() @ (psi - pt @ psi)).real)
 
 
@@ -208,7 +202,7 @@ def gauge_decompose(u: PropagatorResult, frames: FramePath, energies) -> GaugeDe
     wt = frames.frames[-1]
     core = wt.conj().T @ u.unitary
     ug = sum(
-        np.exp(+1j * phases[n]) * (frames.projectors0[n].matrix @ core)
+        np.exp(+1j * phases[n]) * (frames.projectors0[n] @ core)
         for n in range(frames.nlevels)
     )
     return GaugeDecomposition(dynamical_phases=phases, gauge_evolution=ug)

@@ -14,6 +14,7 @@ import numpy as np
 from .linalg import (
     expm_hermitian,
     hermitian_eigendecomposition,
+    hermiticity_defect,
     projector_from_basis,
     random_hermitian,
     random_state,
@@ -58,8 +59,8 @@ def _check_eig_round_trip(rng, cases):
     for _ in range(cases):
         dim = int(rng.integers(2, 9))
         h = random_hermitian(dim, rng, scale=float(rng.uniform(0.1, 10.0)))
-        pairs = hermitian_eigendecomposition(h)
-        rebuilt = sum(lam * np.outer(v, v.conj()) for lam, v in pairs)
+        w, v = hermitian_eigendecomposition(h)
+        rebuilt = sum(w[i] * np.outer(v[:, i], v[:, i].conj()) for i in range(dim))
         scale = max(1.0, spectral_norm(h))
         worst = max(worst, spectral_norm(h - rebuilt) / scale)
     return CheckResult("eigendecomposition round trip", worst <= 1e-9, 1e-9, worst)
@@ -75,8 +76,8 @@ def _check_projector_invariants(rng, cases):
             p = projector_from_basis(vectors)
         except Exception:
             continue  # random degeneracy: rejection is the contract
-        d = p.defects()
-        worst = max(worst, d["idempotency"], d["hermiticity"], d["trace"])
+        trace = abs(float(np.trace(p).real) - count)
+        worst = max(worst, spectral_norm(p @ p - p), hermiticity_defect(p), trace)
     return CheckResult("projector_from_basis invariants", worst <= 1e-8, 1e-8, worst)
 
 

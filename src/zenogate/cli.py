@@ -28,10 +28,11 @@ def _print_record(rec):
 
 
 def _parse_values(text: str, axis: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if axis in ("N", "steps"):
-        return [int(p) for p in parts]
-    return [float(p) for p in parts]
+    parse = int if axis in ("N", "steps") else float
+    try:
+        return [parse(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--values: {exc}") from exc
 
 
 def _cmd_run(args) -> int:

@@ -183,7 +183,7 @@ def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterTr
     defining the dephasing projection P.  Block coherences are removed at
     t = 0 and never regenerated.
     """
-    mats = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in projectors0]
+    mats = [np.asarray(p, dtype=complex) for p in projectors0]
     rho = _dephase(np.asarray(rho0, dtype=complex), mats)
     times = hz_total.times
     ops = hz_total.operators
@@ -208,7 +208,7 @@ def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterTr
 
 def coherence_probe_states(projectors):
     """Probe density matrices spanning all cross-block coherences plus block states."""
-    mats = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in projectors]
+    mats = [np.asarray(p, dtype=complex) for p in projectors]
     dim = mats[0].shape[0]
     bases = []
     for m in mats:

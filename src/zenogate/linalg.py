@@ -9,8 +9,6 @@ are fresh and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateBasis, NonHermitianInput
@@ -47,21 +45,15 @@ def _eigh_stack(ms, herm_tol: float = HERMITICITY_TOL):
     return np.linalg.eigh(ms)
 
 
-def _eigh(m: np.ndarray, herm_tol: float = HERMITICITY_TOL):
-    """Checked Hermitian eigendecomposition, ascending eigenvalues."""
+def hermitian_eigendecomposition(m, herm_tol: float = HERMITICITY_TOL):
+    """Checked eigendecomposition ``(w, v)`` of one Hermitian matrix.
+
+    `w` holds the eigenvalues in ascending order and the columns of `v` the
+    orthonormal eigenvectors.  Raises NonHermitianInput when the Hermiticity
+    defect exceeds `herm_tol`.
+    """
     w, v = _eigh_stack(np.asarray(m)[None], herm_tol)
     return w[0], v[0]
-
-
-def hermitian_eigendecomposition(m, herm_tol: float = HERMITICITY_TOL):
-    """Eigendecompose a Hermitian matrix.
-
-    Returns a list of ``(eigenvalue, eigenvector)`` pairs in ascending
-    eigenvalue order with orthonormal eigenvectors.  Raises
-    NonHermitianInput when the Hermiticity defect exceeds `herm_tol`.
-    """
-    w, v = _eigh(m, herm_tol)
-    return [(float(w[i]), v[:, i].copy()) for i in range(len(w))]
 
 
 def expm_hermitian(h, scale: complex, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -70,7 +62,7 @@ def expm_hermitian(h, scale: complex, herm_tol: float = HERMITICITY_TOL) -> np.n
     For purely imaginary ``scale`` the result is unitary up to eigensolver
     error.
     """
-    w, v = _eigh(h, herm_tol)
+    w, v = hermitian_eigendecomposition(h, herm_tol)
     return (v * np.exp(scale * w)) @ v.conj().T
 
 
@@ -106,38 +98,13 @@ def trace_distance(a, b) -> float:
     return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector together with its rank.
-
-    Invariants (validated by :func:`projector_from_basis` and checked in the
-    invariant suite): P^2 = P to 1e-10, P = P^dag to 1e-12, trace(P) within
-    1e-8 of `rank`.
-    """
-
-    matrix: np.ndarray
-    rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
-    def defects(self) -> dict:
-        """Numerical deviation from the projector invariants."""
-        p = self.matrix
-        return {
-            "idempotency": spectral_norm(p @ p - p),
-            "hermiticity": hermiticity_defect(p),
-            "trace": abs(float(np.trace(p).real) - self.rank),
-        }
-
-
-def projector_from_basis(vectors, gram_condition_limit: float = GRAM_CONDITION_LIMIT) -> Projector:
-    """Orthogonal projector onto the span of `vectors`.
+def projector_from_basis(vectors, gram_condition_limit: float = GRAM_CONDITION_LIMIT) -> np.ndarray:
+    """Orthogonal projector matrix onto the span of `vectors`.
 
     The vectors are orthonormalized internally, so they only need to be
-    linearly independent.  Raises DegenerateBasis when the Gram matrix
-    condition number exceeds `gram_condition_limit`.
+    linearly independent; the result is Hermitian and idempotent to
+    rounding, with trace len(vectors).  Raises DegenerateBasis when the Gram
+    matrix condition number exceeds `gram_condition_limit`.
     """
     cols = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
     gram = cols.conj().T @ cols
@@ -148,8 +115,7 @@ def projector_from_basis(vectors, gram_condition_limit: float = GRAM_CONDITION_L
         )
     q, _ = np.linalg.qr(cols)
     p = q @ q.conj().T
-    p = 0.5 * (p + p.conj().T)
-    return Projector(matrix=p, rank=cols.shape[1])
+    return 0.5 * (p + p.conj().T)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -166,7 +132,7 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two density matrices."""
-    w, v = _eigh(rho, herm_tol=1e-8)
+    w, v = hermitian_eigendecomposition(rho, herm_tol=1e-8)
     w = np.where(w > 1e-13 * max(1.0, w.max(initial=0.0)), w, 0.0)
     sq = (v * np.sqrt(w)) @ v.conj().T
     inner = sq @ sigma @ sq

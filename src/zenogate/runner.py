@@ -114,6 +114,11 @@ def _frames_for(scenario: Scenario, samples: int):
     Inputs that do not fit the model's levels or dimension raise ValidationError.
     """
     path = None if scenario.model_type == "custom" else scenario.build_path(samples=samples)
+    dim = 3 if path is not None else scenario.model_hamiltonians[0][1].shape[0]
+    for where, m in (("initial_state.amplitudes", scenario.initial_amplitudes),
+                     ("control.hamiltonian", scenario.control.hamiltonian)):
+        if m is not None and m.shape[0] != dim:
+            raise ValidationError(f"{where} has dimension {m.shape[0]}, the model has dimension {dim}")
     energies = None
     if path is not None and scenario.control.mode == "wagon_wheel":
         theta0 = float(path.theta()[0])
@@ -127,11 +132,6 @@ def _frames_for(scenario: Scenario, samples: int):
         energies = np.take_along_axis(spectra.energies, order, axis=1)
     if scenario.level >= frames.nlevels:
         raise ValidationError(f"level {scenario.level} does not exist: the model has {frames.nlevels} levels")
-    dim = frames.projectors0[0].dim
-    for where, m in (("initial_state.amplitudes", scenario.initial_amplitudes),
-                     ("control.hamiltonian", scenario.control.hamiltonian)):
-        if m is not None and m.shape[0] != dim:
-            raise ValidationError(f"{where} has dimension {m.shape[0]}, the model has dimension {dim}")
     return path, frames, energies
 
 
@@ -206,15 +206,15 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
 
     if scenario.nonselective:
         rho0 = np.outer(psi0, psi0.conj())
-        rho = zn.nonselective_zeno_evolution(h0, frames, n, rho0, scenario.substeps)
+        rho = zn.nonselective_zeno_evolution(h0, frames, n, rho0)
         _record_dephased_prediction(record, h0, frames, rho0, rho)
         record.trace_drift = abs(float(np.trace(rho).real) - 1.0)
         return
 
-    zr = zn.projected_evolution(h0, frames, scenario.level, n, psi0, scenario.substeps)
+    zr = zn.projected_evolution(h0, frames, scenario.level, n, psi0)
     record.p_N = zr.survival_probability
     wt = frames.frames[-1]
-    p0 = frames.projectors0[scenario.level].matrix
+    p0 = frames.projectors0[scenario.level]
     gate_limit = zn.zeno_unitary(zn.zeno_hamiltonian(h0, frames, scenario.level))
     record.distance = spectral_norm(zr.final_operator - wt @ gate_limit @ p0)
     pred_state = wt @ (gate_limit @ psi0)
@@ -233,7 +233,7 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
     decomp = gauge_decompose(result, frames, energies)
     psi0 = _initial_vector(scenario, path)
-    p0 = frames.projectors0[scenario.level].matrix
+    p0 = frames.projectors0[scenario.level]
     psi = decomp.gauge_evolution @ psi0
     record.q_n = float(np.real(psi.conj() @ (psi - p0 @ psi)))
     gate = p0 @ zn.zeno_unitary(zn.zeno_hamiltonian(None, frames, scenario.level)) @ p0
@@ -266,11 +266,14 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     if scenario.model_type == "three_level":
         def projectors_at(t):
             theta = np.arctan2(np.interp(t, path.times, path.b), np.interp(t, path.times, path.a))
-            return [p.matrix for p in three_level_projectors(theta)]
+            return three_level_projectors(theta)
     else:
         projectors_at = dis.projectors_from_frames(frames)
 
-    diss = dis.DissipatorSpec(gamma=scenario.gamma, alphas=alphas, projectors_at=projectors_at)
+    try:
+        diss = dis.DissipatorSpec(gamma=scenario.gamma, alphas=alphas, projectors_at=projectors_at)
+    except ValueError as exc:
+        raise ValidationError(f"alphas: {exc}") from exc
     steps = _dissipative_defaults(scenario, duration, diss.max_weight_gap_sq())
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
@@ -379,7 +382,7 @@ def emit(records, out_path, fmt: str = "csv", include_timing: bool = False):
             writer.writerow(CSV_COLUMNS)
             for rec in records:
                 writer.writerow(rec.as_row(include_timing=include_timing))
-    elif fmt in ("json", "json-like"):
+    elif fmt == "json-like":
         docs = []
         for rec in records:
             doc = {c: v for c, v in zip(CSV_COLUMNS, rec.as_row(include_timing=include_timing))}

@@ -28,7 +28,6 @@ Schema (defaults in parentheses)::
       alpha: x                    # alpha_frame strength
       hamiltonian: [[...], ...]   # constant Hermitian matrix for wagon_wheel/custom
     N: 4096                       # zeno: number of measurements
-    substeps: 1                   # zeno: propagator substeps per interval
     steps: int                    # integrator steps (engine-dependent default)
     gamma: rate                   # dissipative
     alphas: [0.0, 1.0, ...]       # dissipative: one dephasing weight per level (0..nlevels-1)
@@ -39,13 +38,14 @@ Schema (defaults in parentheses)::
     nonselective: false           # zeno: evolve a density matrix, outcomes unread
     frame_method: analytic | tracked    (analytic for three_level, tracked for custom)
     runtime_budget_s: float       # optional declared runtime bound
-    tolerances:
+    tolerances:                   # each > 0
       cluster: 1e-8
       holonomy: 1e-2
 
-Every number must be finite, and counts (N, substeps, steps, level,
-windings, samples) integral.  Matrix entries are real numbers or two-element
-``[re, im]`` lists; every matrix must be Hermitian to ``linalg.HERMITICITY_TOL``.
+Every number must be finite, and counts (N, steps, level, windings,
+samples) integral; `name` is a string or a number.  Matrix entries are real
+numbers or two-element ``[re, im]`` lists; every matrix must be Hermitian to
+``linalg.HERMITICITY_TOL``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ ENGINES = ("adiabatic", "zeno", "dissipative")
 NAMED_STATES = ("E_plus", "E_minus", "E_zero")
 
 _TOP_KEYS = {
-    "name", "engine", "model", "path", "control", "N", "substeps", "steps",
+    "name", "engine", "model", "path", "control", "N", "steps",
     "gamma", "alphas", "initial_state", "level", "nonselective",
     "frame_method", "runtime_budget_s", "tolerances",
 }
@@ -99,15 +99,26 @@ def _number(value, where: str, integral: bool = False):
 
 
 def _parse_entry(value, where: str) -> complex:
-    """One matrix or vector entry; a non-finite matrix fails the Hermiticity check."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
+    """One matrix or vector entry: a real number or an [re, im] pair."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
             return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise ParseError(f"matrix entry in {where} must be a number or [re, im], got {value!r}")
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """List field `where` (nested for points) as a float array; ValidationError unless it holds only real numbers."""
+    try:
+        x = np.asarray(value) if isinstance(value, (list, tuple)) else None
+    except ValueError:  # ragged nesting
+        x = None
+    if x is None or x.dtype.kind not in "iuf":
+        raise ValidationError(f"{where} must be a list of numbers")
+    return x.astype(float)
 
 
 def parse_matrix(rows, where: str) -> np.ndarray:
@@ -138,7 +149,6 @@ class Scenario:
     path_spec: dict = field(default_factory=dict)
     control: ControlConfig = field(default_factory=ControlConfig)
     N: int = 4096
-    substeps: int = 1
     steps: int | None = None
     gamma: float | None = None
     alphas: tuple | None = None
@@ -152,13 +162,11 @@ class Scenario:
     holonomy_tol: float = 1e-2
     raw: dict = field(default_factory=dict)
 
-    def build_path(self, samples: int | None = None, duration: float | None = None) -> ParameterPath:
-        """Materialize the declared parameter path, optionally resampled/rescaled."""
+    def build_path(self, samples: int | None = None) -> ParameterPath:
+        """Materialize the declared parameter path, optionally resampled (circle and polyline paths)."""
         spec = dict(self.path_spec)
         if samples is not None:
             spec["samples"] = samples
-        if duration is not None:
-            spec["duration"] = duration
         kind = spec["type"]
         if kind == "circle":
             return circle_path(
@@ -167,12 +175,10 @@ class Scenario:
             )
         if kind == "polyline":
             return polyline_path(spec["points"], duration=spec["duration"], samples=spec["samples"])
-        times = np.asarray(spec["times"], dtype=float)
-        return ParameterPath(
-            times=times * (spec.get("duration", times[-1]) / times[-1]),
-            a=np.asarray(spec["a"], dtype=float),
-            b=np.asarray(spec["b"], dtype=float),
-        )
+        path = ParameterPath(times=spec["times"], a=spec["a"], b=spec["b"])
+        if "duration" not in spec:
+            return path
+        return ParameterPath(times=path.times * (spec["duration"] / path.duration), a=path.a, b=path.b)
 
 
 def _require(condition: bool, message: str):
@@ -181,6 +187,7 @@ def _require(condition: bool, message: str):
 
 
 def _require_hermitian(m: np.ndarray, where: str):
+    _require(bool(np.isfinite(m).all()), f"{where} must be finite")
     defect = hermiticity_defect(m)
     _require(defect <= HERMITICITY_TOL, f"{where} must be Hermitian: defect {defect:.3e} > {HERMITICITY_TOL:.1e}")
 
@@ -237,10 +244,12 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         pspec["windings"] = _number(pspec["windings"], "path.windings", integral=True)
     elif ptype == "polyline":
         _require("points" in pspec, "path.points is required for a polyline path")
+        pspec["points"] = _numbers(pspec["points"], "path.points")
         pspec.setdefault("duration", 1.0)
     else:
         for key in ("times", "a", "b"):
             _require(key in pspec, f"path.{key} is required for sampled paths")
+            pspec[key] = _numbers(pspec[key], f"path.{key}")
     for key in ("duration", "samples"):
         if key in pspec:
             pspec[key] = _number(pspec[key], f"path.{key}", integral=key == "samples")
@@ -248,8 +257,6 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
 
     n_meas = _number(data.get("N", 4096), "N", integral=True)
     _require(n_meas >= 1, "N must be a positive integer")
-    substeps = _number(data.get("substeps", 1), "substeps", integral=True)
-    _require(substeps >= 1, "substeps must be a positive integer")
     steps = data.get("steps")
     if steps is not None:
         steps = _number(steps, "steps", integral=True)
@@ -304,19 +311,24 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         amps = amps / norm
 
     tols = data.get("tolerances", {})
+    cluster_tol = _number(tols.get("cluster", 1e-8), "tolerances.cluster")
+    holonomy_tol = _number(tols.get("holonomy", 1e-2), "tolerances.holonomy")
+    _require(cluster_tol > 0, "tolerances.cluster must be positive")
+    _require(holonomy_tol > 0, "tolerances.holonomy must be positive")
     budget = data.get("runtime_budget_s")
+    name = data.get("name", "")
+    _require(isinstance(name, (str, int, float)), "name must be a string or a number")
 
     digest = scenario_digest(data)
     scenario = Scenario(
         engine=engine,
-        name=str(data.get("name", "")) or digest[:12],
+        name=str(name) or digest[:12],
         digest=digest,
         model_type=model_type,
         model_hamiltonians=model_hams,
         path_spec=pspec,
         control=control,
         N=n_meas,
-        substeps=substeps,
         steps=steps,
         gamma=gamma,
         alphas=alphas,
@@ -326,8 +338,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         nonselective=nonselective,
         frame_method=frame_method,
         runtime_budget_s=None if budget is None else _number(budget, "runtime_budget_s"),
-        cluster_tol=_number(tols.get("cluster", 1e-8), "tolerances.cluster"),
-        holonomy_tol=_number(tols.get("holonomy", 1e-2), "tolerances.holonomy"),
+        cluster_tol=cluster_tol,
+        holonomy_tol=holonomy_tol,
         raw=data,
     )
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     CriticalPoint,
     InsufficientSamples,
     OpenPath,
     SubspaceTrackingFailure,
 )
-from .linalg import CLUSTER_TOL, Projector
+from .linalg import CLUSTER_TOL, _eigh_stack
 
 CRITICAL_RADIUS_SQ = 1e-24
 MIN_TRACKING_OVERLAP = 0.5
@@ -176,7 +175,7 @@ def instantaneous_spectra(hs, cluster_tol: float = CLUSTER_TOL) -> SpectrumStack
     of its eigenvalues and its basis their eigenvectors.  One checked
     eigendecomposition serves the whole stack.
     """
-    w, v = linalg._eigh_stack(hs)
+    w, v = _eigh_stack(hs)
     tol = cluster_tol * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
     labels = np.zeros(w.shape, dtype=int)
     labels[:, 1:] = np.cumsum(np.diff(w, axis=1) > tol[:, None], axis=1)
@@ -196,20 +195,25 @@ class FramePath:
     """Sampled unitary family W(t_k) with the initial projectors it transports.
 
     frames[k] maps the range of projectors0[n] onto the instantaneous n-th
-    eigenspace at times[k]; frames[0] is the identity.
+    eigenspace at times[k]; frames[0] is the identity.  `projectors0` is an
+    (nlevels, d, d) stack of projector matrices.
     """
 
     times: np.ndarray
     frames: np.ndarray
-    projectors0: tuple
+    projectors0: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         f = np.asarray(self.frames, dtype=complex)
+        p = np.asarray(self.projectors0, dtype=complex)
         if f.ndim != 3 or f.shape[0] != t.size:
             raise ValueError("frames must be a (len(times), d, d) stack")
+        if p.ndim != 3 or p.shape[1:] != f.shape[1:]:
+            raise ValueError("projectors0 must be an (nlevels, d, d) stack matching the frames")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "frames", f)
+        object.__setattr__(self, "projectors0", p)
 
     @property
     def dim(self) -> int:
@@ -217,12 +221,11 @@ class FramePath:
 
     @property
     def nlevels(self) -> int:
-        return len(self.projectors0)
+        return self.projectors0.shape[0]
 
     def projector_path(self, level: int) -> np.ndarray:
         """Stack of transported projectors W(t_k) P_n(0) W(t_k)^dag."""
-        p0 = self.projectors0[level].matrix
-        return np.einsum("kij,jl,kml->kim", self.frames, p0, self.frames.conj())
+        return np.einsum("kij,jl,kml->kim", self.frames, self.projectors0[level], self.frames.conj())
 
 
 @dataclass(frozen=True)
@@ -408,8 +411,7 @@ def track_levels(times, spectra: SpectrumStack):
         frames += _small_matmul(_small_matmul(q, rot), q[0].conj().T)
     frames[0] = np.eye(dim)
     first = SpectrumStack(energies=spectra.energies[:1], ranks=spectra.ranks[:1], vectors=spectra.vectors[:1])
-    projectors0 = tuple(Projector(matrix=p, rank=int(r)) for p, r in zip(first.projectors()[0], ranks))
-    return FramePath(times=times, frames=frames, projectors0=projectors0), order
+    return FramePath(times=times, frames=frames, projectors0=first.projectors()[0, : ranks.size]), order
 
 
 def frame_path_from_spectra(times, spectra: SpectrumStack) -> FramePath:
@@ -476,9 +478,9 @@ def three_level_generators(theta0: float = 0.0) -> ThreeLevelGenerators:
 
 
 def three_level_projectors(theta):
-    """(rank-2 degenerate projector, rank-1 excited projector) at angle theta; matrices stack over an array."""
+    """(rank-2 degenerate projector, rank-1 excited projector) matrices at angle theta; they stack over an array."""
     p_plus, p_minus, p_zero = (e[..., :, None] * e[..., None, :].conj() for e in three_level_eigenbasis(theta))
-    return Projector(matrix=p_minus + p_zero, rank=2), Projector(matrix=p_plus, rank=1)
+    return p_minus + p_zero, p_plus
 
 
 def _plane_rotation_stack(generator: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -495,5 +497,4 @@ def frame_path_analytic_three_level(path: ParameterPath) -> FramePath:
     theta = path.theta()
     gens = three_level_generators(theta[0])
     frames = _plane_rotation_stack(gens.frame_generator, theta - theta[0])
-    p0, p1 = three_level_projectors(theta[0])
-    return FramePath(times=path.times, frames=frames, projectors0=(p0, p1))
+    return FramePath(times=path.times, frames=frames, projectors0=three_level_projectors(theta[0]))

@@ -31,7 +31,7 @@ from .errors import (
     NotASubspaceRotation,
     ZeroSurvival,
 )
-from .linalg import Projector, _eigh, spectral_norm
+from .linalg import hermitian_eigendecomposition, spectral_norm
 from .spectral import FramePath, OperatorPath, ParameterPath, _sample_stack, three_level_generators
 
 
@@ -93,9 +93,9 @@ def wagon_wheel_frames(h0, times, projectors0) -> FramePath:
     relative to H_0 on each measured subspace.
     """
     times = np.asarray(times, dtype=float)
-    w, v = _eigh(h0)
+    w, v = hermitian_eigendecomposition(h0)
     frames = np.einsum("ij,kj,lj->kil", v, np.exp(-2j * np.outer(times, w)), v.conj())
-    return FramePath(times=times, frames=frames, projectors0=tuple(projectors0))
+    return FramePath(times=times, frames=frames, projectors0=projectors0)
 
 
 def _measurement_indices(times: np.ndarray, n: int) -> np.ndarray:
@@ -112,21 +112,22 @@ def _measurement_indices(times: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
-def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial, substeps: int = 1) -> ZenoRun:
+def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial) -> ZenoRun:
     """Conditioned evolution under N projective measurements along the frame.
 
     `frames` must be sampled so that the uniform measurement times k*T/N are
-    grid points.  Between measurements `h0_of_t`, called once on all midpoint times, propagates
-    with one midpoint factor per interval (`substeps` refines stiff controls).
+    grid points.  Between measurements the bare Hamiltonian `h0_of_t` (None
+    for no bare dynamics), called once on all midpoint times, propagates with
+    one midpoint factor per interval.
     """
     initial = np.asarray(initial, dtype=complex)
     idx = _measurement_indices(frames.times, N)
     wm = frames.frames[idx]
-    p0 = frames.projectors0[level].matrix
+    p0 = frames.projectors0[level]
     if h0_of_t is None:
         core = np.matmul(wm[1:].conj().transpose(0, 2, 1), wm[:-1])
     else:
-        u0 = _midpoint_propagators(h0_of_t, frames.times[idx], substeps)
+        u0 = _midpoint_propagators(h0_of_t, frames.times[idx])
         core = np.matmul(wm[1:].conj().transpose(0, 2, 1), np.matmul(u0, wm[:-1]))
     factors = np.einsum("ij,kjl,lm->kim", p0, core, p0)
     v = frames.frames[idx[-1]] @ ordered_product(factors)
@@ -151,7 +152,7 @@ def zeno_hamiltonian(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
     geometric = adiabatic_generator(frames, level)
     if h0_of_t is None:
         return geometric
-    p0 = frames.projectors0[level].matrix
+    p0 = frames.projectors0[level]
     h0s = _sample_stack(h0_of_t, frames.times)
     rotated = np.matmul(frames.frames.conj().transpose(0, 2, 1), np.matmul(h0s, frames.frames))
     projected = np.einsum("ij,kjl,lm->kim", p0, rotated, p0)
@@ -169,19 +170,13 @@ def zeno_unitary(hz: OperatorPath) -> np.ndarray:
     return ordered_exp_from_samples(hz)
 
 
-def effective_frame(h0_of_t, frames: FramePath, t_grid=None) -> FramePath:
+def effective_frame(h0_of_t, frames: FramePath) -> FramePath:
     """Measurement frame as seen from the interaction picture of H_0 (`h0_of_t`, a grid callable).
 
     W_eff(t) = U_0(t, 0)^dag W(t); the Zeno Hamiltonian of (H_0, W) equals
     the purely geometric generator of W_eff, which is how a bare Hamiltonian
     reshapes the effective rotation of the measurement basis.
     """
-    if t_grid is not None:
-        t_grid = np.asarray(t_grid, dtype=float)
-        if t_grid.shape != frames.times.shape or not np.allclose(
-            t_grid, frames.times, rtol=0.0, atol=1e-12
-        ):
-            raise GridMismatch("t_grid must coincide with the frame grid")
     if h0_of_t is None:
         return frames
     factors = _midpoint_propagators(h0_of_t, frames.times)
@@ -244,12 +239,12 @@ def _check_resolution(totals: np.ndarray):
 
 def nonselective_step(rho: np.ndarray, projectors) -> np.ndarray:
     """Dephasing channel rho -> sum_n P_n rho P_n for a complete projector family."""
-    mats = [p.matrix if isinstance(p, Projector) else np.asarray(p, dtype=complex) for p in projectors]
+    mats = [np.asarray(p, dtype=complex) for p in projectors]
     _check_resolution(sum(mats)[None])
     return _dephase(rho, mats)
 
 
-def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0, substeps: int = 1) -> np.ndarray:
+def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0) -> np.ndarray:
     """Density-matrix evolution under N unread measurements along the frame.
 
     Interleaves bare propagation (`h0_of_t` sampled once) with dephasing over all levels;
@@ -260,13 +255,9 @@ def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0, subste
     rho = np.asarray(rho0, dtype=complex)
     idx = _measurement_indices(frames.times, N)
     wm = frames.frames[idx]
-    p0s = np.stack([p.matrix for p in frames.projectors0])
-    projs = np.einsum("kij,njl,kml->knim", wm, p0s, wm.conj())  # (N + 1, nlevels, d, d)
+    projs = np.einsum("kij,njl,kml->knim", wm, frames.projectors0, wm.conj())  # (N + 1, nlevels, d, d)
     _check_resolution(projs.sum(axis=1))
-    if h0_of_t is None:
-        u0 = None
-    else:
-        u0 = _midpoint_propagators(h0_of_t, frames.times[idx], substeps)
+    u0 = None if h0_of_t is None else _midpoint_propagators(h0_of_t, frames.times[idx])
     rho = _dephase(rho, projs[0])
     for k in range(N):
         if u0 is not None:

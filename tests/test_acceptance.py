@@ -150,7 +150,7 @@ def test_criterion_5_spectral_identity():
         for level, energy in ((0, 0.0), (1, 2.0)):
             hz = zeno_hamiltonian(h_drive, frames, level)
             hg = adiabatic_generator(frames, level)
-            p0 = frames.projectors0[level].matrix
+            p0 = frames.projectors0[level]
             for k in range(hz.times.size):
                 defect = spectral_norm(hz.operators[k] - (energy * p0 + hg.operators[k]))
                 worst = max(worst, defect)
@@ -164,7 +164,7 @@ def test_criterion_6_wagon_wheel_time_reversal():
     from zenogate.spectral import three_level_projectors
 
     projs = three_level_projectors(0.0)
-    p0 = projs[0].matrix
+    p0 = projs[0]
     reversed_gate = expm_hermitian(p0 @ h0m @ p0, 1j * duration)
     _, em, _ = three_level_eigenbasis(0.0)
     ns = [2**k for k in range(8, 14)]
@@ -211,8 +211,8 @@ def test_criterion_8_dephasing_of_superpositions():
     psi = (ep + em + ez) / np.sqrt(3.0)  # populates both subspaces
     rho0 = np.outer(psi, psi.conj())
     out = nonselective_zeno_evolution(None, frames, n, rho0)
-    p0 = frames.projectors0[0].matrix
-    p1 = frames.projectors0[1].matrix
+    p0 = frames.projectors0[0]
+    p1 = frames.projectors0[1]
     off = spectral_norm(p0 @ out @ p1)
     uz = zeno_unitary(zeno_hamiltonian(None, frames, 1)) @ zeno_unitary(
         zeno_hamiltonian(None, frames, 0)

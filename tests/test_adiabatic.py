@@ -116,7 +116,7 @@ class TestAdiabaticGenerator:
         for op in hg.operators[::16]:
             assert spectral_norm(op - op.conj().T) <= 1e-8
             # supported inside the initial eigenspace
-            comp = np.eye(3) - projs0[0].matrix
+            comp = np.eye(3) - projs0[0]
             assert spectral_norm(comp @ op) <= 1e-12
 
     def test_too_few_samples(self, projs0):
@@ -147,7 +147,7 @@ class TestAdiabaticEvolve:
         _, em, _ = three_level_eigenbasis(0.0)
         _, hol = adiabatic_evolve(frames, 0, em)
         target = expm_hermitian(gens.subspace_generator, 1j * np.sqrt(2) * np.pi)
-        p0 = frames.projectors0[0].matrix
+        p0 = frames.projectors0[0]
         assert spectral_norm(p0 @ (hol - target) @ p0) <= 1e-6
 
     def test_non_enclosing_loop_identity(self):
@@ -155,7 +155,7 @@ class TestAdiabaticEvolve:
         frames = frame_path_analytic_three_level(path)
         _, em, _ = three_level_eigenbasis(0.0)
         state, hol = adiabatic_evolve(frames, 0, em)
-        p0 = frames.projectors0[0].matrix
+        p0 = frames.projectors0[0]
         assert spectral_norm(p0 @ (hol - np.eye(3)) @ p0) <= 1e-6
 
     def test_dynamical_phase_applied(self, projs0):
@@ -243,7 +243,7 @@ class TestGaugeDecompose:
         energies = np.column_stack([np.zeros(257), 2.0 * path.radius()])
         decomp = gauge_decompose(u, frames, energies)
         rebuilt = frames.frames[-1] @ sum(
-            np.exp(-1j * decomp.dynamical_phases[n]) * frames.projectors0[n].matrix
+            np.exp(-1j * decomp.dynamical_phases[n]) * frames.projectors0[n]
             for n in range(2)
         ) @ decomp.gauge_evolution
         assert spectral_norm(u.unitary - rebuilt) <= 1e-7
@@ -255,7 +255,7 @@ class TestGaugeDecompose:
         u = propagate_exact(loop_hamiltonian(t_final), t_final, int(t_final / 0.01))
         energies = np.column_stack([np.zeros(513), 2.0 * path.radius()])
         decomp = gauge_decompose(u, frames, energies)
-        p0 = frames.projectors0[0].matrix
+        p0 = frames.projectors0[0]
         target = expm_hermitian(gens.subspace_generator, 1j * np.sqrt(2) * np.pi)
         drift = spectral_norm(p0 @ (decomp.gauge_evolution - target) @ p0)
         assert drift <= 3.0 * (2 * np.pi / t_final)  # O(rate/gap) leakage
@@ -276,7 +276,7 @@ class TestGaugeDecompose:
         u = propagate_exact(loop_hamiltonian(t_final), t_final, steps)
         energies = np.column_stack([np.zeros(257), 2.0 * path.radius()])
         decomp = gauge_decompose(u, frames, energies)
-        leaked = (np.eye(3) - frames.projectors0[0].matrix) @ decomp.gauge_evolution @ em
+        leaked = (np.eye(3) - frames.projectors0[0]) @ decomp.gauge_evolution @ em
         assert abs(q - np.linalg.norm(leaked) ** 2) <= 1e-10
 
     def test_grid_mismatch_rejected(self):

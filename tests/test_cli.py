@@ -23,6 +23,20 @@ initial_state:
 """
 
 
+SAMPLED = "  type: samples\n  times: {}\n  a: [1, 0]\n  b: [0, 1]\n"
+MALFORMED = {
+    "alphas_repeated": GOOD.replace("engine: zeno\n", "engine: dissipative\ngamma: 100.0\nalphas: [0.5, 0.5]\n"),
+    "points_mapping": GOOD.replace("  windings: 1\n", "  type: polyline\n  points: {a: 1}\n"),
+    "times_mapping": GOOD.replace("  windings: 1\n", SAMPLED.format("{}")),
+    "times_null": GOOD.replace("  windings: 1\n", SAMPLED.format("null")),
+    "times_single": GOOD.replace("  windings: 1\n", "  type: samples\n  times: [0]\n  a: [1]\n  b: [1]\n"),
+    "cluster_zero": GOOD + "tolerances:\n  cluster: 0\n",
+    "cluster_negative": GOOD + "tolerances:\n  cluster: -1\n",
+    "holonomy_zero": GOOD + "tolerances:\n  holonomy: 0\n",
+    "holonomy_negative": GOOD + "tolerances:\n  holonomy: -1\n",
+}
+
+
 class TestRunCommand:
     def test_success_and_output_file(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, GOOD)
@@ -64,6 +78,11 @@ class TestRunCommand:
         assert cli.main(["run", write_scenario(tmp_path, text)]) == 1
         assert "times must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_scenario_exit_1(self, tmp_path, capsys, text):
+        assert cli.main(["run", write_scenario(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file_exit_1(self):
         assert cli.main(["run", "/nonexistent/s.yaml"]) == 1
 
@@ -91,6 +110,11 @@ class TestSweepCommand:
         scenario = write_scenario(tmp_path, text)
         assert cli.main(["run", scenario]) == 0
         assert cli.main(["sweep", scenario, "--axis", "T", "--values", "1,2"]) == 1
+
+    def test_malformed_values_exit_1(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, GOOD)
+        assert cli.main(["sweep", scenario, "--axis", "N", "--values", "64,abc"]) == 1
+        assert capsys.readouterr().err.startswith("error: --values")
 
     def test_axis_mismatch_exit_2(self, tmp_path):
         scenario = write_scenario(tmp_path, GOOD)

@@ -22,7 +22,7 @@ from zenogate.zeno import nonselective_step, zeno_hamiltonian, zeno_unitary
 
 
 def static_dissipator(gamma, theta=0.0, alphas=(0.0, 1.0)):
-    mats = [p.matrix for p in three_level_projectors(theta)]
+    mats = three_level_projectors(theta)
     return DissipatorSpec(gamma=gamma, alphas=alphas, projectors_at=lambda t: mats)
 
 
@@ -30,8 +30,7 @@ def loop_dissipator(gamma, duration, alphas=(0.0, 1.0)):
     omega = 2 * np.pi / duration
 
     def projectors_at(t):
-        p0, p1 = three_level_projectors(omega * t)
-        return [p0.matrix, p1.matrix]
+        return three_level_projectors(omega * t)
 
     return DissipatorSpec(gamma=gamma, alphas=alphas, projectors_at=projectors_at)
 
@@ -257,8 +256,8 @@ class TestZenoMasterReference:
         hz = zeno_hamiltonian(None, frames, 0)
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)
         traj = zeno_master_reference(hz, frames.projectors0, np.outer(psi, psi.conj()))
-        p0 = frames.projectors0[0].matrix
-        p1 = frames.projectors0[1].matrix
+        p0 = frames.projectors0[0]
+        p1 = frames.projectors0[1]
         for rho in traj.states[:: n // 8]:
             assert spectral_norm(p0 @ rho @ p1) <= 1e-10
 

@@ -306,12 +306,17 @@ class TestScenarioBoundary:
             ({"engine": "dissipative", "gamma": float("inf")}, "gamma"),
             ({"N": "abc"}, "N"),
             ({"N": 64.7}, "N"),
-            ({"substeps": 1.5}, "substeps"),
             ({"initial_state": {"amplitudes": [1.0, 0.0]}}, "initial_state.amplitudes"),
             ({"control": {"mode": "custom", "hamiltonian": [[0.0, 1.0], [1.0, 0.0]]}}, "control.hamiltonian"),
+            ({"engine": "dissipative", "gamma": 100.0, "alphas": [0.5, 0.5]}, "alphas"),
+            ({"path": {"type": "polyline", "points": {"a": 1}}}, "path.points"),
+            ({"path": {"type": "samples", "times": {}, "a": [1.0, 0.0], "b": [0.0, 1.0]}}, "path.times"),
+            ({"path": {"type": "samples", "times": None, "a": [1.0, 0.0], "b": [0.0, 1.0]}}, "path.times"),
+            ({"path": {"type": "samples", "times": [0.0], "a": [1.0], "b": [1.0]}}, "path"),
+            ({"name": {1: "a", "b": 2}}, "name"),
         ],
-        ids=["level", "radius", "duration", "gamma_inf", "N_text", "N_fraction", "substeps_fraction",
-             "amplitudes_dim", "control_dim"],
+        ids=["level", "radius", "duration", "gamma_inf", "N_text", "N_fraction", "amplitudes_dim", "control_dim",
+             "alphas_repeated", "points_mapping", "times_mapping", "times_null", "times_single", "name_mapping"],
     )
     def test_malformed_input_is_a_validation_error(self, overrides, field):
         data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 64,

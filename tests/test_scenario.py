@@ -25,14 +25,14 @@ class TestParsing:
         s = scenario_from_dict(minimal_zeno())
         assert s.engine == "zeno"
         assert s.level == 0
-        assert s.substeps == 1
         assert s.control.mode == "none"
         assert s.cluster_tol == 1e-8
         assert s.path_spec["radius"] == 1.0
         assert s.name == s.digest[:12]
 
     def test_unknown_top_level_key_named(self):
-        for key, value in (("gama", 3.0), ("seed", 0)):  # no run reads a seed, so it is not a key
+        # no run reads a seed or substeps, so neither is a key
+        for key, value in (("gama", 3.0), ("seed", 0), ("substeps", 1.5)):
             with pytest.raises(ParseError, match=key):
                 scenario_from_dict(minimal_zeno(**{key: value}))
 
@@ -109,6 +109,12 @@ class TestValidation:
             scenario_from_dict(minimal_zeno(N=0))
         with pytest.raises(ValidationError, match="steps"):
             scenario_from_dict(minimal_zeno(steps=-3))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["cluster", "holonomy"])
+    def test_tolerances_must_be_positive(self, field, value):
+        with pytest.raises(ValidationError, match=f"tolerances.{field}"):
+            scenario_from_dict(minimal_zeno(tolerances={field: value}))
 
     def test_alpha_frame_needs_three_level(self):
         data = minimal_zeno(control={"mode": "alpha_frame", "alpha": 0.5})
@@ -205,6 +211,6 @@ class TestBuildPath:
         assert p1.radius().max() == pytest.approx(1.0)
 
     def test_duration_override(self):
-        s = scenario_from_dict(minimal_zeno())
-        p = s.build_path(samples=65, duration=7.0)
+        s = scenario_from_dict(minimal_zeno(path={"type": "circle", "windings": 1, "duration": 7.0}))
+        p = s.build_path(samples=65)
         assert p.duration == pytest.approx(7.0)

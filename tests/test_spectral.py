@@ -196,7 +196,7 @@ class TestFramePathAnalytic:
         for n in range(2):
             transported = frames.projector_path(n)
             for k in (0, 63, 200, 256):
-                ref = three_level_projectors(theta[k])[n].matrix
+                ref = three_level_projectors(theta[k])[n]
                 assert spectral_norm(transported[k] - ref) <= 1e-8
 
 
@@ -266,13 +266,13 @@ class TestGridEvaluation:
         hs = three_level_hamiltonian(a, b)
         vecs = three_level_eigenbasis(theta)
         projs = three_level_projectors(theta)
-        assert hs.shape == projs[0].matrix.shape == (33, 3, 3) and projs[0].dim == 3
+        assert hs.shape == projs[0].shape == projs[1].shape == (33, 3, 3)
         for k in range(theta.size):
             assert np.array_equal(hs[k], three_level_hamiltonian(a[k], b[k]))
             for v, ref in zip(vecs, three_level_eigenbasis(theta[k])):
                 assert np.array_equal(v[k], ref)
             for p, ref in zip(projs, three_level_projectors(theta[k])):
-                assert np.array_equal(p.matrix[k], ref.matrix)
+                assert np.array_equal(p[k], ref)
 
     def test_critical_point_anywhere_in_an_array(self):
         with pytest.raises(CriticalPoint):
