@@ -31,10 +31,14 @@ class TestParsing:
         assert s.name == s.digest[:12]
 
     def test_unknown_top_level_key_named(self):
-        # no run reads a seed or substeps, so neither is a key
-        for key, value in (("gama", 3.0), ("seed", 0), ("substeps", 1.5)):
+        for key, value in (("gama", 3.0), ("seed", 0)):  # no run reads a seed, so it is not a key
             with pytest.raises(ParseError, match=key):
                 scenario_from_dict(minimal_zeno(**{key: value}))
+
+    def test_substeps_is_not_a_key(self):
+        for value in (1, 1.5):  # no run reads substeps, so any value, once valid or not, is an unknown key
+            with pytest.raises(ParseError, match="substeps"):
+                scenario_from_dict(minimal_zeno(substeps=value))
 
     def test_unknown_nested_key_named(self):
         data = minimal_zeno()
