@@ -25,12 +25,11 @@ from .adiabatic import (
 )
 from .dissipative import (
     DissipatorSpec,
-    MasterTrajectory,
+    MasterResult,
     dephasing_fixed_point_check,
     integrate_master,
     lindblad_rhs,
     projectors_from_frames,
-    rotating_frame,
     zeno_master_reference,
 )
 from .errors import ZenogateError

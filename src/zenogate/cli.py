@@ -7,8 +7,8 @@ Subcommands::
                    [--out PATH] [--format csv|json-like] [--timing]
     zenogate check [--cases 100] [--seed 2024]
 
-Exit codes: 0 success, 1 scenario parse/validation error, 2 engine error,
-3 invariant-suite failure.
+Exit codes: 0 success, 1 scenario parse/validation error or a file that
+cannot be read or written, 2 engine error, 3 invariant-suite failure.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ZenogateError as exc:

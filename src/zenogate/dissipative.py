@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, StiffnessBudgetExceeded
+from .errors import StiffnessBudgetExceeded
 from .linalg import trace_distance
 from .spectral import FramePath, OperatorPath, _sample_stack
 from .zeno import _dephase
@@ -43,10 +43,10 @@ class DissipatorSpec:
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         al = tuple(float(a) for a in self.alphas)
-        for i in range(len(al)):
-            for j in range(i + 1, len(al)):
-                if abs(al[i] - al[j]) <= 1e-9:
-                    raise ValueError(f"dephasing weights must be pairwise distinct: {al[i]} ~ {al[j]}")
+        ordered = sorted(al)
+        for lo, hi in zip(ordered, ordered[1:]):
+            if hi - lo <= 1e-9:
+                raise ValueError(f"dephasing weights must be pairwise distinct: {lo} ~ {hi}")
         object.__setattr__(self, "alphas", al)
 
     def lindblad_op(self, t) -> np.ndarray:
@@ -54,12 +54,7 @@ class DissipatorSpec:
         return sum(a * np.asarray(p, dtype=complex) for a, p in zip(self.alphas, projs))
 
     def max_weight_gap_sq(self) -> float:
-        al = self.alphas
-        if len(al) < 2:
-            return 0.0
-        return max(
-            (al[i] - al[j]) ** 2 for i in range(len(al)) for j in range(i + 1, len(al))
-        )
+        return (max(self.alphas) - min(self.alphas)) ** 2 if self.alphas else 0.0
 
 
 def projectors_from_frames(frames: FramePath):
@@ -72,18 +67,12 @@ def projectors_from_frames(frames: FramePath):
     return lambda t: [p.at(t) for p in paths]
 
 
-@dataclass
-class MasterTrajectory:
-    """Integrated density-matrix trajectory with bookkeeping diagnostics."""
+@dataclass(frozen=True)
+class MasterResult:
+    """Endpoint of a master-equation integration and the trace renormalization it accumulated."""
 
-    times: np.ndarray
-    states: list
-    frame: str = "lab"
-    trace_drift: float = 0.0
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+    final: np.ndarray
+    trace_drift: float
 
 
 def _lindblad(rho, h0, lop, l2, gamma: float) -> np.ndarray:
@@ -100,82 +89,54 @@ def lindblad_rhs(rho: np.ndarray, h0, diss: DissipatorSpec, t: float) -> np.ndar
     return _lindblad(rho, h0, lop, None if lop is None else lop @ lop, diss.gamma)
 
 
-def _rk4_step(rho, dt, f0, fmid_a, fmid_b, f1):
-    k1 = f0(rho)
-    k2 = fmid_a(rho + 0.5 * dt * k1)
-    k3 = fmid_b(rho + 0.5 * dt * k2)
-    k4 = f1(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _integrate(rho, dts, rhs_at) -> MasterResult:
+    """Classical RK4 over steps of sizes `dts`; `rhs_at(i, rho)` is the right-hand side at sample i.
 
-
-def integrate_master(h0_of_t, diss: DissipatorSpec, rho0, t_final: float, steps: int,
-                     store_every: int = 1) -> MasterTrajectory:
-    """Classical RK4 integration of the dephasing master equation in the lab frame.
-
-    `h0_of_t` and the projectors are each evaluated once, on the half-step grid.
-    The step size must respect the budget dt * gamma * max(c_n - c_m)^2 <= 0.1
-    (StiffnessBudgetExceeded otherwise, rather than substepping silently).  Each
-    step re-Hermitizes and renormalizes the trace; the accumulated
+    Step k evaluates samples 2k, 2k + 1 (twice) and 2k + 2.  Each step
+    re-Hermitizes and renormalizes the trace; the accumulated
     renormalization is reported in `trace_drift`, not hidden.
     """
-    rho = np.asarray(rho0, dtype=complex)
-    dt = t_final / steps
-    if diss.gamma > 0 and len(diss.alphas) > 1:
-        budget = dt * diss.gamma * diss.max_weight_gap_sq()
-        if budget > STIFFNESS_BUDGET:
-            raise StiffnessBudgetExceeded(
-                f"dt*gamma*max_gap^2 = {budget:.3f} > {STIFFNESS_BUDGET}; increase steps"
-            )
-    # Precompute stage operators on the half-step grid (2*steps + 1 points).
-    half_times = np.arange(2 * steps + 1) * (0.5 * dt)
-    lops = _sample_stack(diss.lindblad_op, half_times) if diss.gamma > 0 else None
-    l2s = None if lops is None else lops @ lops
-    h0s = None if h0_of_t is None else _sample_stack(h0_of_t, half_times)
-
-    def make_rhs(i):
-        h0, lop, l2 = (None if stack is None else stack[i] for stack in (h0s, lops, l2s))
-        return lambda r: _lindblad(r, h0, lop, l2, diss.gamma)
-
-    times = [0.0]
-    states = [rho.copy()]
     drift = 0.0
-    for k in range(steps):
-        f0 = make_rhs(2 * k)
-        fmid = make_rhs(2 * k + 1)
-        f1 = make_rhs(2 * k + 2)
-        rho = _rk4_step(rho, dt, f0, fmid, fmid, f1)
+    for k, dt in enumerate(dts.tolist()):
+        i = 2 * k
+        k1 = rhs_at(i, rho)
+        k2 = rhs_at(i + 1, rho + 0.5 * dt * k1)
+        k3 = rhs_at(i + 1, rho + 0.5 * dt * k2)
+        k4 = rhs_at(i + 2, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         drift += abs(tr - 1.0)
         rho = rho / tr
-        if (k + 1) % store_every == 0 or k == steps - 1:
-            times.append((k + 1) * dt)
-            states.append(rho.copy())
-    return MasterTrajectory(times=np.asarray(times), states=states, frame="lab", trace_drift=drift)
+    return MasterResult(final=rho, trace_drift=drift)
 
 
-def rotating_frame(trajectory: MasterTrajectory, frames: FramePath) -> MasterTrajectory:
-    """Conjugate a trajectory into (or back out of) the frame rotating with W(t)."""
-    if frames.times.size != trajectory.times.size or not np.allclose(
-        frames.times, trajectory.times, rtol=0.0, atol=1e-9
-    ):
-        raise GridMismatch("trajectory and frames are sampled on different grids")
-    to_rotating = trajectory.frame == "lab"
-    out = []
-    for w, rho in zip(frames.frames, trajectory.states):
-        if to_rotating:
-            out.append(w.conj().T @ rho @ w)
-        else:
-            out.append(w @ rho @ w.conj().T)
-    return MasterTrajectory(
-        times=trajectory.times.copy(),
-        states=out,
-        frame="rotating" if to_rotating else "lab",
-        trace_drift=trajectory.trace_drift,
-    )
+def integrate_master(h0_of_t, diss: DissipatorSpec, rho0, t_final: float, steps: int) -> MasterResult:
+    """Classical RK4 integration of the dephasing master equation in the lab frame, to t_final.
+
+    `h0_of_t` and the projectors are each evaluated once, on the half-step grid.
+    The step size must respect the budget dt * gamma * max(c_n - c_m)^2 <= 0.1
+    (StiffnessBudgetExceeded otherwise, rather than substepping silently).
+    """
+    dt = t_final / steps
+    budget = dt * diss.gamma * diss.max_weight_gap_sq()
+    if budget > STIFFNESS_BUDGET:
+        raise StiffnessBudgetExceeded(
+            f"dt*gamma*max_gap^2 = {budget:.3f} > {STIFFNESS_BUDGET}; increase steps"
+        )
+    half_times = np.arange(2 * steps + 1) * (0.5 * dt)
+    h0s = lops = l2s = [None] * half_times.size
+    if h0_of_t is not None:
+        h0s = list(_sample_stack(h0_of_t, half_times))
+    if diss.gamma > 0:
+        stack = _sample_stack(diss.lindblad_op, half_times)
+        lops, l2s = list(stack), list(stack @ stack)
+    gamma = diss.gamma
+    return _integrate(np.asarray(rho0, dtype=complex), np.full(steps, dt),
+                      lambda i, r: _lindblad(r, h0s[i], lops[i], l2s[i], gamma))
 
 
-def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterTrajectory:
+def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterResult:
     """Rotating-frame reference flow drho/dt = -i [H_Z(t), P rho] with dephased start.
 
     `hz_total` samples the sum of all per-level Zeno Hamiltonians on the
@@ -184,26 +145,16 @@ def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterTr
     t = 0 and never regenerated.
     """
     mats = [np.asarray(p, dtype=complex) for p in projectors0]
-    rho = _dephase(np.asarray(rho0, dtype=complex), mats)
-    times = hz_total.times
     ops = hz_total.operators
-    states = [rho.copy()]
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        h0, h1 = ops[k], ops[k + 1]
-        hmid = 0.5 * (h0 + h1)
+    hs = np.empty((2 * len(ops) - 1,) + ops.shape[1:], dtype=complex)
+    hs[0::2] = ops
+    hs[1::2] = 0.5 * (ops[:-1] + ops[1:])
 
-        def rhs_with(h):
-            def rhs(r):
-                pr = _dephase(r, mats)
-                return -1j * (h @ pr - pr @ h)
+    def rhs_at(i, r):
+        pr = _dephase(r, mats)
+        return -1j * (hs[i] @ pr - pr @ hs[i])
 
-            return rhs
-
-        rho = _rk4_step(rho, dt, rhs_with(h0), rhs_with(hmid), rhs_with(hmid), rhs_with(h1))
-        rho = 0.5 * (rho + rho.conj().T)
-        states.append(rho.copy())
-    return MasterTrajectory(times=times.copy(), states=states, frame="rotating", trace_drift=0.0)
+    return _integrate(_dephase(np.asarray(rho0, dtype=complex), mats), np.diff(hz_total.times), rhs_at)
 
 
 def coherence_probe_states(projectors):
@@ -228,15 +179,14 @@ def coherence_probe_states(projectors):
     return probes
 
 
-def dephasing_fixed_point_check(diss: DissipatorSpec, t_probe: float, at_time: float = 0.0,
-                                probes=None) -> float:
+def dephasing_fixed_point_check(diss: DissipatorSpec, t_probe: float, probes=None) -> float:
     """Worst-case trace-norm distance of exp(L t_probe) rho from the dephased rho.
 
-    Projectors are frozen at `at_time`; the distance decays exponentially in
+    Projectors are frozen at t = 0; the distance decays exponentially in
     gamma * t_probe times the squared weight gap.  `probes` defaults to a
     basis of cross-block coherence states plus block-diagonal ones.
     """
-    frozen = [np.asarray(p, dtype=complex) for p in diss.projectors_at(at_time)]
+    frozen = [np.asarray(p, dtype=complex) for p in diss.projectors_at(0.0)]
     static = DissipatorSpec(
         gamma=diss.gamma, alphas=diss.alphas, projectors_at=lambda t: frozen
     )
@@ -249,6 +199,6 @@ def dephasing_fixed_point_check(diss: DissipatorSpec, t_probe: float, at_time: f
             final = rho
         else:
             steps = max(16, int(np.ceil(diss.gamma * static.max_weight_gap_sq() * t_probe / STIFFNESS_BUDGET)))
-            final = integrate_master(None, static, rho, t_probe, steps, store_every=steps).final
+            final = integrate_master(None, static, rho, t_probe, steps).final
         worst = max(worst, 2.0 * trace_distance(final, target))
     return worst

@@ -60,21 +60,8 @@ class ResultRecord:
     wall_ms: float | None = None
 
     def as_row(self, include_timing: bool = False) -> list:
-        vals = {
-            "scenario_id": self.scenario_id,
-            "engine": self.engine,
-            "axis": self.axis,
-            "axis_value": self.axis_value,
-            "p_N": self.p_N,
-            "q_n": self.q_n,
-            "fidelity": self.fidelity,
-            "phi_principal": self.phi_principal,
-            "phi_expected": self.phi_expected,
-            "distance": self.distance,
-            "trace_drift": self.trace_drift,
-            "wall_ms": self.wall_ms if include_timing else None,
-        }
-        return [_format_value(vals[c]) for c in CSV_COLUMNS]
+        hidden = () if include_timing else ("wall_ms",)
+        return [_format_value(None if c in hidden else getattr(self, c)) for c in CSV_COLUMNS]
 
 
 @dataclass
@@ -87,8 +74,8 @@ class SweepSummary:
 
 
 def _format_value(v) -> str:
-    if v is None or v == "":
-        return "" if v is None else str(v)
+    if v is None:
+        return ""
     if isinstance(v, str):
         return v
     return f"{float(v):.12g}"
@@ -144,9 +131,7 @@ def _initial_vector(scenario: Scenario, path) -> np.ndarray:
 
 
 def _expected_holonomy(scenario: Scenario, path) -> float | None:
-    """Predicted unwrapped subspace rotation angle, when the model admits one."""
-    if scenario.model_type != "three_level" or scenario.level != 0:
-        return None
+    """Predicted unwrapped rotation angle of three-level level 0, when its control admits one."""
     if scenario.control.mode not in ("none", "alpha_frame") and scenario.engine != "adiabatic":
         return None
     theta = path.theta()
@@ -277,9 +262,9 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     steps = _dissipative_defaults(scenario, duration, diss.max_weight_gap_sq())
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
-    traj = dis.integrate_master(h0, diss, rho0, duration, steps, store_every=steps)
-    record.trace_drift = traj.trace_drift
-    _record_dephased_prediction(record, h0, frames, rho0, traj.final)
+    result = dis.integrate_master(h0, diss, rho0, duration, steps)
+    record.trace_drift = result.trace_drift
+    _record_dephased_prediction(record, h0, frames, rho0, result.final)
 
 
 _ENGINES = {"zeno": _run_zeno, "adiabatic": _run_adiabatic, "dissipative": _run_dissipative}

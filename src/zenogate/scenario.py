@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -144,23 +144,23 @@ class Scenario:
     engine: str
     name: str
     digest: str
-    model_type: str = "three_level"
-    model_hamiltonians: list = field(default_factory=list)  # [(t, matrix), ...]
-    path_spec: dict = field(default_factory=dict)
-    control: ControlConfig = field(default_factory=ControlConfig)
-    N: int = 4096
-    steps: int | None = None
-    gamma: float | None = None
-    alphas: tuple | None = None
-    initial_name: str | None = None
-    initial_amplitudes: np.ndarray | None = None
-    level: int = 0
-    nonselective: bool = False
-    frame_method: str = "analytic"
-    runtime_budget_s: float | None = None
-    cluster_tol: float = 1e-8
-    holonomy_tol: float = 1e-2
-    raw: dict = field(default_factory=dict)
+    model_type: str
+    model_hamiltonians: list  # [(t, matrix), ...]
+    path_spec: dict
+    control: ControlConfig
+    N: int
+    steps: int | None
+    gamma: float | None
+    alphas: tuple | None
+    initial_name: str | None
+    initial_amplitudes: np.ndarray | None
+    level: int
+    nonselective: bool
+    frame_method: str
+    runtime_budget_s: float | None
+    cluster_tol: float
+    holonomy_tol: float
+    raw: dict
 
     def build_path(self, samples: int | None = None) -> ParameterPath:
         """Materialize the declared parameter path, optionally resampled (circle and polyline paths)."""
@@ -306,9 +306,10 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         _require(isinstance(iamps, (list, tuple)), "initial_state.amplitudes must be a list")
         amps = np.array([_parse_entry(v, "initial_state.amplitudes") for v in iamps], dtype=complex)
         _require(bool(np.isfinite(amps).all()), "initial_state.amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        _require(norm > 0, "initial_state.amplitudes must be nonzero")
-        amps = amps / norm
+        scale = np.abs(amps).max(initial=0.0)  # scaling first keeps the norm from overflowing or underflowing
+        _require(scale > 0, "initial_state.amplitudes must be nonzero")
+        amps = amps / scale
+        amps = amps / np.linalg.norm(amps)
 
     tols = data.get("tolerances", {})
     cluster_tol = _number(tols.get("cluster", 1e-8), "tolerances.cluster")

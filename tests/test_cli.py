@@ -86,6 +86,10 @@ class TestRunCommand:
     def test_missing_file_exit_1(self):
         assert cli.main(["run", "/nonexistent/s.yaml"]) == 1
 
+    def test_directory_path_exit_1(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_engine_error_exit_2(self, tmp_path, capsys):
         # E_plus lives in the other eigenspace: the first projection kills it
         scenario = write_scenario(tmp_path, GOOD.replace("E_minus", "E_plus"))

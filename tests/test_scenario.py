@@ -168,6 +168,10 @@ class TestValidation:
     def test_amplitudes_normalized(self):
         s = scenario_from_dict(minimal_zeno(initial_state={"amplitudes": [3.0, 0.0, 0.0]}))
         assert np.linalg.norm(s.initial_amplitudes) == pytest.approx(1.0)
+        # entries whose squares overflow or underflow keep their direction
+        for amps, direction in (([0.8, 0.0, -1.0e200], [0.0, 0.0, -1.0]), ([1.0e-200, 0.0, 0.0], [1.0, 0.0, 0.0])):
+            s = scenario_from_dict(minimal_zeno(initial_state={"amplitudes": amps}))
+            assert np.abs(s.initial_amplitudes - direction).max() <= 1e-15
 
 
 class TestDigest:
