@@ -99,26 +99,29 @@ def propagate_exact(h_of_t, t_final: float, steps: int) -> PropagatorResult:
     return PropagatorResult(unitary=u, step_count=steps, estimated_error=est, t_final=float(t_final))
 
 
-def frame_velocity(frames: FramePath) -> np.ndarray:
-    """dW/dt on the frame grid: central differences interior, one-sided at the ends."""
+def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
+    """H_Z[n] = P_n(0) K P_n(0) on the frame grid, K = W^dag H_0 W + i dW^dag/dt W; H_G[n] if `h0_of_t` is None.
+
+    dW/dt takes central differences (one-sided at the ends); K keeps the
+    skew part of the connection (exactly skew, unlike its finite difference)
+    and the Hermitian part of W^dag H_0 W (`h0_of_t` called once on the grid).
+    """
     if frames.times.size < 3:
         raise InsufficientSamples("frame derivative needs at least 3 samples")
-    return np.gradient(frames.frames, frames.times, axis=0, edge_order=2)
+    w = frames.frames
+    wh = w.conj().transpose(0, 2, 1)
+    a = np.gradient(wh, frames.times, axis=0, edge_order=2) @ w
+    k = 0.5j * (a - a.conj().transpose(0, 2, 1))
+    if h0_of_t is not None:
+        rotated = np.matmul(wh, np.matmul(_sample_stack(h0_of_t, frames.times), w))
+        k = k + 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
+    p0 = frames.projectors0[level]
+    return OperatorPath(times=frames.times, operators=np.einsum("ij,kjl,lm->kim", p0, k, p0))
+
 
 def adiabatic_generator(frames: FramePath, level: int) -> OperatorPath:
-    """Sampled subspace generator H_G[n](t) = i P_n(0) dW^dag/dt W P_n(0).
-
-    The connection dW^dag/dt W is estimated by its skew-Hermitian part (the
-    exact object is skew, finite differencing is not), so every returned
-    sample is exactly Hermitian and supported on the range of P_n(0).
-    """
-    wdot = frame_velocity(frames)
-    w = frames.frames
-    a = wdot.conj().transpose(0, 2, 1) @ w
-    a = 0.5 * (a - a.conj().transpose(0, 2, 1))
-    p0 = frames.projectors0[level]
-    hg = 1j * np.einsum("ij,kjl,lm->kim", p0, a, p0)
-    return OperatorPath(times=frames.times, operators=hg)
+    """Sampled subspace generator H_G[n](t) = i P_n(0) dW^dag/dt W P_n(0), supported on the range of P_n(0)."""
+    return _subspace_generator(None, frames, level)
 
 
 def ordered_exp_from_samples(op: OperatorPath) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import zeno as zn
 from .adiabatic import gauge_decompose, propagate_exact
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import spectral_norm, state_fidelity, trace_distance
-from .scenario import Scenario, scenario_from_dict
+from .scenario import MAX_COUNT, Scenario, scenario_from_dict
 from .spectral import (
     FramePath,
     OperatorPath,
@@ -135,9 +135,8 @@ def _expected_holonomy(scenario: Scenario, path) -> float | None:
     if scenario.control.mode not in ("none", "alpha_frame") and scenario.engine != "adiabatic":
         return None
     theta = path.theta()
-    alpha = scenario.control.alpha if scenario.control.mode == "alpha_frame" else 0.0
-    if scenario.engine == "adiabatic":
-        alpha = 0.0
+    controlled = scenario.control.mode == "alpha_frame" and scenario.engine != "adiabatic"
+    alpha = scenario.control.alpha if controlled else 0.0
     return float((1.0 - alpha) * (theta[-1] - theta[0]) / np.sqrt(2.0))
 
 
@@ -167,13 +166,11 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
 def _record_dephased_prediction(record: ResultRecord, h0, frames: FramePath, rho0, rho):
     """Compare rho with the nonselective Zeno limit W(T) U_Z P[rho0] U_Z^dag W(T)^dag.
 
-    U_Z composes the Zeno gates of every level; P is the dephasing onto the
-    initial eigenspaces.
+    U_Z is the gate of the sum of H_Z[n] over the levels (blocks on orthogonal
+    P_n(0) commute); P is the dephasing onto the initial eigenspaces.
     """
-    uz = np.eye(frames.dim, dtype=complex)
-    for n in range(frames.nlevels):
-        uz = zn.zeno_unitary(zn.zeno_hamiltonian(h0, frames, n)) @ uz
-    u = frames.frames[-1] @ uz
+    hz = sum(zn.zeno_hamiltonian(h0, frames, n).operators for n in range(frames.nlevels))
+    u = frames.frames[-1] @ zn.zeno_unitary(OperatorPath(times=frames.times, operators=hz))
     pred = u @ zn.nonselective_step(rho0, frames.projectors0) @ u.conj().T
     record.distance = trace_distance(rho, pred)
     record.fidelity = state_fidelity(rho, pred)
@@ -207,10 +204,20 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     _record_angle(record, scenario, path, frames, zr.final_operator, scenario.holonomy_tol)
 
 
+def _step_count(scenario: Scenario, floor: int, estimate: float) -> int:
+    """The scenario's `steps`, else max(floor, ceil(estimate)); ValidationError when that exceeds MAX_COUNT."""
+    if scenario.steps is not None:
+        return scenario.steps
+    count = max(float(floor), float(np.ceil(estimate)))
+    if not count <= MAX_COUNT:
+        raise ValidationError(f"the derived step count {count:.3g} exceeds the bound {MAX_COUNT}")
+    return int(count)
+
+
 def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     path, frames, energies = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
     duration = float(frames.times[-1])
-    steps = scenario.steps if scenario.steps is not None else max(1024, int(np.ceil(duration * 100)))
+    steps = _step_count(scenario, 1024, 100.0 * duration)
     if energies is None:
         r = path.radius()
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
@@ -232,13 +239,6 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     _record_angle(record, scenario, path, frames, result.unitary @ p0, tol)
 
 
-def _dissipative_defaults(scenario: Scenario, duration: float, gap_sq: float) -> int:
-    if scenario.steps is not None:
-        return scenario.steps
-    stiff = int(np.ceil(scenario.gamma * gap_sq * duration / dis.STIFFNESS_BUDGET))
-    return max(512, stiff)
-
-
 def _run_dissipative(scenario: Scenario, record: ResultRecord):
     reference_samples = 4097
     path, frames, _ = _frames_for(scenario, samples=reference_samples)
@@ -248,7 +248,7 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     if len(alphas) != frames.nlevels:
         raise ValidationError(f"alphas needs one weight per level: {len(alphas)} given, {frames.nlevels} levels")
 
-    if scenario.model_type == "three_level":
+    if scenario.model_type == "three_level" and scenario.control.mode != "wagon_wheel":
         def projectors_at(t):
             theta = np.arctan2(np.interp(t, path.times, path.b), np.interp(t, path.times, path.a))
             return three_level_projectors(theta)
@@ -259,7 +259,7 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
         diss = dis.DissipatorSpec(gamma=scenario.gamma, alphas=alphas, projectors_at=projectors_at)
     except ValueError as exc:
         raise ValidationError(f"alphas: {exc}") from exc
-    steps = _dissipative_defaults(scenario, duration, diss.max_weight_gap_sq())
+    steps = _step_count(scenario, 512, scenario.gamma * diss.max_weight_gap_sq() * duration / dis.STIFFNESS_BUDGET)
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
     result = dis.integrate_master(h0, diss, rho0, duration, steps)

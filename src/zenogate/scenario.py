@@ -43,9 +43,10 @@ Schema (defaults in parentheses)::
       holonomy: 1e-2
 
 Every number must be finite, and counts (N, steps, level, windings,
-samples) integral; `name` is a string or a number.  Matrix entries are real
-numbers or two-element ``[re, im]`` lists; every matrix must be Hermitian to
-``linalg.HERMITICITY_TOL``.
+samples) integral and at most ``MAX_COUNT`` in magnitude, as is every
+step count the runner derives; `name` is a string or a number.  Matrix
+entries are real numbers or two-element ``[re, im]`` lists; every matrix
+must be Hermitian to ``linalg.HERMITICITY_TOL``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .spectral import ParameterPath, circle_path, polyline_path, winding_number
 from .zeno import ControlConfig
 
 ENGINES = ("adiabatic", "zeno", "dissipative")
+MAX_COUNT = 2**22  # bound on every count, so no grid is sized beyond what a run can allocate
 NAMED_STATES = ("E_plus", "E_minus", "E_zero")
 
 _TOP_KEYS = {
@@ -95,6 +97,8 @@ def _number(value, where: str, integral: bool = False):
         x = math.inf
     if not math.isfinite(x) or (integral and not x.is_integer()):
         raise ValidationError(f"{where} must be {'an integer' if integral else 'a finite number'}, got {value!r}")
+    if integral and abs(x) > MAX_COUNT:
+        raise ValidationError(f"{where} must be at most {MAX_COUNT} in magnitude, got {value!r}")
     return int(value) if integral else x
 
 
@@ -162,11 +166,9 @@ class Scenario:
     holonomy_tol: float
     raw: dict
 
-    def build_path(self, samples: int | None = None) -> ParameterPath:
-        """Materialize the declared parameter path, optionally resampled (circle and polyline paths)."""
-        spec = dict(self.path_spec)
-        if samples is not None:
-            spec["samples"] = samples
+    def build_path(self, samples: int) -> ParameterPath:
+        """Materialize the declared parameter path; circle and polyline paths get `samples` points."""
+        spec = {**self.path_spec, "samples": samples}
         kind = spec["type"]
         if kind == "circle":
             return circle_path(

@@ -467,14 +467,13 @@ class ThreeLevelGenerators:
 
     frame_generator: np.ndarray
     subspace_generator: np.ndarray
-    theta0: float
 
 
 def three_level_generators(theta0: float = 0.0) -> ThreeLevelGenerators:
     g = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
     _, e_minus, e_zero = three_level_eigenbasis(theta0)
     g0 = -1j * np.outer(e_zero, e_minus.conj()) + 1j * np.outer(e_minus, e_zero.conj())
-    return ThreeLevelGenerators(frame_generator=g, subspace_generator=g0, theta0=theta0)
+    return ThreeLevelGenerators(frame_generator=g, subspace_generator=g0)
 
 
 def three_level_projectors(theta):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import _midpoint_propagators, adiabatic_generator, ordered_exp_from_samples, ordered_product
+from .adiabatic import _midpoint_propagators, _subspace_generator, ordered_exp_from_samples, ordered_product
 from .errors import (
     GridMismatch,
     IncompleteResolution,
@@ -32,14 +32,13 @@ from .errors import (
     ZeroSurvival,
 )
 from .linalg import hermitian_eigendecomposition, spectral_norm
-from .spectral import FramePath, OperatorPath, ParameterPath, _sample_stack, three_level_generators
+from .spectral import FramePath, OperatorPath, ParameterPath, three_level_generators
 
 
 @dataclass(frozen=True)
 class ZenoRun:
     """Outcome of a conditioned measurement sequence."""
 
-    N: int
     final_operator: np.ndarray
     survival_probability: float
     conditional_state: np.ndarray
@@ -136,7 +135,6 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial)
     if p < 1e-15:
         raise ZeroSurvival("survival probability vanished; conditioning is undefined")
     return ZenoRun(
-        N=N,
         final_operator=v,
         survival_probability=p,
         conditional_state=amp / np.sqrt(p),
@@ -144,20 +142,8 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial)
 
 
 def zeno_hamiltonian(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
-    """Emergent generator of the conditioned subspace evolution, sampled on the frame grid.
-
-    Sum of the frame-rotated, projected bare Hamiltonian (`h0_of_t` evaluated once on
-    the frame times) and the geometric term from the moving measurement basis.
-    """
-    geometric = adiabatic_generator(frames, level)
-    if h0_of_t is None:
-        return geometric
-    p0 = frames.projectors0[level]
-    h0s = _sample_stack(h0_of_t, frames.times)
-    rotated = np.matmul(frames.frames.conj().transpose(0, 2, 1), np.matmul(h0s, frames.frames))
-    projected = np.einsum("ij,kjl,lm->kim", p0, rotated, p0)
-    projected = 0.5 * (projected + projected.conj().transpose(0, 2, 1))
-    return OperatorPath(times=frames.times, operators=projected + geometric.operators)
+    """Emergent Zeno Hamiltonian H_Z[n] = P_n(0) W^dag H_0 W P_n(0) + H_G[n], sampled on the frame grid."""
+    return _subspace_generator(h0_of_t, frames, level)
 
 
 def zeno_unitary(hz: OperatorPath) -> np.ndarray:

@@ -16,6 +16,7 @@ from zenogate.errors import (
     NonHermitianInput,
 )
 from zenogate.linalg import expm_hermitian, spectral_norm
+from zenogate.zeno import zeno_hamiltonian
 from zenogate.spectral import (
     FramePath,
     ParameterPath,
@@ -127,6 +128,9 @@ class TestAdiabaticGenerator:
         )
         with pytest.raises(InsufficientSamples):
             adiabatic_generator(frames, 0)
+        h0 = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        with pytest.raises(InsufficientSamples):
+            zeno_hamiltonian(lambda t: h0, frames, 0)
 
 
 class TestAdiabaticEvolve:

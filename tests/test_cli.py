@@ -5,6 +5,7 @@ import pytest
 
 from zenogate import cli
 from zenogate.checks import CheckResult
+from zenogate.scenario import MAX_COUNT
 
 
 def write_scenario(tmp_path, text, name="s.yaml"):
@@ -24,6 +25,8 @@ initial_state:
 
 
 SAMPLED = "  type: samples\n  times: {}\n  a: [1, 0]\n  b: [0, 1]\n"
+ADIABATIC = GOOD.replace("engine: zeno\n", "engine: adiabatic\n")
+DISSIPATIVE = GOOD.replace("engine: zeno\n", "engine: dissipative\ngamma: 100.0\n")
 MALFORMED = {
     "alphas_repeated": GOOD.replace("engine: zeno\n", "engine: dissipative\ngamma: 100.0\nalphas: [0.5, 0.5]\n"),
     "points_mapping": GOOD.replace("  windings: 1\n", "  type: polyline\n  points: {a: 1}\n"),
@@ -34,6 +37,16 @@ MALFORMED = {
     "cluster_negative": GOOD + "tolerances:\n  cluster: -1\n",
     "holonomy_zero": GOOD + "tolerances:\n  holonomy: 0\n",
     "holonomy_negative": GOOD + "tolerances:\n  holonomy: -1\n",
+    # counts too large for any grid, refused before anything is allocated
+    "N_huge": GOOD.replace("N: 1024", "N: 1.0e+308"),
+    "N_too_large": GOOD.replace("N: 1024", "N: 1.0e+15"),
+    "N_above_bound": GOOD.replace("N: 1024", f"N: {MAX_COUNT + 1}"),
+    "adiabatic_steps_huge": ADIABATIC + "steps: 1.0e+308\n",
+    "adiabatic_steps_above_bound": ADIABATIC + f"steps: {MAX_COUNT + 1}\n",
+    "adiabatic_default_steps_huge": ADIABATIC.replace("  windings: 1\n", "  windings: 1\n  duration: 1.0e+300\n"),
+    "dissipative_steps_huge": DISSIPATIVE + "steps: 1.0e+308\n",
+    "dissipative_default_steps_too_large": DISSIPATIVE.replace("gamma: 100.0", "gamma: 1.0e+15"),
+    "dissipative_default_steps_huge": DISSIPATIVE.replace("gamma: 100.0", "gamma: 1.0e+308"),
 }
 
 
@@ -89,6 +102,11 @@ class TestRunCommand:
     def test_directory_path_exit_1(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_explicit_steps_over_stiffness_budget_exit_2(self, tmp_path, capsys):
+        text = DISSIPATIVE.replace("gamma: 100.0", "gamma: 1.0e+15") + "steps: 512\n"
+        assert cli.main(["run", write_scenario(tmp_path, text)]) == 2
+        assert "increase steps" in capsys.readouterr().err
 
     def test_engine_error_exit_2(self, tmp_path, capsys):
         # E_plus lives in the other eigenspace: the first projection kills it

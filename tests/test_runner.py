@@ -222,6 +222,22 @@ class TestSweep:
         summary = sweep(zeno_scenario(), "N", [256, 64, 128])
         assert [r.axis_value for r in summary.records] == [64.0, 128.0, 256.0]
 
+    def test_wagon_wheel_dissipative_gamma_axis_converges(self):
+        """Wagon-wheel runs dephase along the frames exp(-2i H_0 t) that the prediction uses."""
+        wagon = load_scenario(SCENARIO_DIR / "wagon_wheel.yaml").raw["control"]
+        data = {
+            "engine": "dissipative",
+            "path": {"type": "circle", "windings": 1, "duration": 1.0},
+            "control": wagon,
+            "gamma": 30.0,
+            "alphas": [0.0, 1.0],
+            "initial_state": {"amplitudes": [1.0, 0.0, 0.0]},
+        }
+        summary = sweep(scenario_from_dict(data), "gamma", [30.0, 100.0, 300.0])
+        distances = [r.distance for r in summary.records]
+        assert distances[0] > distances[1] > distances[2]
+        assert summary.slopes["distance"] == pytest.approx(-1.0, abs=0.3)
+
 
 class TestEmit:
     def test_csv_single_record(self, tmp_path):

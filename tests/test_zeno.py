@@ -215,6 +215,27 @@ class TestZenoUnitary:
         with pytest.raises(InsufficientSamples):
             zeno_unitary(op)
 
+    @pytest.mark.parametrize(
+        "control",
+        [
+            ControlConfig(),
+            ControlConfig(mode="alpha_frame", alpha=0.3),
+            # moves the excited level too, which the two above leave at the identity
+            ControlConfig(mode="custom", hamiltonian=np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.3], [0.0, 0.3, 0.05]])),
+        ],
+        ids=["none", "alpha_frame", "custom"],
+    )
+    def test_summed_levels_equal_product_of_level_gates(self, control):
+        """The level blocks sit on orthogonal P_n(0) and commute: one exponential of their sum is the product."""
+        path, frames = loop_frames(1025)
+        h0 = control_hamiltonian(control, path)
+        hzs = [zeno_hamiltonian(h0, frames, n) for n in range(frames.nlevels)]
+        product = np.eye(3, dtype=complex)
+        for hz in hzs:
+            product = zeno_unitary(hz) @ product
+        summed = zeno_unitary(OperatorPath(times=frames.times, operators=sum(hz.operators for hz in hzs)))
+        assert spectral_norm(summed - product) <= 1e-12
+
 
 class TestEffectiveFrame:
     def test_no_control_keeps_frame(self):
