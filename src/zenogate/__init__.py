@@ -26,15 +26,17 @@ from .adiabatic import (
 from .dissipative import (
     DissipatorSpec,
     MasterResult,
+    dephaser,
     dephasing_fixed_point_check,
     integrate_master,
+    integrate_rotating,
     lindblad_rhs,
-    projectors_from_frames,
     zeno_master_reference,
 )
 from .errors import ZenogateError
 from .linalg import (
     expm_hermitian,
+    expm_stack,
     hermitian_eigendecomposition,
     projector_from_basis,
     spectral_norm,

@@ -99,12 +99,13 @@ def propagate_exact(h_of_t, t_final: float, steps: int) -> PropagatorResult:
     return PropagatorResult(unitary=u, step_count=steps, estimated_error=est, t_final=float(t_final))
 
 
-def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
-    """H_Z[n] = P_n(0) K P_n(0) on the frame grid, K = W^dag H_0 W + i dW^dag/dt W; H_G[n] if `h0_of_t` is None.
+def _rotating_generator(h0_of_t, frames: FramePath) -> np.ndarray:
+    """K = W^dag H_0 W + i dW^dag/dt W on the frame grid, the generator of the frame rotating with W.
 
     dW/dt takes central differences (one-sided at the ends); K keeps the
     skew part of the connection (exactly skew, unlike its finite difference)
-    and the Hermitian part of W^dag H_0 W (`h0_of_t` called once on the grid).
+    and the Hermitian part of W^dag H_0 W (`h0_of_t` called once on the grid;
+    None drops it).
     """
     if frames.times.size < 3:
         raise InsufficientSamples("frame derivative needs at least 3 samples")
@@ -115,7 +116,13 @@ def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
     if h0_of_t is not None:
         rotated = np.matmul(wh, np.matmul(_sample_stack(h0_of_t, frames.times), w))
         k = k + 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
+    return k
+
+
+def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
+    """H_Z[n] = P_n(0) K P_n(0) on the frame grid with K from `_rotating_generator`; H_G[n] if `h0_of_t` is None."""
     p0 = frames.projectors0[level]
+    k = _rotating_generator(h0_of_t, frames)
     return OperatorPath(times=frames.times, operators=np.einsum("ij,kjl,lm->kim", p0, k, p0))
 
 

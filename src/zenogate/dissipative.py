@@ -10,6 +10,11 @@ drives the state onto the block-diagonal manifold and, seen from the frame
 rotating with the projectors, obeys a von Neumann equation generated by the
 Zeno Hamiltonian.  The lab-frame endpoint therefore converges (first order
 in 1/gamma) to the nonselective Zeno result.
+
+`integrate_rotating` is the engine: it integrates in that rotating frame,
+where the dephaser is constant and every step is one exact exponential.
+`integrate_master` integrates in the lab frame by RK4 and serves as its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -18,12 +23,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adiabatic import _rotating_generator, ordered_product
 from .errors import StiffnessBudgetExceeded
-from .linalg import trace_distance
+from .linalg import expm_stack, trace_distance
 from .spectral import FramePath, OperatorPath, _sample_stack
 from .zeno import _dephase
 
 STIFFNESS_BUDGET = 0.1
+EXPONENTIAL_BUDGET = 1e3
+# Matrix entries per batch of step exponentials: 256 superoperators of a three-level system.
+_CHUNK_ENTRIES = 256 * 3**4
+
+
+def _weights(gamma: float, alphas) -> tuple:
+    """`alphas` as floats; ValueError when gamma < 0 or two weights are not pairwise distinct."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    al = tuple(float(a) for a in alphas)
+    ordered = sorted(al)
+    for lo, hi in zip(ordered, ordered[1:]):
+        if hi - lo <= 1e-9:
+            raise ValueError(f"dephasing weights must be pairwise distinct: {lo} ~ {hi}")
+    return al
+
+
+def _gap_sq(alphas: tuple) -> float:
+    gap = max(alphas) - min(alphas) if alphas else 0.0
+    return gap * gap  # inf rather than OverflowError for huge weights
 
 
 @dataclass(frozen=True)
@@ -40,36 +66,23 @@ class DissipatorSpec:
     projectors_at: object  # Callable[[times], sequence of (K, d, d) or (d, d) arrays]
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        al = tuple(float(a) for a in self.alphas)
-        ordered = sorted(al)
-        for lo, hi in zip(ordered, ordered[1:]):
-            if hi - lo <= 1e-9:
-                raise ValueError(f"dephasing weights must be pairwise distinct: {lo} ~ {hi}")
-        object.__setattr__(self, "alphas", al)
+        object.__setattr__(self, "alphas", _weights(self.gamma, self.alphas))
 
     def lindblad_op(self, t) -> np.ndarray:
         projs = self.projectors_at(t)
         return sum(a * np.asarray(p, dtype=complex) for a, p in zip(self.alphas, projs))
 
     def max_weight_gap_sq(self) -> float:
-        return (max(self.alphas) - min(self.alphas)) ** 2 if self.alphas else 0.0
-
-
-def projectors_from_frames(frames: FramePath):
-    """Projector family interpolated from a sampled frame path.
-
-    Entrywise linear interpolation of the transported projectors; adequate
-    when the frame grid is much finer than the integrator grid.
-    """
-    paths = [OperatorPath(times=frames.times, operators=frames.projector_path(n)) for n in range(frames.nlevels)]
-    return lambda t: [p.at(t) for p in paths]
+        return _gap_sq(self.alphas)
 
 
 @dataclass(frozen=True)
 class MasterResult:
-    """Endpoint of a master-equation integration and the trace renormalization it accumulated."""
+    """Endpoint of a master-equation integration and the trace renormalization it needed.
+
+    RK4 sums |tr - 1| over its per-step renormalizations; the rotating-frame
+    engine renormalizes once, at the end.
+    """
 
     final: np.ndarray
     trace_drift: float
@@ -136,6 +149,72 @@ def integrate_master(h0_of_t, diss: DissipatorSpec, rho0, t_final: float, steps:
                       lambda i, r: _lindblad(r, h0s[i], lops[i], l2s[i], gamma))
 
 
+def dephaser(gamma: float, alphas, projectors0) -> np.ndarray:
+    """Constant dephasing superoperator D_0 = -(gamma/2)(L^2 x 1 + 1 x (L^2)^T - 2 L x L^T), L = sum_n alphas[n] P_n(0).
+
+    It acts on the row-major vec(rho) = rho.reshape(-1) and is the moving
+    dephaser seen from the frame that rotates with the projectors.  The
+    weights must be pairwise distinct (ValueError otherwise).
+    """
+    lop = np.einsum("n,nij->ij", np.asarray(_weights(gamma, alphas)), np.asarray(projectors0, dtype=complex))
+    l2 = lop @ lop
+    eye = np.eye(lop.shape[0])
+    return -0.5 * gamma * (np.kron(l2, eye) + np.kron(eye, l2.T) - 2.0 * np.kron(lop, lop.T))
+
+
+def exponential_steps(gamma: float, alphas, t_final: float) -> float:
+    """Fewest steps over t_final with dt * gamma * max_gap^2 <= EXPONENTIAL_BUDGET, as an unrounded float.
+
+    `integrate_rotating` refuses any count below it, so ceil() of it always
+    passes; it may exceed every feasible grid.
+    """
+    return gamma * _gap_sq(_weights(gamma, alphas)) * t_final / EXPONENTIAL_BUDGET
+
+
+def integrate_rotating(h0_of_t, frames: FramePath, gamma: float, alphas, rho0, steps: int) -> MasterResult:
+    """Dephasing master equation along the frames' projectors, integrated in the frame rotating with W.
+
+    The jump operator is L(t) = sum_n alphas[n] P_n(t) with
+    P_n(t) = W(t) P_n(0) W(t)^dag.  rho~ = W^dag rho W obeys
+    drho~/dt = S(t) rho~, S = -i ad K + D_0, with K the rotating-frame
+    generator of `h0_of_t` and the frames (linear between frame samples) and
+    D_0 the constant `dephaser`.  Each of the `steps` uniform steps is one
+    exponential exp(dt S(t_mid)), built and multiplied in fixed-size
+    batches; the count must keep dt * gamma * max_gap^2 within
+    EXPONENTIAL_BUDGET (StiffnessBudgetExceeded otherwise).  No step
+    renormalizes: `trace_drift` is |tr rho(T) - 1| before the one final
+    division by the trace.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    t0, t1 = float(frames.times[0]), float(frames.times[-1])
+    needed = exponential_steps(gamma, alphas, t1 - t0)
+    if steps < needed:
+        raise StiffnessBudgetExceeded(
+            f"dt*gamma*max_gap^2 = {needed * EXPONENTIAL_BUDGET / steps:.3g} > {EXPONENTIAL_BUDGET:g}; increase steps"
+        )
+    dim = frames.dim
+    generator = OperatorPath(times=frames.times, operators=_rotating_generator(h0_of_t, frames))
+    d0 = dephaser(gamma, alphas, frames.projectors0)
+    eye = np.eye(dim)
+    grid = np.linspace(t0, t1, steps + 1)
+    dts = np.diff(grid)
+    mids = grid[:-1] + 0.5 * dts
+    chunk = max(1, _CHUNK_ENTRIES // dim**4)
+    total = np.eye(dim * dim, dtype=complex)
+    for start in range(0, steps, chunk):
+        k = generator.at(mids[start:start + chunk])
+        ad = np.einsum("kil,jm->kijlm", k, eye) - np.einsum("il,kmj->kijlm", eye, k)
+        s = -1j * ad.reshape(k.shape[0], dim * dim, dim * dim) + d0
+        total = ordered_product(expm_stack(dts[start:start + chunk, None, None] * s)) @ total
+    w0, wt = frames.frames[0], frames.frames[-1]
+    rotated = total @ (w0.conj().T @ np.asarray(rho0, dtype=complex) @ w0).reshape(-1)
+    rho = wt @ rotated.reshape(dim, dim) @ wt.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.trace(rho).real)
+    return MasterResult(final=rho / tr, trace_drift=abs(tr - 1.0))
+
+
 def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterResult:
     """Rotating-frame reference flow drho/dt = -i [H_Z(t), P rho] with dephased start.
 
@@ -180,25 +259,19 @@ def coherence_probe_states(projectors):
 
 
 def dephasing_fixed_point_check(diss: DissipatorSpec, t_probe: float, probes=None) -> float:
-    """Worst-case trace-norm distance of exp(L t_probe) rho from the dephased rho.
+    """Worst-case trace-norm distance of exp(t_probe D_0) rho from the dephased rho.
 
-    Projectors are frozen at t = 0; the distance decays exponentially in
-    gamma * t_probe times the squared weight gap.  `probes` defaults to a
-    basis of cross-block coherence states plus block-diagonal ones.
+    D_0 is the `dephaser` with the projectors frozen at t = 0, exponentiated
+    exactly; the distance decays exponentially in gamma * t_probe times the
+    squared weight gap.  `probes` defaults to a basis of cross-block
+    coherence states plus block-diagonal ones.
     """
-    frozen = [np.asarray(p, dtype=complex) for p in diss.projectors_at(0.0)]
-    static = DissipatorSpec(
-        gamma=diss.gamma, alphas=diss.alphas, projectors_at=lambda t: frozen
-    )
+    frozen = np.asarray(diss.projectors_at(0.0), dtype=complex)
     if probes is None:
         probes = coherence_probe_states(frozen)
+    flow = expm_stack(t_probe * dephaser(diss.gamma, diss.alphas, frozen)[None])[0]
     worst = 0.0
     for rho in probes:
-        target = _dephase(rho, frozen)
-        if t_probe == 0.0:
-            final = rho
-        else:
-            steps = max(16, int(np.ceil(diss.gamma * static.max_weight_gap_sq() * t_probe / STIFFNESS_BUDGET)))
-            final = integrate_master(None, static, rho, t_probe, steps).final
-        worst = max(worst, 2.0 * trace_distance(final, target))
+        final = (flow @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(rho.shape)
+        worst = max(worst, 2.0 * trace_distance(final, _dephase(rho, frozen)))
     return worst

@@ -1,13 +1,16 @@
 """Dense complex linear algebra kernel for small Hermitian problems.
 
 All operations work on plain ``numpy`` arrays (``complex128``) and are sized
-for dimensions up to a few tens.  Matrix exponentials go through the
-Hermitian eigendecomposition, which keeps purely-imaginary-scale results
-unitary up to eigensolver error.  Every function is pure; returned arrays
-are fresh and safe to share across threads.
+for dimensions up to a few tens.  Exponentials of Hermitian matrices go
+through the eigendecomposition, which keeps purely-imaginary-scale results
+unitary up to eigensolver error; `expm_stack` exponentiates general
+(non-normal) matrices by scaling and squaring.  Every function is pure;
+returned arrays are fresh and safe to share across threads.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -77,6 +80,54 @@ def expm_hermitian_stack(hs: np.ndarray, scale) -> np.ndarray:
     scale = np.asarray(scale)
     phases = np.exp(scale * w) if scale.ndim == 0 else np.exp(scale[:, None] * w)
     return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+
+
+# Diagonal Pade degrees m with the largest 1-norm theta_m at which the
+# degree-m approximant of exp reaches double-precision unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+               (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """Degree-m diagonal Pade approximant of exp over a (K, n, n) stack: (V - U)^-1 (V + U).
+
+    U = a * sum_j b_{2j+1} a^{2j} and V = sum_j b_{2j} a^{2j} with the
+    coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!).
+    """
+    f = math.factorial
+    b = [f(2 * m - j) * f(m) / (f(2 * m) * f(j) * f(m - j)) for j in range(m + 1)]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    power, u, v = a2, b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2
+    for j in range(2, m // 2 + 1):
+        power = power @ a2
+        u = u + b[2 * j + 1] * power
+        v = v + b[2 * j] * power
+    u = a @ u
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm_stack(a: np.ndarray) -> np.ndarray:
+    """Batched exp(a) over a (K, n, n) stack of arbitrary (also non-normal) complex matrices.
+
+    Scaling and squaring with a diagonal Pade approximant (Higham 2005).
+    One degree and one number of squarings serve the whole stack; both are
+    chosen from its largest 1-norm, so a stack should hold matrices of
+    similar size.  Numpy only; raises ValueError on non-finite entries.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not np.isfinite(norm):
+        raise ValueError("matrix has non-finite entries")
+    for m, theta in _PADE_THETA[:-1]:
+        if norm <= theta:
+            return _pade(a, m)
+    squarings = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[-1][1]))))
+    x = _pade(a / 2.0**squarings, 13)
+    for _ in range(squarings):
+        x = x @ x
+    return x
 
 
 def spectral_norm(m) -> float:

@@ -204,14 +204,18 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     _record_angle(record, scenario, path, frames, zr.final_operator, scenario.holonomy_tol)
 
 
+def _bounded_count(count: float) -> int:
+    """int(count) for a derived step count; ValidationError when it exceeds MAX_COUNT or is NaN."""
+    if not count <= MAX_COUNT:
+        raise ValidationError(f"the derived step count {count:.3g} exceeds the bound {MAX_COUNT}")
+    return int(count)
+
+
 def _step_count(scenario: Scenario, floor: int, estimate: float) -> int:
     """The scenario's `steps`, else max(floor, ceil(estimate)); ValidationError when that exceeds MAX_COUNT."""
     if scenario.steps is not None:
         return scenario.steps
-    count = max(float(floor), float(np.ceil(estimate)))
-    if not count <= MAX_COUNT:
-        raise ValidationError(f"the derived step count {count:.3g} exceeds the bound {MAX_COUNT}")
-    return int(count)
+    return _bounded_count(max(float(floor), float(np.ceil(estimate))))
 
 
 def _run_adiabatic(scenario: Scenario, record: ResultRecord):
@@ -248,21 +252,14 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     if len(alphas) != frames.nlevels:
         raise ValidationError(f"alphas needs one weight per level: {len(alphas)} given, {frames.nlevels} levels")
 
-    if scenario.model_type == "three_level" and scenario.control.mode != "wagon_wheel":
-        def projectors_at(t):
-            theta = np.arctan2(np.interp(t, path.times, path.b), np.interp(t, path.times, path.a))
-            return three_level_projectors(theta)
-    else:
-        projectors_at = dis.projectors_from_frames(frames)
-
     try:
-        diss = dis.DissipatorSpec(gamma=scenario.gamma, alphas=alphas, projectors_at=projectors_at)
+        needed = dis.exponential_steps(scenario.gamma, alphas, duration)
     except ValueError as exc:
         raise ValidationError(f"alphas: {exc}") from exc
-    steps = _step_count(scenario, 512, scenario.gamma * diss.max_weight_gap_sq() * duration / dis.STIFFNESS_BUDGET)
+    steps = _step_count(scenario, reference_samples - 1, needed)
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
-    result = dis.integrate_master(h0, diss, rho0, duration, steps)
+    result = dis.integrate_rotating(h0, frames, scenario.gamma, alphas, rho0, steps)
     record.trace_drift = result.trace_drift
     _record_dephased_prediction(record, h0, frames, rho0, result.final)
 
@@ -307,7 +304,7 @@ def _derive(scenario: Scenario, axis: str, value) -> Scenario:
         base = scenario.build_path(samples=2).duration  # only the end time is read
         data["path"] = {**data.get("path", {}), "duration": float(value)}
         if scenario.steps is not None:
-            data["steps"] = max(1, int(np.ceil(scenario.steps * float(value) / base)))
+            data["steps"] = max(1, _bounded_count(float(np.ceil(scenario.steps * float(value) / base))))
     return scenario_from_dict(data, source=f"<sweep {axis}={value}>")
 
 

@@ -203,6 +203,18 @@ def test_criterion_7_dissipative_zeno_gate():
     )
 
 
+def test_criterion_7_extends_to_strong_dephasing():
+    """The rotating-frame engine keeps the 1/gamma approach far beyond the RK4 stiffness limit."""
+    scenario = load_scenario(SCENARIOS / "dissipative_gate.yaml")
+    summary = sweep(scenario, "gamma", [1e4, 1e5, 1e6])
+    dists = [r.distance for r in summary.records]
+    drifts = [r.trace_drift for r in summary.records]
+    slope = summary.slopes["distance"]
+    ok = all(a > b for a, b in zip(dists, dists[1:])) and abs(slope + 1.0) <= 0.3 and max(drifts) <= 1e-9
+    report(7, "dissipative zeno gate at strong dephasing", ok,
+           f"slope {slope:.3f}, dist {dists[-1]:.2e} at gammaT=1e6, drift {max(drifts):.1e}")
+
+
 def test_criterion_8_dephasing_of_superpositions():
     n = 2**12
     path = circle_path(windings=1, samples=n + 1, duration=1.0)

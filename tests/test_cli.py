@@ -47,6 +47,7 @@ MALFORMED = {
     "dissipative_steps_huge": DISSIPATIVE + "steps: 1.0e+308\n",
     "dissipative_default_steps_too_large": DISSIPATIVE.replace("gamma: 100.0", "gamma: 1.0e+15"),
     "dissipative_default_steps_huge": DISSIPATIVE.replace("gamma: 100.0", "gamma: 1.0e+308"),
+    "dissipative_weight_gap_huge": DISSIPATIVE + "alphas: [0.0, 1.0e+200]\n",
 }
 
 
@@ -132,6 +133,11 @@ class TestSweepCommand:
         scenario = write_scenario(tmp_path, text)
         assert cli.main(["run", scenario]) == 0
         assert cli.main(["sweep", scenario, "--axis", "T", "--values", "1,2"]) == 1
+
+    def test_t_axis_step_count_overflow_exit_1(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, ADIABATIC + "steps: 64\n")
+        assert cli.main(["sweep", scenario, "--axis", "T", "--values", "1e308"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_values_exit_1(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, GOOD)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from zenogate.errors import DegenerateBasis, NonHermitianInput
+from zenogate import linalg
 from zenogate.linalg import (
     expm_hermitian,
+    expm_hermitian_stack,
+    expm_stack,
     hermitian_eigendecomposition,
     hermiticity_defect,
     projector_from_basis,
@@ -110,6 +113,38 @@ class TestExpmHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+class TestExpmStack:
+    # one 1-norm inside each Pade degree's range, then one that needs squarings
+    NORMS = [0.9 * theta for _, theta in linalg._PADE_THETA] + [40.0 * linalg._PADE_THETA[-1][1]]
+
+    @pytest.mark.parametrize("norm", NORMS, ids=[f"pade{m}" for m, _ in linalg._PADE_THETA] + ["squaring"])
+    def test_matches_hermitian_exponential(self, rng, norm):
+        hs = np.stack([random_hermitian(3, rng, scale=float(rng.uniform(0.2, 1.0))) for _ in range(16)])
+        hs *= norm / np.abs(hs).sum(axis=-2).max()
+        assert np.abs(expm_stack(-1j * hs) - expm_hermitian_stack(hs, -1j)).max() <= 1e-13
+
+    def test_nilpotent_jordan_block(self):
+        out = expm_stack(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+        assert np.array_equal(out, np.array([[[1.0, 1.0], [0.0, 1.0]]]))
+
+    def test_inverse_of_non_normal_matrices(self, rng):
+        for norm in (0.1, 1.0, 4.0, 30.0):
+            a = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+            a *= norm / np.abs(a).sum(axis=-2).max()
+            a = np.triu(a, 1) + 0.1 * a  # far from normal
+            prod = expm_stack(a) @ expm_stack(-a)
+            assert np.abs(prod - np.eye(4)).max() <= 1e-11
+
+    def test_non_normal_vs_taylor_oracle(self, rng):
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        a = np.triu(a) * 0.5
+        assert spectral_norm(expm_stack(a[None])[0] - expm_taylor(a)) <= 1e-12 * spectral_norm(expm_taylor(a))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            expm_stack(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
 
 
 class TestSpectralNorm:

@@ -82,6 +82,21 @@ class TestRun:
         assert rec.distance is not None and rec.distance < 0.5
         assert rec.trace_drift <= 1e-9
 
+    def test_dissipative_budget_edge_runs_with_derived_steps(self):
+        """gamma = 1e8 over T = 0.1 derives 1e4 steps; there dt * gamma rounds to 1000.0000000000001."""
+        rec = run(
+            scenario_from_dict(
+                {
+                    "engine": "dissipative",
+                    "path": {"type": "circle", "windings": 1, "duration": 0.1},
+                    "gamma": 1e8,
+                    "initial_state": {"amplitudes": [1, 0, 0]},
+                }
+            )
+        )
+        assert rec.distance <= 1e-5
+        assert rec.trace_drift <= 1e-9
+
     def test_custom_model_zeno(self):
         # three-level loop supplied as sampled matrices instead of the builtin;
         # the file grid matches the measurement grid so the degeneracy is exact
