@@ -22,6 +22,7 @@ from .adiabatic import (
     escape_probability,
     gauge_decompose,
     propagate_exact,
+    rotating_generator,
 )
 from .dissipative import (
     DissipatorSpec,
@@ -31,6 +32,7 @@ from .dissipative import (
     integrate_master,
     integrate_rotating,
     lindblad_rhs,
+    projectors_from_frames,
     zeno_master_reference,
 )
 from .errors import ZenogateError

@@ -99,7 +99,7 @@ def propagate_exact(h_of_t, t_final: float, steps: int) -> PropagatorResult:
     return PropagatorResult(unitary=u, step_count=steps, estimated_error=est, t_final=float(t_final))
 
 
-def _rotating_generator(h0_of_t, frames: FramePath) -> np.ndarray:
+def rotating_generator(h0_of_t, frames: FramePath) -> np.ndarray:
     """K = W^dag H_0 W + i dW^dag/dt W on the frame grid, the generator of the frame rotating with W.
 
     dW/dt takes central differences (one-sided at the ends); K keeps the
@@ -119,11 +119,15 @@ def _rotating_generator(h0_of_t, frames: FramePath) -> np.ndarray:
     return k
 
 
-def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
-    """H_Z[n] = P_n(0) K P_n(0) on the frame grid with K from `_rotating_generator`; H_G[n] if `h0_of_t` is None."""
+def _project_generator(k: np.ndarray, frames: FramePath, level: int) -> OperatorPath:
+    """P_n(0) K P_n(0) on the frame grid for a K sampled there by `rotating_generator`."""
     p0 = frames.projectors0[level]
-    k = _rotating_generator(h0_of_t, frames)
     return OperatorPath(times=frames.times, operators=np.einsum("ij,kjl,lm->kim", p0, k, p0))
+
+
+def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
+    """H_Z[n] = P_n(0) K P_n(0) on the frame grid with K from `rotating_generator`; H_G[n] if `h0_of_t` is None."""
+    return _project_generator(rotating_generator(h0_of_t, frames), frames, level)
 
 
 def adiabatic_generator(frames: FramePath, level: int) -> OperatorPath:

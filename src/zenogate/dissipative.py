@@ -11,10 +11,11 @@ rotating with the projectors, obeys a von Neumann equation generated by the
 Zeno Hamiltonian.  The lab-frame endpoint therefore converges (first order
 in 1/gamma) to the nonselective Zeno result.
 
-`integrate_rotating` is the engine: it integrates in that rotating frame,
-where the dephaser is constant and every step is one exact exponential.
-`integrate_master` integrates in the lab frame by RK4 and serves as its
-independent oracle.
+`integrate_rotating` integrates in that rotating frame, where the dephaser
+is constant and every step is one exact exponential of a d^2 x d^2
+superoperator.  `integrate_master` integrates in the lab frame by RK4: it
+is the engine's independent oracle, and at mild rates (or for many levels)
+also the cheaper of the two (`lab_frame_is_cheaper`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import _rotating_generator, ordered_product
+from .adiabatic import ordered_product
 from .errors import StiffnessBudgetExceeded
 from .linalg import expm_stack, trace_distance
 from .spectral import FramePath, OperatorPath, _sample_stack
@@ -33,6 +34,17 @@ STIFFNESS_BUDGET = 0.1
 EXPONENTIAL_BUDGET = 1e3
 # Matrix entries per batch of step exponentials: 256 superoperators of a three-level system.
 _CHUNK_ENTRIES = 256 * 3**4
+# One rotating-frame step of a d-level system costs about (d / 5)^4 lab-frame RK4 steps:
+# the RK4 step is Python-bound (55-90 us for d <= 10), the exponential of the
+# d^2 x d^2 superoperator flop-bound (3, 10, 21, 56, 111, 454 and 1154 us at
+# d = 2, 3, 4, 5, 6, 8 and 10; numpy on one BLAS thread, 2-core x86 machine).
+_STEP_COST_BALANCE_DIM = 5.0
+
+
+def projectors_from_frames(frames: FramePath):
+    """Projector family P_n(t) = W(t) P_n(0) W(t)^dag interpolated linearly between the frame samples."""
+    paths = [OperatorPath(times=frames.times, operators=frames.projector_path(n)) for n in range(frames.nlevels)]
+    return lambda t: [p.at(t) for p in paths]
 
 
 def _weights(gamma: float, alphas) -> tuple:
@@ -132,10 +144,10 @@ def integrate_master(h0_of_t, diss: DissipatorSpec, rho0, t_final: float, steps:
     (StiffnessBudgetExceeded otherwise, rather than substepping silently).
     """
     dt = t_final / steps
-    budget = dt * diss.gamma * diss.max_weight_gap_sq()
-    if budget > STIFFNESS_BUDGET:
+    if steps < fewest_steps(diss.gamma, diss.alphas, t_final, STIFFNESS_BUDGET):
         raise StiffnessBudgetExceeded(
-            f"dt*gamma*max_gap^2 = {budget:.3f} > {STIFFNESS_BUDGET}; increase steps"
+            f"dt*gamma*max_gap^2 = {dt * diss.gamma * diss.max_weight_gap_sq():.3f} > {STIFFNESS_BUDGET}; "
+            "increase steps"
         )
     half_times = np.arange(2 * steps + 1) * (0.5 * dt)
     h0s = lops = l2s = [None] * half_times.size
@@ -162,39 +174,49 @@ def dephaser(gamma: float, alphas, projectors0) -> np.ndarray:
     return -0.5 * gamma * (np.kron(l2, eye) + np.kron(eye, l2.T) - 2.0 * np.kron(lop, lop.T))
 
 
-def exponential_steps(gamma: float, alphas, t_final: float) -> float:
-    """Fewest steps over t_final with dt * gamma * max_gap^2 <= EXPONENTIAL_BUDGET, as an unrounded float.
+def fewest_steps(gamma: float, alphas, t_final: float, budget: float) -> float:
+    """Fewest steps over t_final with dt * gamma * max_gap^2 <= budget, as an unrounded float.
 
-    `integrate_rotating` refuses any count below it, so ceil() of it always
-    passes; it may exceed every feasible grid.
+    With EXPONENTIAL_BUDGET it is the least count `integrate_rotating`
+    accepts, with STIFFNESS_BUDGET the least `integrate_master` accepts:
+    both refuse any count below it, so ceil() of it always passes.  It may
+    exceed every feasible grid.
     """
-    return gamma * _gap_sq(_weights(gamma, alphas)) * t_final / EXPONENTIAL_BUDGET
+    return gamma * _gap_sq(_weights(gamma, alphas)) * t_final / budget
 
 
-def integrate_rotating(h0_of_t, frames: FramePath, gamma: float, alphas, rho0, steps: int) -> MasterResult:
+def lab_frame_is_cheaper(dim: int, rotating_steps: int, lab_steps: int) -> bool:
+    """Whether `lab_steps` RK4 steps cost less than `rotating_steps` rotating-frame steps of a dim-level system."""
+    return lab_steps < rotating_steps * (dim / _STEP_COST_BALANCE_DIM) ** 4
+
+
+def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0, steps: int) -> MasterResult:
     """Dephasing master equation along the frames' projectors, integrated in the frame rotating with W.
 
     The jump operator is L(t) = sum_n alphas[n] P_n(t) with
     P_n(t) = W(t) P_n(0) W(t)^dag.  rho~ = W^dag rho W obeys
     drho~/dt = S(t) rho~, S = -i ad K + D_0, with K the rotating-frame
-    generator of `h0_of_t` and the frames (linear between frame samples) and
-    D_0 the constant `dephaser`.  Each of the `steps` uniform steps is one
+    generator sampled on the frame grid (`generator`, from
+    `adiabatic.rotating_generator`; linear between samples) and D_0 the
+    constant `dephaser`.  Each of the `steps` uniform steps is one
     exponential exp(dt S(t_mid)), built and multiplied in fixed-size
     batches; the count must keep dt * gamma * max_gap^2 within
     EXPONENTIAL_BUDGET (StiffnessBudgetExceeded otherwise).  No step
     renormalizes: `trace_drift` is |tr rho(T) - 1| before the one final
-    division by the trace.
+    division by the trace.  It is accumulated rounding and grows with
+    gamma: on the unit loop 6e-11 at gamma = 1e7 and 9.7e-10 at 1e8, where
+    budgets of 1e2, 3e2 and 1e4 give 5.8e-9, 2.0e-9 and 2.0e-9 instead.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     t0, t1 = float(frames.times[0]), float(frames.times[-1])
-    needed = exponential_steps(gamma, alphas, t1 - t0)
+    needed = fewest_steps(gamma, alphas, t1 - t0, EXPONENTIAL_BUDGET)
     if steps < needed:
         raise StiffnessBudgetExceeded(
             f"dt*gamma*max_gap^2 = {needed * EXPONENTIAL_BUDGET / steps:.3g} > {EXPONENTIAL_BUDGET:g}; increase steps"
         )
     dim = frames.dim
-    generator = OperatorPath(times=frames.times, operators=_rotating_generator(h0_of_t, frames))
+    k_path = OperatorPath(times=frames.times, operators=generator)
     d0 = dephaser(gamma, alphas, frames.projectors0)
     eye = np.eye(dim)
     grid = np.linspace(t0, t1, steps + 1)
@@ -203,7 +225,7 @@ def integrate_rotating(h0_of_t, frames: FramePath, gamma: float, alphas, rho0, s
     chunk = max(1, _CHUNK_ENTRIES // dim**4)
     total = np.eye(dim * dim, dtype=complex)
     for start in range(0, steps, chunk):
-        k = generator.at(mids[start:start + chunk])
+        k = k_path.at(mids[start:start + chunk])
         ad = np.einsum("kil,jm->kijlm", k, eye) - np.einsum("il,kmj->kijlm", eye, k)
         s = -1j * ad.reshape(k.shape[0], dim * dim, dim * dim) + d0
         total = ordered_product(expm_stack(dts[start:start + chunk, None, None] * s)) @ total

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dissipative as dis
 from . import zeno as zn
-from .adiabatic import gauge_decompose, propagate_exact
+from .adiabatic import _project_generator, gauge_decompose, propagate_exact, rotating_generator
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import spectral_norm, state_fidelity, trace_distance
 from .scenario import MAX_COUNT, Scenario, scenario_from_dict
@@ -163,13 +163,14 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
     record.phi_expected = _expected_holonomy(scenario, path)
 
 
-def _record_dephased_prediction(record: ResultRecord, h0, frames: FramePath, rho0, rho):
+def _record_dephased_prediction(record: ResultRecord, generator, frames: FramePath, rho0, rho):
     """Compare rho with the nonselective Zeno limit W(T) U_Z P[rho0] U_Z^dag W(T)^dag.
 
-    U_Z is the gate of the sum of H_Z[n] over the levels (blocks on orthogonal
-    P_n(0) commute); P is the dephasing onto the initial eigenspaces.
+    U_Z is the gate of the sum of H_Z[n] = P_n(0) K P_n(0) over the levels
+    (blocks on orthogonal P_n(0) commute), K the run's `generator` from
+    `rotating_generator`; P is the dephasing onto the initial eigenspaces.
     """
-    hz = sum(zn.zeno_hamiltonian(h0, frames, n).operators for n in range(frames.nlevels))
+    hz = sum(_project_generator(generator, frames, n).operators for n in range(frames.nlevels))
     u = frames.frames[-1] @ zn.zeno_unitary(OperatorPath(times=frames.times, operators=hz))
     pred = u @ zn.nonselective_step(rho0, frames.projectors0) @ u.conj().T
     record.distance = trace_distance(rho, pred)
@@ -189,7 +190,7 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     if scenario.nonselective:
         rho0 = np.outer(psi0, psi0.conj())
         rho = zn.nonselective_zeno_evolution(h0, frames, n, rho0)
-        _record_dephased_prediction(record, h0, frames, rho0, rho)
+        _record_dephased_prediction(record, rotating_generator(h0, frames), frames, rho0, rho)
         record.trace_drift = abs(float(np.trace(rho).real) - 1.0)
         return
 
@@ -244,6 +245,15 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
 
 
 def _run_dissipative(scenario: Scenario, record: ResultRecord):
+    """Integrate in the rotating frame, or in the lab frame by RK4 where that costs less.
+
+    Derived counts: max(4096, the rotating-frame budget's minimum) steps,
+    the frame grid, against RK4's max(512, its stiffness minimum); an
+    explicit `steps` is the count of either.  RK4 runs only where its budget
+    admits the count and `dis.lab_frame_is_cheaper` holds: at mild gamma
+    (gamma gap^2 T below about 53 for three levels), or for d > 5 at a given
+    `steps`.
+    """
     reference_samples = 4097
     path, frames, _ = _frames_for(scenario, samples=reference_samples)
     duration = float(frames.times[-1])
@@ -253,15 +263,22 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
         raise ValidationError(f"alphas needs one weight per level: {len(alphas)} given, {frames.nlevels} levels")
 
     try:
-        needed = dis.exponential_steps(scenario.gamma, alphas, duration)
+        needed = dis.fewest_steps(scenario.gamma, alphas, duration, dis.EXPONENTIAL_BUDGET)
+        lab_needed = dis.fewest_steps(scenario.gamma, alphas, duration, dis.STIFFNESS_BUDGET)
     except ValueError as exc:
         raise ValidationError(f"alphas: {exc}") from exc
     steps = _step_count(scenario, reference_samples - 1, needed)
+    lab_steps = steps if scenario.steps is not None else max(512.0, float(np.ceil(lab_needed)))
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
-    result = dis.integrate_rotating(h0, frames, scenario.gamma, alphas, rho0, steps)
+    generator = rotating_generator(h0, frames)
+    if lab_needed <= lab_steps <= MAX_COUNT and dis.lab_frame_is_cheaper(frames.dim, steps, lab_steps):
+        diss = dis.DissipatorSpec(scenario.gamma, alphas, dis.projectors_from_frames(frames))
+        result = dis.integrate_master(h0, diss, rho0, duration, int(lab_steps))
+    else:
+        result = dis.integrate_rotating(generator, frames, scenario.gamma, alphas, rho0, steps)
     record.trace_drift = result.trace_drift
-    _record_dephased_prediction(record, h0, frames, rho0, result.final)
+    _record_dephased_prediction(record, generator, frames, rho0, result.final)
 
 
 _ENGINES = {"zeno": _run_zeno, "adiabatic": _run_adiabatic, "dissipative": _run_dissipative}

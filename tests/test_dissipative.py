@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from zenogate import dissipative
+from zenogate.adiabatic import rotating_generator
 from zenogate.dissipative import (
+    EXPONENTIAL_BUDGET,
     STIFFNESS_BUDGET,
     DissipatorSpec,
     dephaser,
     dephasing_fixed_point_check,
-    exponential_steps,
+    fewest_steps,
     integrate_master,
     integrate_rotating,
     lindblad_rhs,
@@ -217,7 +219,7 @@ class TestIntegrateRotating:
         path, h0, alphas, psi = oracle_case(case)
         frames = frame_path_analytic_three_level(path)
         rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        result = integrate_rotating(h0, frames, gamma, alphas, rho0, frames.times.size - 1)
+        result = integrate_rotating(rotating_generator(h0, frames), frames, gamma, alphas, rho0, frames.times.size - 1)
         assert trace_distance(result.final, lab_frame_oracle(h0, path, gamma, alphas, rho0)) <= 2e-6
         assert result.trace_drift <= 1e-9
 
@@ -226,21 +228,24 @@ class TestIntegrateRotating:
         path = circle_path(samples=65537)
         frames = frame_path_analytic_three_level(path)
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        result = integrate_rotating(None, frames, 1000.0, (0.0, 1.0), rho0, frames.times.size - 1)
+        k = rotating_generator(None, frames)
+        result = integrate_rotating(k, frames, 1000.0, (0.0, 1.0), rho0, frames.times.size - 1)
         assert trace_distance(result.final, lab_frame_oracle(None, path, 1000.0, (0.0, 1.0), rho0)) <= 1e-8
 
     def test_batch_size_does_not_change_result(self, monkeypatch):
         path, h0, alphas, psi = oracle_case("polyline_custom_h0", samples=257)
         frames = frame_path_analytic_three_level(path)
         rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        whole = integrate_rotating(h0, frames, 50.0, alphas, rho0, 100).final
+        k = rotating_generator(h0, frames)
+        whole = integrate_rotating(k, frames, 50.0, alphas, rho0, 100).final
         monkeypatch.setattr(dissipative, "_CHUNK_ENTRIES", 7 * 3**4)  # 7 steps per batch, a short last batch
-        assert spectral_norm(integrate_rotating(h0, frames, 50.0, alphas, rho0, 100).final - whole) <= 1e-13
+        assert spectral_norm(integrate_rotating(k, frames, 50.0, alphas, rho0, 100).final - whole) <= 1e-13
 
     def test_state_invariants(self):
         frames = frame_path_analytic_three_level(circle_path(samples=513))
         psi = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
-        result = integrate_rotating(None, frames, 1e5, (0.0, 1.0), np.outer(psi, psi.conj()), 512)
+        result = integrate_rotating(rotating_generator(None, frames), frames, 1e5, (0.0, 1.0), np.outer(psi, psi.conj()),
+                                    512)
         rho = result.final
         assert result.trace_drift <= 1e-9
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
@@ -249,9 +254,9 @@ class TestIntegrateRotating:
 
     def test_step_budget_enforced(self):
         frames = frame_path_analytic_three_level(circle_path(samples=65))
-        assert exponential_steps(1e7, (0.0, 1.0), 1.0) == pytest.approx(1e4)
+        assert fewest_steps(1e7, (0.0, 1.0), 1.0, EXPONENTIAL_BUDGET) == pytest.approx(1e4)
         with pytest.raises(StiffnessBudgetExceeded, match="increase steps"):
-            integrate_rotating(None, frames, 1e7, (0.0, 1.0), np.eye(3, dtype=complex) / 3, 4096)
+            integrate_rotating(rotating_generator(None, frames), frames, 1e7, (0.0, 1.0), np.eye(3) / 3, 4096)
 
 
 class TestDephaser:

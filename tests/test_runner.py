@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zenogate import dissipative
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import load_scenario, scenario_from_dict
@@ -315,6 +316,61 @@ def test_shipped_scenarios_run_within_budget(path):
     assert scenario.runtime_budget_s is not None
     assert elapsed <= scenario.runtime_budget_s
     assert record.engine == scenario.engine
+
+
+def turning_custom_model(dim, samples=257):
+    """diag(0, 1, ..., dim - 1) turned by exp(-i t G), G the tridiagonal hopping matrix: dim distinct levels."""
+    g = np.diag(np.ones(dim - 1), 1)
+    w, v = np.linalg.eigh(g + g.T)
+    hams = []
+    for t in np.linspace(0.0, 1.0, samples):
+        u = (v * np.exp(-1j * t * w)) @ v.T
+        h = u @ np.diag(np.arange(dim, dtype=float)) @ u.conj().T
+        hams.append({"t": float(t), "matrix": [[[x.real, x.imag] for x in row] for row in h]})
+    return {"type": "custom", "hamiltonians": hams}
+
+
+def turning_dissipative(dim, gamma, **overrides):
+    """A dissipative run of `turning_custom_model` with weights spread over [0, 1] (gap 1)."""
+    amps = np.zeros(dim)
+    amps[0], amps[-1] = 1.0, 0.5
+    return {"engine": "dissipative", "model": turning_custom_model(dim), "gamma": gamma,
+            "alphas": np.linspace(0.0, 1.0, dim).tolist(), "initial_state": {"amplitudes": amps.tolist()},
+            **overrides}
+
+
+class TestDissipativeIntegratorChoice:
+    """RK4 in the lab frame where its steps cost less than the rotating-frame engine's, else the engine."""
+
+    @pytest.mark.parametrize(
+        "dim, gamma, overrides, expected",
+        [
+            (3, 1000.0, {}, "integrate_rotating"),  # 10000 RK4 steps > 0.13 x 4096
+            (3, 10.0, {}, "integrate_master"),  # 512 RK4 steps < 0.13 x 4096
+            (6, 100.0, {}, "integrate_master"),  # 1000 < 2.07 x 4096
+            (6, 1e4, {}, "integrate_rotating"),  # 1e5 > 2.07 x 4096
+            (6, 100.0, {"steps": 2000}, "integrate_master"),  # a given count: RK4 steps are cheaper above d = 5
+            (6, 1e4, {"steps": 2000}, "integrate_rotating"),  # ... but RK4's budget needs 1e5
+            (4, 100.0, {"steps": 2000}, "integrate_rotating"),  # engine steps are cheaper below d = 5
+        ],
+        ids=["d3_strong", "d3_mild", "d6_mild", "d6_strong", "d6_steps", "d6_steps_stiff", "d4_steps"],
+    )
+    def test_cheaper_integrator_runs(self, monkeypatch, dim, gamma, overrides, expected):
+        calls = []
+        for name in ("integrate_master", "integrate_rotating"):
+            original = getattr(dissipative, name)
+            monkeypatch.setattr(dissipative, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        rec = run(scenario_from_dict(turning_dissipative(dim, gamma, **overrides)))
+        assert calls == [expected]
+        assert rec.trace_drift <= 1e-9
+
+    def test_both_integrators_give_the_same_record(self, monkeypatch):
+        data = turning_dissipative(6, 100.0)
+        lab = run(scenario_from_dict(data))
+        monkeypatch.setattr(dissipative, "lab_frame_is_cheaper", lambda *a: False)
+        rotating = run(scenario_from_dict(data))
+        assert rotating.distance == pytest.approx(lab.distance, abs=2e-6)
+        assert rotating.fidelity == pytest.approx(lab.fidelity, abs=2e-6)
 
 
 def custom_unit_loop(samples=65, duration=1.0):
