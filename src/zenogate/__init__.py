@@ -32,7 +32,6 @@ from .dissipative import (
     integrate_master,
     integrate_rotating,
     lindblad_rhs,
-    projectors_from_frames,
     zeno_master_reference,
 )
 from .errors import ZenogateError

@@ -13,9 +13,9 @@ in 1/gamma) to the nonselective Zeno result.
 
 `integrate_rotating` integrates in that rotating frame, where the dephaser
 is constant and every step is one exact exponential of a d^2 x d^2
-superoperator.  `integrate_master` integrates in the lab frame by RK4: it
-is the engine's independent oracle, and at mild rates (or for many levels)
-also the cheaper of the two (`lab_frame_is_cheaper`).
+superoperator; it runs every dissipative scenario.  `integrate_master`
+integrates in the lab frame by RK4 and is kept only as the engine's
+independent oracle.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ STIFFNESS_BUDGET = 0.1
 EXPONENTIAL_BUDGET = 1e3
 # Matrix entries per batch of step exponentials: 256 superoperators of a three-level system.
 _CHUNK_ENTRIES = 256 * 3**4
-# One rotating-frame step of a d-level system costs about (d / 5)^4 lab-frame RK4 steps:
-# the RK4 step is Python-bound (55-90 us for d <= 10), the exponential of the
-# d^2 x d^2 superoperator flop-bound (3, 10, 21, 56, 111, 454 and 1154 us at
-# d = 2, 3, 4, 5, 6, 8 and 10; numpy on one BLAS thread, 2-core x86 machine).
-_STEP_COST_BALANCE_DIM = 5.0
-
-
-def projectors_from_frames(frames: FramePath):
-    """Projector family P_n(t) = W(t) P_n(0) W(t)^dag interpolated linearly between the frame samples."""
-    paths = [OperatorPath(times=frames.times, operators=frames.projector_path(n)) for n in range(frames.nlevels)]
-    return lambda t: [p.at(t) for p in paths]
 
 
 def _weights(gamma: float, alphas) -> tuple:
@@ -185,9 +174,19 @@ def fewest_steps(gamma: float, alphas, t_final: float, budget: float) -> float:
     return gamma * _gap_sq(_weights(gamma, alphas)) * t_final / budget
 
 
-def lab_frame_is_cheaper(dim: int, rotating_steps: int, lab_steps: int) -> bool:
-    """Whether `lab_steps` RK4 steps cost less than `rotating_steps` rotating-frame steps of a dim-level system."""
-    return lab_steps < rotating_steps * (dim / _STEP_COST_BALANCE_DIM) ** 4
+def _running_integral(path: OperatorPath):
+    """t -> the integral of `path` (linear between its samples) from its first time to t."""
+    times, ops = path.times, path.operators
+    h = np.diff(times)[:, None, None]
+    slope = np.diff(ops, axis=0) / h
+    area = np.concatenate([np.zeros_like(ops[:1]), np.cumsum(0.5 * h * (ops[:-1] + ops[1:]), axis=0)])
+
+    def integral(t):
+        j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+        s = (t - times[j])[:, None, None]
+        return area[j] + s * (ops[j] + 0.5 * s * slope[j])
+
+    return integral
 
 
 def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0, steps: int) -> MasterResult:
@@ -199,8 +198,10 @@ def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0,
     generator sampled on the frame grid (`generator`, from
     `adiabatic.rotating_generator`; linear between samples) and D_0 the
     constant `dephaser`.  Each of the `steps` uniform steps is one
-    exponential exp(dt S(t_mid)), built and multiplied in fixed-size
-    batches; the count must keep dt * gamma * max_gap^2 within
+    exponential exp(-i ad(integral of K over the step) + dt D_0), built and
+    multiplied in fixed-size batches.  The exact integral keeps a step that
+    spans many frame samples accurate where K jumps (at the corners of a
+    path).  The count must keep dt * gamma * max_gap^2 within
     EXPONENTIAL_BUDGET (StiffnessBudgetExceeded otherwise).  No step
     renormalizes: `trace_drift` is |tr rho(T) - 1| before the one final
     division by the trace.  It is accumulated rounding and grows with
@@ -216,19 +217,18 @@ def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0,
             f"dt*gamma*max_gap^2 = {needed * EXPONENTIAL_BUDGET / steps:.3g} > {EXPONENTIAL_BUDGET:g}; increase steps"
         )
     dim = frames.dim
-    k_path = OperatorPath(times=frames.times, operators=generator)
+    integral = _running_integral(OperatorPath(times=frames.times, operators=generator))
     d0 = dephaser(gamma, alphas, frames.projectors0)
     eye = np.eye(dim)
     grid = np.linspace(t0, t1, steps + 1)
     dts = np.diff(grid)
-    mids = grid[:-1] + 0.5 * dts
     chunk = max(1, _CHUNK_ENTRIES // dim**4)
     total = np.eye(dim * dim, dtype=complex)
     for start in range(0, steps, chunk):
-        k = k_path.at(mids[start:start + chunk])
-        ad = np.einsum("kil,jm->kijlm", k, eye) - np.einsum("il,kmj->kijlm", eye, k)
-        s = -1j * ad.reshape(k.shape[0], dim * dim, dim * dim) + d0
-        total = ordered_product(expm_stack(dts[start:start + chunk, None, None] * s)) @ total
+        kdt = np.diff(integral(grid[start:start + chunk + 1]), axis=0)  # integral of K over each step
+        ad = np.einsum("kil,jm->kijlm", kdt, eye) - np.einsum("il,kmj->kijlm", eye, kdt)
+        s = -1j * ad.reshape(kdt.shape[0], dim * dim, dim * dim) + dts[start:start + chunk, None, None] * d0
+        total = ordered_product(expm_stack(s)) @ total
     w0, wt = frames.frames[0], frames.frames[-1]
     rotated = total @ (w0.conj().T @ np.asarray(rho0, dtype=complex) @ w0).reshape(-1)
     rho = wt @ rotated.reshape(dim, dim) @ wt.conj().T

@@ -20,7 +20,7 @@ Schema (defaults in parentheses)::
       radius: r                   (1.0)
       windings: m                 (1)   # signed loops around the origin; 0 if not enclosing
       duration: T                 (1.0)   # a samples path is rescaled to T (default: its last time)
-      samples: K                  (engine-dependent)
+      samples: K                  (engine-dependent)   # uniform times every path type is resampled to
       points: [[a, b], ...]       # polyline corners
       times/a/b: [...]            # explicit samples
     control:
@@ -167,20 +167,26 @@ class Scenario:
     raw: dict
 
     def build_path(self, samples: int) -> ParameterPath:
-        """Materialize the declared parameter path; circle and polyline paths get `samples` points."""
-        spec = {**self.path_spec, "samples": samples}
+        """Materialize the declared parameter path on `samples` uniform times.
+
+        A `samples` path is piecewise linear between its knots: (a, b) are
+        interpolated onto the uniform grid, and its times are rescaled to
+        `duration` when one is given.
+        """
+        spec = self.path_spec
         kind = spec["type"]
         if kind == "circle":
             return circle_path(
                 center=spec["center"], radius=spec["radius"], windings=spec["windings"],
-                duration=spec["duration"], samples=spec["samples"],
+                duration=spec["duration"], samples=samples,
             )
         if kind == "polyline":
-            return polyline_path(spec["points"], duration=spec["duration"], samples=spec["samples"])
-        path = ParameterPath(times=spec["times"], a=spec["a"], b=spec["b"])
-        if "duration" not in spec:
-            return path
-        return ParameterPath(times=path.times * (spec["duration"] / path.duration), a=path.a, b=path.b)
+            return polyline_path(spec["points"], duration=spec["duration"], samples=samples)
+        knots = ParameterPath(times=spec["times"], a=spec["a"], b=spec["b"])
+        u = np.linspace(0.0, 1.0, samples)
+        at = knots.duration * u  # hits knots at T * linspace(0, 1, K) bit for bit
+        return ParameterPath(times=spec.get("duration", knots.duration) * u,
+                             a=np.interp(at, knots.times, knots.a), b=np.interp(at, knots.times, knots.b))
 
 
 def _require(condition: bool, message: str):

@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenogate import dissipative
+from zenogate import dissipative, runner
+from zenogate.adiabatic import rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import load_scenario, scenario_from_dict
-from zenogate.zeno import unwrap_angle
+from zenogate.spectral import OperatorPath
+from zenogate.zeno import control_hamiltonian, unwrap_angle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -171,13 +173,37 @@ class TestConsistency:
     def test_t_sweep_of_sampled_loop_matches_circle(self):
         base = {"engine": "adiabatic", "steps": 64, "initial_state": {"name": "E_minus"}}
         circle = dict(base, path={"type": "circle", "windings": 1, "duration": 1.0, "samples": 257})
-        sampled = dict(base, path=sampled_unit_loop(257))
+        sampled = dict(base, path={**sampled_unit_loop(257), "samples": 257})
         values = [4.0, 8.0]
         expected = sweep(scenario_from_dict(circle), "T", values).records
         got = sweep(scenario_from_dict(sampled), "T", values).records
         for a, b in zip(expected, got):
             for name in ("q_n", "fidelity", "distance"):
                 assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-9)
+
+    @pytest.mark.parametrize("engine, overrides", [
+        ("zeno", {"N": 64}),
+        ("adiabatic", {}),
+        ("dissipative", {"gamma": 100.0}),
+    ], ids=["zeno", "adiabatic", "dissipative"])
+    def test_sampled_path_runs_as_the_polyline_through_its_knots(self, engine, overrides):
+        """Uniform knots are the corners of a polyline: both resample onto the engine's grid alike."""
+        theta = np.linspace(0.0, 2 * np.pi, 9)
+        corners = np.column_stack([np.cos(theta), np.sin(theta)])
+        sampled = {"type": "samples", "times": np.linspace(0.0, 1.0, 9).tolist(),
+                   "a": corners[:, 0].tolist(), "b": corners[:, 1].tolist()}
+        polyline = {"type": "polyline", "points": corners.tolist()}
+        base = {"engine": engine, "control": {"mode": "alpha_frame", "alpha": 0.4},
+                "initial_state": {"amplitudes": [1.0, 0.0, 0.0]}, **overrides}
+        expected = run(scenario_from_dict(dict(base, path=polyline)))
+        got = run(scenario_from_dict(dict(base, path=sampled)))
+        fields = ("p_N", "q_n", "fidelity", "phi_principal", "distance", "trace_drift")
+        assert any(getattr(expected, name) is not None for name in fields)
+        for name in fields:
+            if getattr(expected, name) is None:
+                assert getattr(got, name) is None
+            else:
+                assert getattr(got, name) == pytest.approx(getattr(expected, name), abs=1e-12)
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_tracked_energies_follow_levels_through_a_crossing(self, level):
@@ -339,38 +365,56 @@ def turning_dissipative(dim, gamma, **overrides):
             **overrides}
 
 
-class TestDissipativeIntegratorChoice:
-    """RK4 in the lab frame where its steps cost less than the rotating-frame engine's, else the engine."""
+def projectors_from_frames(frames):
+    """Projector family P_n(t) = W(t) P_n(0) W(t)^dag interpolated linearly between the frame samples."""
+    paths = [OperatorPath(times=frames.times, operators=frames.projector_path(n)) for n in range(frames.nlevels)]
+    return lambda t: [p.at(t) for p in paths]
 
-    @pytest.mark.parametrize(
-        "dim, gamma, overrides, expected",
-        [
-            (3, 1000.0, {}, "integrate_rotating"),  # 10000 RK4 steps > 0.13 x 4096
-            (3, 10.0, {}, "integrate_master"),  # 512 RK4 steps < 0.13 x 4096
-            (6, 100.0, {}, "integrate_master"),  # 1000 < 2.07 x 4096
-            (6, 1e4, {}, "integrate_rotating"),  # 1e5 > 2.07 x 4096
-            (6, 100.0, {"steps": 2000}, "integrate_master"),  # a given count: RK4 steps are cheaper above d = 5
-            (6, 1e4, {"steps": 2000}, "integrate_rotating"),  # ... but RK4's budget needs 1e5
-            (4, 100.0, {"steps": 2000}, "integrate_rotating"),  # engine steps are cheaper below d = 5
-        ],
-        ids=["d3_strong", "d3_mild", "d6_mild", "d6_strong", "d6_steps", "d6_steps_stiff", "d4_steps"],
-    )
-    def test_cheaper_integrator_runs(self, monkeypatch, dim, gamma, overrides, expected):
+
+def lab_frame_record(data):
+    """The record of a dissipative run whose endpoint comes from the lab-frame RK4 oracle on the run's frames."""
+    scenario = scenario_from_dict(data)
+    path, frames, _ = runner._frames_for(scenario, samples=4097)
+    duration = float(frames.times[-1])
+    h0 = control_hamiltonian(scenario.control, path)
+    rho0 = np.outer(scenario.initial_amplitudes, scenario.initial_amplitudes.conj())
+    diss = dissipative.DissipatorSpec(scenario.gamma, scenario.alphas, projectors_from_frames(frames))
+    steps = max(512, int(np.ceil(dissipative.fewest_steps(diss.gamma, diss.alphas, duration,
+                                                          dissipative.STIFFNESS_BUDGET))))
+    final = dissipative.integrate_master(h0, diss, rho0, duration, steps).final
+    record = runner.ResultRecord(scenario_id=scenario.name, digest=scenario.digest, engine=scenario.engine)
+    runner._record_dephased_prediction(record, rotating_generator(h0, frames), frames, rho0, final)
+    return record
+
+
+class TestDissipativeEngine:
+    """Every dissipative run goes through the rotating-frame engine; lab-frame RK4 is its oracle."""
+
+    @pytest.mark.parametrize("dim, gamma", [(6, 100.0), (3, 10.0)], ids=["d6_gamma100", "d3_gamma10"])
+    def test_record_matches_lab_frame_oracle(self, monkeypatch, dim, gamma):
         calls = []
-        for name in ("integrate_master", "integrate_rotating"):
-            original = getattr(dissipative, name)
-            monkeypatch.setattr(dissipative, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-        rec = run(scenario_from_dict(turning_dissipative(dim, gamma, **overrides)))
-        assert calls == [expected]
+        original = dissipative.integrate_rotating
+        monkeypatch.setattr(dissipative, "integrate_rotating", lambda *a: calls.append(a[-1]) or original(*a))
+        data = turning_dissipative(dim, gamma)
+        rec = run(scenario_from_dict(data))
+        assert calls == [512]  # the derived floor: both rates are mild
+        oracle = lab_frame_record(data)
+        assert rec.distance == pytest.approx(oracle.distance, abs=2e-6)
+        assert rec.fidelity == pytest.approx(oracle.fidelity, abs=2e-6)
         assert rec.trace_drift <= 1e-9
 
-    def test_both_integrators_give_the_same_record(self, monkeypatch):
-        data = turning_dissipative(6, 100.0)
-        lab = run(scenario_from_dict(data))
-        monkeypatch.setattr(dissipative, "lab_frame_is_cheaper", lambda *a: False)
-        rotating = run(scenario_from_dict(data))
-        assert rotating.distance == pytest.approx(lab.distance, abs=2e-6)
-        assert rotating.fidelity == pytest.approx(lab.fidelity, abs=2e-6)
+    @pytest.mark.parametrize("gamma", [100.0, 1e4])
+    def test_derived_count_resolves_path_corners(self, gamma):
+        """Each of the 512 derived steps spans 8 frame samples, and K(t) jumps at the octagon's corners."""
+        theta = np.linspace(0.0, 2 * np.pi, 9)
+        octagon = {"type": "polyline", "points": np.column_stack([np.cos(theta), np.sin(theta)]).tolist()}
+        data = {"engine": "dissipative", "path": octagon, "control": {"mode": "alpha_frame", "alpha": 0.4},
+                "gamma": gamma, "alphas": [0.0, 1.0],
+                "initial_state": {"amplitudes": [1.0, 0.0, 0.0]}}
+        derived = run(scenario_from_dict(data))
+        fine = run(scenario_from_dict(dict(data, steps=4096)))
+        assert derived.distance == pytest.approx(fine.distance, abs=2e-6)
+        assert derived.fidelity == pytest.approx(fine.fidelity, abs=2e-6)
 
 
 def custom_unit_loop(samples=65, duration=1.0):
