@@ -47,6 +47,7 @@ from .linalg import (
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
 from .spectral import (
+    ClosedFormHamiltonian,
     FramePath,
     OperatorPath,
     ParameterPath,
@@ -62,6 +63,7 @@ from .spectral import (
     three_level_generators,
     three_level_hamiltonian,
     three_level_projectors,
+    three_level_propagators,
     track_levels,
     winding_number,
 )

@@ -17,6 +17,7 @@ finite-speed drive is from that limit.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ from .errors import (
     InitialStateOutsideSubspace,
     InsufficientSamples,
 )
-from .linalg import assert_hermitian, expm_hermitian_stack, spectral_norm
-from .spectral import FramePath, OperatorPath, _sample_stack
+from .linalg import _checked_hermitian_stack, _compress, _range_basis, expm_hermitian_stack, spectral_norm
+from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _sample_stack, _small_matmul
 
 
 @dataclass(frozen=True)
@@ -55,28 +56,31 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
     """Product stack[K-1] @ ... @ stack[0] (later factors leftmost).
 
     Pairwise tree reduction: exact (associativity) and much faster than a
-    Python loop for long stacks of small matrices.
+    Python loop for long stacks of small matrices (elementwise for d <= 2).
     """
+    matmul = np.matmul if stack.shape[-1] > 2 else _small_matmul
     m = stack
     while m.shape[0] > 1:
-        if m.shape[0] % 2 == 1:
-            tail = m[-1]
-            pairs = np.matmul(m[1:-1:2], m[0:-1:2])
-            m = np.concatenate([pairs, tail[None]], axis=0)
-        else:
-            m = np.matmul(m[1::2], m[0::2])
+        even = m.shape[0] - m.shape[0] % 2
+        pairs = matmul(m[1:even:2], m[0:even:2])
+        m = np.concatenate([pairs, m[even:]]) if even < m.shape[0] else pairs
     return m[0]
 
 
 def _midpoint_propagators(h_of_t, times: np.ndarray) -> np.ndarray:
     """Propagators U(t_{k+1}, t_k) per grid interval, one midpoint factor each.
 
-    Every sampled H must be Hermitian (NonHermitianInput otherwise); the
-    symmetrization only removes rounding before the unchecked exponential.
+    A ClosedFormHamiltonian, also behind functools.wraps decorators, gives them
+    in closed form; else every sampled H must be finite and Hermitian
+    (ValueError, NonHermitianInput), and the symmetrization only removes
+    rounding before the unchecked exponential.
     """
     dts = np.diff(times)
-    hs = _sample_stack(h_of_t, times[:-1] + 0.5 * dts)
-    assert_hermitian(hs, what="H(t) at a sampled midpoint")
+    mids = times[:-1] + 0.5 * dts
+    closed = inspect.unwrap(h_of_t)
+    if isinstance(closed, ClosedFormHamiltonian):
+        return closed.propagators(mids, dts)
+    hs = _checked_hermitian_stack(_sample_stack(h_of_t, mids), what="H(t) at a sampled midpoint")
     hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))
     return expm_hermitian_stack(hs, -1j * dts)
 
@@ -119,15 +123,21 @@ def rotating_generator(h0_of_t, frames: FramePath) -> np.ndarray:
     return k
 
 
-def _project_generator(k: np.ndarray, frames: FramePath, level: int) -> OperatorPath:
-    """P_n(0) K P_n(0) on the frame grid for a K sampled there by `rotating_generator`."""
-    p0 = frames.projectors0[level]
+def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
+    """H_Z[n] = P_n(0) K P_n(0) on the frame grid with K from `rotating_generator`; H_G[n] if `h0_of_t` is None."""
+    p0, k = frames.projectors0[level], rotating_generator(h0_of_t, frames)
     return OperatorPath(times=frames.times, operators=np.einsum("ij,kjl,lm->kim", p0, k, p0))
 
 
-def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
-    """H_Z[n] = P_n(0) K P_n(0) on the frame grid with K from `rotating_generator`; H_G[n] if `h0_of_t` is None."""
-    return _project_generator(rotating_generator(h0_of_t, frames), frames, level)
+def _level_gate(k: np.ndarray, frames: FramePath, level: int) -> np.ndarray:
+    """Gate Q U Q^dag + 1 - P_n(0) of P_n(0) K P_n(0), U the r x r ordered exponential of Q^dag K Q.
+
+    Q is an orthonormal basis of P_n(0); K is sampled on the frame grid, as by `rotating_generator`.
+    """
+    p0 = frames.projectors0[level]
+    q = _range_basis(p0)
+    u = _ordered_exp(frames.times, _compress(q, k))
+    return q @ u @ q.conj().T + (np.eye(frames.dim) - p0)
 
 
 def adiabatic_generator(frames: FramePath, level: int) -> OperatorPath:
@@ -135,13 +145,17 @@ def adiabatic_generator(frames: FramePath, level: int) -> OperatorPath:
     return _subspace_generator(None, frames, level)
 
 
+def _ordered_exp(times: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Unchecked ordered product exponential of -i H(t) from Hermitian samples, trapezoid per interval."""
+    mids = 0.5 * (hs[:-1] + hs[1:])
+    return ordered_product(expm_hermitian_stack(mids, -1j * np.diff(times)))
+
+
 def ordered_exp_from_samples(op: OperatorPath) -> np.ndarray:
-    """Ordered product exponential of -i H(t) from samples, trapezoid per interval."""
+    """Ordered product exponential of -i H(t) from 2 or more finite Hermitian samples, trapezoid per interval."""
     if op.times.size < 2:
         raise InsufficientSamples("ordered exponential needs at least 2 samples")
-    dts = np.diff(op.times)
-    mids = 0.5 * (op.operators[:-1] + op.operators[1:])
-    return ordered_product(expm_hermitian_stack(mids, -1j * dts))
+    return _ordered_exp(op.times, _checked_hermitian_stack(op.operators, what="generator sample"))
 
 
 def _check_in_subspace(frames: FramePath, level: int, initial: np.ndarray):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .adiabatic import ordered_product
 from .errors import StiffnessBudgetExceeded
-from .linalg import expm_stack, trace_distance
+from .linalg import _range_basis, expm_stack, trace_distance
 from .spectral import FramePath, OperatorPath, _sample_stack
 from .zeno import _dephase
 
@@ -260,12 +260,7 @@ def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterRe
 
 def coherence_probe_states(projectors):
     """Probe density matrices spanning all cross-block coherences plus block states."""
-    mats = [np.asarray(p, dtype=complex) for p in projectors]
-    dim = mats[0].shape[0]
-    bases = []
-    for m in mats:
-        w, v = np.linalg.eigh(m)
-        bases.append([v[:, i] for i in range(dim) if w[i] > 0.5])
+    bases = [list(_range_basis(np.asarray(p, dtype=complex)).T) for p in projectors]
     probes = []
     for vs in bases:
         for v in vs:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra kernel for small Hermitian problems.
 
 All operations work on plain ``numpy`` arrays (``complex128``) and are sized
-for dimensions up to a few tens.  Exponentials of Hermitian matrices go
-through the eigendecomposition, which keeps purely-imaginary-scale results
-unitary up to eigensolver error; `expm_stack` exponentiates general
-(non-normal) matrices by scaling and squaring.  Every function is pure;
+for dimensions up to a few tens.  Exponentials of Hermitian matrices take a
+closed form for d <= 2 (a phase, or the SU(2) formula) and go through the
+eigendecomposition otherwise; both keep purely-imaginary-scale results
+unitary up to rounding.  `expm_stack` exponentiates general (non-normal)
+matrices by scaling and squaring.  Every function is pure;
 returned arrays are fresh and safe to share across threads.
 """
 
@@ -33,19 +34,15 @@ def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "m
         raise NonHermitianInput(f"{what} is not Hermitian: defect {defect:.3e} > {tol:.1e}")
 
 
-def _eigh_stack(ms, herm_tol: float = HERMITICITY_TOL):
-    """Checked Hermitian eigendecompositions of a (K, d, d) stack, ascending eigenvalues per matrix.
-
-    The one place that checks matrices before eigh: square, finite entries,
-    Hermitian to `herm_tol`.
-    """
+def _checked_hermitian_stack(ms, herm_tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
+    """`ms` as a complex (K, d, d) stack, checked to be square, finite (ValueError) and Hermitian to `herm_tol`."""
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"expected a (K, d, d) stack of square matrices, got shape {ms.shape}")
     if not np.isfinite(ms).all():
-        raise ValueError("matrix has non-finite entries")
-    assert_hermitian(ms, herm_tol)
-    return np.linalg.eigh(ms)
+        raise ValueError(f"{what} has non-finite entries")
+    assert_hermitian(ms, herm_tol, what)
+    return ms
 
 
 def hermitian_eigendecomposition(m, herm_tol: float = HERMITICITY_TOL):
@@ -55,18 +52,13 @@ def hermitian_eigendecomposition(m, herm_tol: float = HERMITICITY_TOL):
     orthonormal eigenvectors.  Raises NonHermitianInput when the Hermiticity
     defect exceeds `herm_tol`.
     """
-    w, v = _eigh_stack(np.asarray(m)[None], herm_tol)
+    w, v = np.linalg.eigh(_checked_hermitian_stack(np.asarray(m)[None], herm_tol))
     return w[0], v[0]
 
 
 def expm_hermitian(h, scale: complex, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """exp(scale * h) for Hermitian h, via eigendecomposition.
-
-    For purely imaginary ``scale`` the result is unitary up to eigensolver
-    error.
-    """
-    w, v = hermitian_eigendecomposition(h, herm_tol)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    """Checked exp(scale * h) for one Hermitian h; unitary up to rounding for purely imaginary ``scale``."""
+    return expm_hermitian_stack(_checked_hermitian_stack(np.asarray(h)[None], herm_tol), scale)[0]
 
 
 def expm_hermitian_stack(hs: np.ndarray, scale) -> np.ndarray:
@@ -74,12 +66,22 @@ def expm_hermitian_stack(hs: np.ndarray, scale) -> np.ndarray:
 
     `scale` is a scalar or a length-K array (one scale per matrix).
     Unchecked fast path used by the propagators; callers guarantee
-    Hermiticity (symmetrized inputs).
+    Hermiticity (symmetrized inputs).  d = 1 is a phase; d = 2 is
+    e^{s c} (cosh(s n) 1 + sinh(s n) / n (h - c 1)), c = tr(h) / 2 and
+    n = |h - c 1|_F / sqrt(2); larger d goes through the eigendecomposition.
     """
-    w, v = np.linalg.eigh(hs)
-    scale = np.asarray(scale)
-    phases = np.exp(scale * w) if scale.ndim == 0 else np.exp(scale[:, None] * w)
-    return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+    s = np.asarray(scale)
+    if hs.shape[-1] > 2:
+        w, v = np.linalg.eigh(hs)
+        phases = np.exp(s * w) if s.ndim == 0 else np.exp(s[:, None] * w)
+        return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    s = s if s.ndim == 0 else s[:, None, None]
+    if hs.shape[-1] == 1:
+        return np.exp(s * hs.real, dtype=complex)
+    c = 0.5 * np.trace(hs, axis1=-2, axis2=-1).real[:, None, None]
+    traceless = hs - c * np.eye(2)
+    z = s * np.sqrt(0.5 * (np.abs(traceless) ** 2).sum(axis=(-2, -1)))[:, None, None]
+    return np.exp(s * c) * (np.cosh(z) * np.eye(2) + s * np.sinc(1j * z / np.pi) * traceless)
 
 
 # Diagonal Pade degrees m with the largest 1-norm theta_m at which the
@@ -147,6 +149,18 @@ def trace_norm(m) -> float:
 def trace_distance(a, b) -> float:
     """(1/2) trace norm of the difference; standard state distinguishability."""
     return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
+
+
+def _compress(q: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Q^dag M Q for every M of a (K, d, d) stack, as two BLAS products (a batched matmul pays per matrix)."""
+    mq = (ms.reshape(-1, ms.shape[-1]) @ q).reshape(ms.shape[0], -1, q.shape[1]).swapaxes(0, 1)
+    return (q.conj().T @ mq.reshape(q.shape[0], -1)).reshape(q.shape[1], ms.shape[0], -1).swapaxes(0, 1)
+
+
+def _range_basis(p: np.ndarray) -> np.ndarray:
+    """(d, r) orthonormal basis of the range of the orthogonal projector `p` (its eigenvectors at eigenvalue 1)."""
+    w, v = np.linalg.eigh(p)
+    return v[:, w > 0.5]
 
 
 def projector_from_basis(vectors, gram_condition_limit: float = GRAM_CONDITION_LIMIT) -> np.ndarray:

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import dissipative as dis
 from . import zeno as zn
-from .adiabatic import _project_generator, gauge_decompose, propagate_exact, rotating_generator
+from .adiabatic import _level_gate, gauge_decompose, propagate_exact, rotating_generator
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import spectral_norm, state_fidelity, trace_distance
 from .scenario import MAX_COUNT, Scenario, scenario_from_dict
 from .spectral import (
+    ClosedFormHamiltonian,
     FramePath,
     OperatorPath,
     _plane_rotation_stack,
@@ -32,6 +33,7 @@ from .spectral import (
     three_level_generators,
     three_level_hamiltonian,
     three_level_projectors,
+    three_level_propagators,
     track_levels,
 )
 
@@ -90,7 +92,12 @@ def _model_hamiltonian(scenario: Scenario, path):
     if scenario.model_type == "custom":
         times, mats = zip(*scenario.model_hamiltonians)
         return OperatorPath(times=times, operators=np.stack(mats)).at
-    return lambda t: three_level_hamiltonian(np.interp(t, path.times, path.a), np.interp(t, path.times, path.b))
+
+    def controls(t):
+        return np.interp(t, path.times, path.a), np.interp(t, path.times, path.b)
+
+    return ClosedFormHamiltonian(lambda t: three_level_hamiltonian(*controls(t)),
+                                 lambda t, dts: three_level_propagators(*controls(t), dts))
 
 
 def _frames_for(scenario: Scenario, samples: int):
@@ -166,12 +173,12 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
 def _record_dephased_prediction(record: ResultRecord, generator, frames: FramePath, rho0, rho):
     """Compare rho with the nonselective Zeno limit W(T) U_Z P[rho0] U_Z^dag W(T)^dag.
 
-    U_Z is the gate of the sum of H_Z[n] = P_n(0) K P_n(0) over the levels
-    (blocks on orthogonal P_n(0) commute), K the run's `generator` from
-    `rotating_generator`; P is the dephasing onto the initial eigenspaces.
+    U_Z is the product of the gates of H_Z[n] = P_n(0) K P_n(0) (blocks on orthogonal P_n(0) commute),
+    K the run's `generator` from `rotating_generator`; P is the dephasing onto the initial eigenspaces.
     """
-    hz = sum(_project_generator(generator, frames, n).operators for n in range(frames.nlevels))
-    u = frames.frames[-1] @ zn.zeno_unitary(OperatorPath(times=frames.times, operators=hz))
+    u = frames.frames[-1]
+    for n in range(frames.nlevels):
+        u = u @ _level_gate(generator, frames, n)
     pred = u @ zn.nonselective_step(rho0, frames.projectors0) @ u.conj().T
     record.distance = trace_distance(rho, pred)
     record.fidelity = state_fidelity(rho, pred)
@@ -198,7 +205,7 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     record.p_N = zr.survival_probability
     wt = frames.frames[-1]
     p0 = frames.projectors0[scenario.level]
-    gate_limit = zn.zeno_unitary(zn.zeno_hamiltonian(h0, frames, scenario.level))
+    gate_limit = _level_gate(rotating_generator(h0, frames), frames, scenario.level)
     record.distance = spectral_norm(zr.final_operator - wt @ gate_limit @ p0)
     pred_state = wt @ (gate_limit @ psi0)
     record.fidelity = float(abs(pred_state.conj() @ zr.conditional_state) ** 2)
@@ -233,7 +240,7 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     p0 = frames.projectors0[scenario.level]
     psi = decomp.gauge_evolution @ psi0
     record.q_n = float(np.real(psi.conj() @ (psi - p0 @ psi)))
-    gate = p0 @ zn.zeno_unitary(zn.zeno_hamiltonian(None, frames, scenario.level)) @ p0
+    gate = p0 @ _level_gate(rotating_generator(None, frames), frames, scenario.level) @ p0
     evolved = decomp.gauge_evolution @ p0
     # |<G, U_G P>|^2 / (|G|^2 |U_G P|^2) with Frobenius products: at most 1 by
     # Cauchy-Schwarz, and leakage still lowers it because U_G is unitary.

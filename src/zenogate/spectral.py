@@ -19,6 +19,7 @@ control radius; its frames have the closed form implemented in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     OpenPath,
     SubspaceTrackingFailure,
 )
-from .linalg import CLUSTER_TOL, _eigh_stack
+from .linalg import CLUSTER_TOL, _checked_hermitian_stack
 
 CRITICAL_RADIUS_SQ = 1e-24
 MIN_TRACKING_OVERLAP = 0.5
@@ -175,7 +176,7 @@ def instantaneous_spectra(hs, cluster_tol: float = CLUSTER_TOL) -> SpectrumStack
     of its eigenvalues and its basis their eigenvectors.  One checked
     eigendecomposition serves the whole stack.
     """
-    w, v = _eigh_stack(hs)
+    w, v = np.linalg.eigh(_checked_hermitian_stack(hs))
     tol = cluster_tol * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
     labels = np.zeros(w.shape, dtype=int)
     labels[:, 1:] = np.cumsum(np.diff(w, axis=1) > tol[:, None], axis=1)
@@ -253,6 +254,17 @@ class OperatorPath:
         k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
         s = np.clip((t - times[k]) / (times[k + 1] - times[k]), 0.0, 1.0)[..., None, None]
         return (1.0 - s) * ops[k] + s * ops[k + 1]
+
+
+@dataclass(frozen=True)
+class ClosedFormHamiltonian:
+    """Grid callable H(t) = `matrices(t)` whose `propagators(t, dts)` give exp(-i H(t[k]) dts[k]) in closed form."""
+
+    matrices: Callable
+    propagators: Callable
+
+    def __call__(self, t):
+        return self.matrices(t)
 
 
 def _sample_stack(op_of_t, times: np.ndarray) -> np.ndarray:
@@ -443,6 +455,13 @@ def three_level_hamiltonian(a, b) -> np.ndarray:
         dtype=complex,
     )
     return np.moveaxis(h, (0, 1), (-2, -1))
+
+
+def three_level_propagators(a, b, dts) -> np.ndarray:
+    """exp(-i H dts) = 1 + (e^{-2 i r dts} - 1) H / (2 r) for the three-level H = 2 r P_+(theta) of rank one."""
+    h = three_level_hamiltonian(a, b)
+    r2 = 2.0 * np.hypot(a, b)
+    return np.eye(3) + ((np.exp(-1j * r2 * dts) - 1.0) / r2)[..., None, None] * h
 
 
 def three_level_eigenbasis(theta):

@@ -31,8 +31,9 @@ from .errors import (
     NotASubspaceRotation,
     ZeroSurvival,
 )
-from .linalg import hermitian_eigendecomposition, spectral_norm
-from .spectral import FramePath, OperatorPath, ParameterPath, three_level_generators
+from .linalg import _range_basis, hermitian_eigendecomposition, spectral_norm
+from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath, _plane_rotation_stack,
+                       _prefix_products, _small_matmul, three_level_generators)
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,17 @@ class ControlConfig:
             raise ValueError(f"control mode {self.mode!r} needs a Hamiltonian matrix")
 
 
+def _constant_propagators(h):
+    """dts -> the stack exp(-i h dts[k]) for one Hermitian h (NonHermitianInput otherwise), decomposed once."""
+    w, v = hermitian_eigendecomposition(h)
+    return lambda dts: (v * np.exp(-1j * np.multiply.outer(dts, w))[:, None, :]) @ v.conj().T
+
+
 def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None):
-    """Materialize a control config as a callable on a time array (H_0 stack or one constant matrix), or None."""
+    """Materialize a control config as a ClosedFormHamiltonian (H_0 stack or one constant matrix), or None.
+
+    alpha_frame H_0 = alpha dtheta/dt G propagates as a plane rotation, a constant H_0 decomposed once.
+    """
     if config.mode == "none":
         return None
     if config.mode == "alpha_frame":
@@ -77,12 +87,14 @@ def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None
         g = three_level_generators(theta[0]).frame_generator
         times = path.times
 
-        def h0(t):
-            return config.alpha * np.interp(t, times, thdot)[..., None, None] * g
+        def speed(t):
+            return config.alpha * np.interp(t, times, thdot)
 
-        return h0
+        return ClosedFormHamiltonian(lambda t: speed(t)[..., None, None] * g,
+                                     lambda t, dts: _plane_rotation_stack(g, speed(t) * dts))
     h = np.asarray(config.hamiltonian, dtype=complex)
-    return lambda t: h
+    propagators = _constant_propagators(h)
+    return ClosedFormHamiltonian(lambda t: h, lambda t, dts: propagators(dts))
 
 
 def wagon_wheel_frames(h0, times, projectors0) -> FramePath:
@@ -92,9 +104,7 @@ def wagon_wheel_frames(h0, times, projectors0) -> FramePath:
     relative to H_0 on each measured subspace.
     """
     times = np.asarray(times, dtype=float)
-    w, v = hermitian_eigendecomposition(h0)
-    frames = np.einsum("ij,kj,lj->kil", v, np.exp(-2j * np.outer(times, w)), v.conj())
-    return FramePath(times=times, frames=frames, projectors0=projectors0)
+    return FramePath(times=times, frames=_constant_propagators(h0)(2.0 * times), projectors0=projectors0)
 
 
 def _measurement_indices(times: np.ndarray, n: int) -> np.ndarray:
@@ -117,19 +127,18 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial)
     `frames` must be sampled so that the uniform measurement times k*T/N are
     grid points.  Between measurements the bare Hamiltonian `h0_of_t` (None
     for no bare dynamics), called once on all midpoint times, propagates with
-    one midpoint factor per interval.
+    one midpoint factor per interval; the factors P_n(0) W^dag U_0 W P_n(0)
+    multiply as r x r blocks Q^dag W^dag U_0 W Q, Q a basis of P_n(0).
     """
     initial = np.asarray(initial, dtype=complex)
     idx = _measurement_indices(frames.times, N)
-    wm = frames.frames[idx]
-    p0 = frames.projectors0[level]
-    if h0_of_t is None:
-        core = np.matmul(wm[1:].conj().transpose(0, 2, 1), wm[:-1])
-    else:
-        u0 = _midpoint_propagators(h0_of_t, frames.times[idx])
-        core = np.matmul(wm[1:].conj().transpose(0, 2, 1), np.matmul(u0, wm[:-1]))
-    factors = np.einsum("ij,kjl,lm->kim", p0, core, p0)
-    v = frames.frames[idx[-1]] @ ordered_product(factors)
+    q = _range_basis(frames.projectors0[level])
+    wq = (frames.frames[idx].reshape(-1, frames.dim) @ q).reshape(idx.size, frames.dim, -1)  # W Q, one BLAS call
+    ahead = wq[1:]  # U_0^dag W(t_{k+1}) Q
+    if h0_of_t is not None:
+        ahead = _small_matmul(_midpoint_propagators(h0_of_t, frames.times[idx]).conj().swapaxes(-1, -2), ahead)
+    factors = _small_matmul(ahead.conj().swapaxes(-1, -2), wq[:-1])
+    v = wq[-1] @ ordered_product(factors) @ q.conj().T
     amp = v @ initial
     p = float(np.linalg.norm(amp) ** 2)
     if p < 1e-15:
@@ -166,10 +175,7 @@ def effective_frame(h0_of_t, frames: FramePath) -> FramePath:
     if h0_of_t is None:
         return frames
     factors = _midpoint_propagators(h0_of_t, frames.times)
-    u = np.empty_like(frames.frames)
-    u[0] = np.eye(frames.dim)
-    for k in range(factors.shape[0]):
-        u[k + 1] = factors[k] @ u[k]
+    u = np.concatenate([np.eye(frames.dim, dtype=complex)[None], _prefix_products(factors)])
     weff = np.matmul(u.conj().transpose(0, 2, 1), frames.frames)
     return FramePath(times=frames.times, frames=weff, projectors0=frames.projectors0)
 

@@ -16,9 +16,10 @@ from zenogate.errors import (
     NonHermitianInput,
 )
 from zenogate.linalg import expm_hermitian, spectral_norm
-from zenogate.zeno import zeno_hamiltonian
+from zenogate.zeno import zeno_hamiltonian, zeno_unitary
 from zenogate.spectral import (
     FramePath,
+    OperatorPath,
     ParameterPath,
     circle_path,
     frame_path_analytic_three_level,
@@ -81,6 +82,10 @@ class TestPropagateExact:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             propagate_exact(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 4)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            propagate_exact(lambda t: np.diag([0.0, np.nan]).astype(complex), 1.0, 4)
 
 
 class TestAdiabaticGenerator:
@@ -295,11 +300,25 @@ class TestGaugeDecompose:
 
 
 def test_ordered_exp_needs_two_samples(projs0):
-    from zenogate.spectral import OperatorPath
-
     op = OperatorPath(times=np.array([0.0]), operators=np.zeros((1, 3, 3), dtype=complex))
     with pytest.raises(InsufficientSamples):
         ordered_exp_from_samples(op)
+
+
+@pytest.mark.parametrize("exponentiate", [ordered_exp_from_samples, zeno_unitary])
+def test_ordered_exp_rejects_non_hermitian_generator(exponentiate):
+    ops = np.zeros((5, 3, 3), dtype=complex)
+    ops[:, 0, 1] = 1.0  # upper triangle only: eigh reads the lower one and would return the identity
+    with pytest.raises(NonHermitianInput):
+        exponentiate(OperatorPath(times=np.linspace(0.0, 1.0, 5), operators=ops))
+
+
+@pytest.mark.parametrize("exponentiate", [ordered_exp_from_samples, zeno_unitary])
+def test_ordered_exp_rejects_non_finite_samples(exponentiate):
+    ops = np.zeros((5, 3, 3), dtype=complex)
+    ops[2, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        exponentiate(OperatorPath(times=np.linspace(0.0, 1.0, 5), operators=ops))
 
 
 def test_propagate_exact_samples_h_once_per_grid(recording):

@@ -115,6 +115,34 @@ class TestExpmHermitian:
             expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def expm_eigh(hs, scale):
+    """exp(scale * h) per matrix through numpy's eigh: the path the d <= 2 closed forms replace."""
+    w, v = np.linalg.eigh(hs)
+    phases = np.exp(np.reshape(scale, (-1, 1)) * w)
+    return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+
+
+class TestExpmHermitianStackClosedForms:
+    @pytest.mark.parametrize("scale", ["scalar", "per_matrix"])
+    @pytest.mark.parametrize("stack", ["zero", "degenerate", "random"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_eigh(self, rng, dim, stack, scale):
+        k = 64
+        hs = {
+            "zero": np.zeros((k, dim, dim), dtype=complex),
+            "degenerate": rng.uniform(-2.0, 2.0, k)[:, None, None] * np.eye(dim, dtype=complex),  # gap r = 0
+            "random": np.stack([random_hermitian(dim, rng, scale=float(rng.uniform(0.1, 1.0))) for _ in range(k)]),
+        }[stack]
+        s = -1j * (0.7 if scale == "scalar" else rng.uniform(-2.0, 2.0, k))
+        assert np.abs(expm_hermitian_stack(hs, s) - expm_eigh(hs, s)).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_real_and_complex_scales(self, rng, dim):
+        hs = np.stack([random_hermitian(dim, rng, scale=0.5) for _ in range(32)])
+        for s in (0.8, 0.3 - 0.9j, rng.uniform(-1.0, 1.0, 32) + 1j * rng.uniform(-1.0, 1.0, 32)):
+            assert np.abs(expm_hermitian_stack(hs, s) - expm_eigh(hs, s)).max() <= 1e-14
+
+
 class TestExpmStack:
     # one 1-norm inside each Pade degree's range, then one that needs squarings
     NORMS = [0.9 * theta for _, theta in linalg._PADE_THETA] + [40.0 * linalg._PADE_THETA[-1][1]]

@@ -333,6 +333,21 @@ class TestEmit:
         assert cols["gamma"] if "gamma" in cols else True
 
 
+@pytest.mark.parametrize("engine", ["adiabatic", "zeno"])
+def test_built_in_model_runs_without_per_sample_eigh(monkeypatch, recording, engine):
+    """Built-in propagators, controls and level gates are closed forms: eigh only ever sees one matrix."""
+    eigh = recording(np.linalg.eigh)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    data = {"engine": engine, "path": {"type": "circle", "windings": 1, "duration": 30.0, "samples": 1025},
+            "initial_state": {"name": "E_minus"}}
+    if engine == "adiabatic":
+        data["steps"] = 4096
+    else:
+        data.update(N=1024, control={"mode": "alpha_frame", "alpha": 0.5})
+    run(scenario_from_dict(data))
+    assert eigh.shapes and all(len(shape) == 2 for shape in eigh.shapes)
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
 def test_shipped_scenarios_run_within_budget(path):
     scenario = load_scenario(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zenogate.errors import CriticalPoint, OpenPath, SubspaceTrackingFailure
-from zenogate.linalg import expm_hermitian, spectral_norm
+from zenogate.linalg import expm_hermitian, expm_hermitian_stack, spectral_norm
 from zenogate.spectral import (
     OperatorPath,
     ParameterPath,
@@ -17,6 +17,7 @@ from zenogate.spectral import (
     three_level_generators,
     three_level_hamiltonian,
     three_level_projectors,
+    three_level_propagators,
     winding_number,
 )
 
@@ -43,6 +44,14 @@ class TestThreeLevelHamiltonian:
     def test_critical_point_rejected(self):
         with pytest.raises(CriticalPoint):
             three_level_hamiltonian(0.0, 0.0)
+        with pytest.raises(CriticalPoint):
+            three_level_propagators(np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([0.1, 0.1]))
+
+    def test_closed_form_propagators_match_eigh_exponential(self, rng):
+        a, b = rng.uniform(-2.0, 2.0, (2, 256))
+        dts = rng.uniform(0.0, 0.5, 256)
+        reference = expm_hermitian_stack(three_level_hamiltonian(a, b), -1j * dts)
+        assert np.abs(three_level_propagators(a, b, dts) - reference).max() <= 1e-14
 
 
 class TestThreeLevelEigenbasis:

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from zenogate.adiabatic import adiabatic_generator
+from zenogate.adiabatic import _level_gate, adiabatic_generator, rotating_generator
 from zenogate.errors import (
     GridMismatch,
     IncompleteResolution,
@@ -10,7 +12,7 @@ from zenogate.errors import (
     NotASubspaceRotation,
     ZeroSurvival,
 )
-from zenogate.linalg import expm_hermitian, spectral_norm, trace_distance
+from zenogate.linalg import expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm, trace_distance
 from zenogate.spectral import (
     FramePath,
     OperatorPath,
@@ -186,6 +188,14 @@ def _tracked(path):
     return frame_path_from_spectra(path.times, instantaneous_spectra(three_level_hamiltonian(path.a, path.b)))
 
 
+# The custom control moves the excited level too, which the other two leave at the identity.
+CONTROLS = [
+    ControlConfig(),
+    ControlConfig(mode="alpha_frame", alpha=0.3),
+    ControlConfig(mode="custom", hamiltonian=np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.3], [0.0, 0.3, 0.05]])),
+]
+
+
 class TestZenoUnitary:
     def test_zero_generator(self, projs0):
         op = OperatorPath(times=np.linspace(0, 1, 5), operators=np.zeros((5, 3, 3), complex))
@@ -215,16 +225,7 @@ class TestZenoUnitary:
         with pytest.raises(InsufficientSamples):
             zeno_unitary(op)
 
-    @pytest.mark.parametrize(
-        "control",
-        [
-            ControlConfig(),
-            ControlConfig(mode="alpha_frame", alpha=0.3),
-            # moves the excited level too, which the two above leave at the identity
-            ControlConfig(mode="custom", hamiltonian=np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.3], [0.0, 0.3, 0.05]])),
-        ],
-        ids=["none", "alpha_frame", "custom"],
-    )
+    @pytest.mark.parametrize("control", CONTROLS, ids=lambda c: c.mode)
     def test_summed_levels_equal_product_of_level_gates(self, control):
         """The level blocks sit on orthogonal P_n(0) and commute: one exponential of their sum is the product."""
         path, frames = loop_frames(1025)
@@ -235,6 +236,58 @@ class TestZenoUnitary:
             product = zeno_unitary(hz) @ product
         summed = zeno_unitary(OperatorPath(times=frames.times, operators=sum(hz.operators for hz in hzs)))
         assert spectral_norm(summed - product) <= 1e-12
+
+
+class TestGatesOnTheLevelSupport:
+    """The runner's gates and projected_evolution work on Q^dag X Q, Q a basis of P_n(0); the full space is the reference."""
+
+    @pytest.mark.parametrize("control", CONTROLS, ids=lambda c: c.mode)
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_three_level_gate_matches_full_space(self, level, control):
+        path, frames = loop_frames(1025)
+        h0 = control_hamiltonian(control, path)
+        full = zeno_unitary(zeno_hamiltonian(h0, frames, level))
+        assert spectral_norm(_level_gate(rotating_generator(h0, frames), frames, level) - full) <= 1e-12
+
+    def test_rank_three_level_of_a_custom_model(self, rng):
+        """d = 4 with a rank-3 level: its 3 x 3 blocks go through eigh, the rank-1 level is a phase."""
+        times = np.linspace(0.0, 1.0, 513)
+        g = random_hermitian(4, rng)
+        basis = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        projectors0 = np.stack([basis[:, :3] @ basis[:, :3].conj().T, np.outer(basis[:, 3], basis[:, 3].conj())])
+        frames = FramePath(times=times, frames=expm_hermitian_stack(np.broadcast_to(g, (513, 4, 4)), -1j * times),
+                           projectors0=projectors0)
+        h0 = control_hamiltonian(ControlConfig(mode="custom", hamiltonian=random_hermitian(4, rng, scale=0.5)))
+        for level in (0, 1):
+            full = zeno_unitary(zeno_hamiltonian(h0, frames, level))
+            assert spectral_norm(_level_gate(rotating_generator(h0, frames), frames, level) - full) <= 1e-12
+
+    def test_decorated_control_keeps_its_closed_form(self, monkeypatch, recording):
+        """A functools.wraps decorator (a call counter, say) must not send the control through eigh."""
+        path, frames = loop_frames(65)
+        h0 = control_hamiltonian(ControlConfig(mode="alpha_frame", alpha=0.5), path)
+
+        @functools.wraps(h0)
+        def counted(t):
+            return h0(t)
+
+        eigh = recording(np.linalg.eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        projected_evolution(counted, frames, 0, 16, three_level_eigenbasis(0.0)[1])
+        assert eigh.shapes and all(len(shape) == 2 for shape in eigh.shapes)
+
+    @pytest.mark.parametrize("control", CONTROLS, ids=lambda c: c.mode)
+    def test_projected_evolution_matches_full_space_product(self, control):
+        path, frames = loop_frames(257)
+        h0 = control_hamiltonian(control, path)
+        zr = projected_evolution(h0, frames, 0, 64, three_level_eigenbasis(0.0)[1])
+        idx = np.arange(0, 257, 4)
+        t, w, p0 = frames.times[idx], frames.frames[idx], frames.projectors0[0]
+        v = p0
+        for k in range(64):
+            u0 = np.eye(3) if h0 is None else expm_hermitian(h0(0.5 * (t[k] + t[k + 1])), -1j * (t[k + 1] - t[k]))
+            v = p0 @ w[k + 1].conj().T @ u0 @ w[k] @ p0 @ v
+        assert spectral_norm(zr.final_operator - w[-1] @ v) <= 1e-12
 
 
 class TestEffectiveFrame:
