@@ -21,7 +21,7 @@ from . import zeno as zn
 from .adiabatic import _level_gate, gauge_decompose, propagate_exact, rotating_generator
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import spectral_norm, state_fidelity, trace_distance
-from .scenario import MAX_COUNT, Scenario, scenario_from_dict
+from .scenario import MAX_COUNT, Scenario, _derived, _number
 from .spectral import (
     ClosedFormHamiltonian,
     FramePath,
@@ -305,22 +305,29 @@ _AXES = {
 
 
 def _derive(scenario: Scenario, axis: str, value) -> Scenario:
-    """The scenario with `axis` set to `value`; `scenario.raw` stays as it is, only the edited section is copied."""
-    data = dict(scenario.raw)
+    """The scenario with `axis` set to `value`, derived from the validated `scenario`.
+
+    Only the edited key (`N`, `gamma`, `control`, `steps`, or `path` plus
+    `steps` on a T sweep) is parsed and encoded again, then every cross-field
+    rule re-runs; the rest keeps the parse and canonical JSON `scenario` had
+    when it was validated.  `scenario.raw` stays as it is.  Counts must be
+    integral: N = 64.5 raises ValidationError rather than running N = 64.
+    """
+    raw = scenario.raw
     if axis == "N":
-        data["N"] = int(value)
+        edits = {"N": _number(value, "N", integral=True)}
     elif axis == "gamma":
-        data["gamma"] = float(value)
+        edits = {"gamma": float(value)}
     elif axis == "alpha":
-        data["control"] = {**data.get("control", {}), "alpha": float(value)}
+        edits = {"control": {**raw.get("control", {}), "alpha": float(value)}}
     elif axis == "steps":
-        data["steps"] = int(value)
-    elif axis == "T":
+        edits = {"steps": _number(value, "steps", integral=True)}
+    else:
         base = scenario.build_path(samples=2).duration  # only the end time is read
-        data["path"] = {**data.get("path", {}), "duration": float(value)}
+        edits = {"path": {**raw.get("path", {}), "duration": float(value)}}
         if scenario.steps is not None:
-            data["steps"] = max(1, _bounded_count(float(np.ceil(scenario.steps * float(value) / base))))
-    return scenario_from_dict(data, source=f"<sweep {axis}={value}>")
+            edits["steps"] = max(1, _bounded_count(float(np.ceil(scenario.steps * float(value) / base))))
+    return _derived(scenario, edits)
 
 
 def _loglog_slope(xs, ys) -> float | None:

@@ -54,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -68,11 +68,6 @@ ENGINES = ("adiabatic", "zeno", "dissipative")
 MAX_COUNT = 2**22  # bound on every count, so no grid is sized beyond what a run can allocate
 NAMED_STATES = ("E_plus", "E_minus", "E_zero")
 
-_TOP_KEYS = {
-    "name", "engine", "model", "path", "control", "N", "steps",
-    "gamma", "alphas", "initial_state", "level", "nonselective",
-    "frame_method", "runtime_budget_s", "tolerances",
-}
 _SECTION_KEYS = {
     "model": {"type", "hamiltonians"},
     "path": {"type", "center", "radius", "windings", "duration", "samples", "points", "times", "a", "b"},
@@ -135,10 +130,25 @@ def parse_matrix(rows, where: str) -> np.ndarray:
     return m
 
 
-def scenario_digest(data: dict) -> str:
-    """Content hash of a scenario document, stable under key reordering."""
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def _digest(encoded: dict) -> str:
+    """sha256 of the canonical document whose top-level keys have the canonical JSON `encoded[key]`."""
+    canonical = "{" + ",".join(f"{_canonical(key)}:{encoded[key]}" for key in sorted(encoded)) + "}"
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def scenario_digest(data: dict) -> str:
+    """Content hash of a scenario document, stable under key reordering.
+
+    The sha256 of ``json.dumps(data, sort_keys=True, separators=(",", ":"),
+    default=str)``, assembled from one encoding per top-level (string) key,
+    which gives the same bytes; a derived scenario re-encodes only the keys
+    it edits.
+    """
+    return _digest({key: _canonical(value) for key, value in data.items()})
 
 
 @dataclass
@@ -165,6 +175,7 @@ class Scenario:
     cluster_tol: float
     holonomy_tol: float
     raw: dict
+    _encoded: dict = field(default_factory=dict, repr=False, compare=False)  # canonical JSON of each key of `raw`
 
     def build_path(self, samples: int) -> ParameterPath:
         """Materialize the declared parameter path on `samples` uniform times.
@@ -200,21 +211,20 @@ def _require_hermitian(m: np.ndarray, where: str):
     _require(defect <= HERMITICITY_TOL, f"{where} must be Hermitian: defect {defect:.3e} > {HERMITICITY_TOL:.1e}")
 
 
-def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
-    """Validate a scenario document and fill defaults."""
-    if not isinstance(data, dict):
-        raise ParseError(f"{source}: scenario document must be a mapping")
-    _reject_unknown(data, _TOP_KEYS, source)
-    for section, allowed in _SECTION_KEYS.items():
-        if section in data:
-            if not isinstance(data[section], dict):
-                raise ParseError(f"section {section!r} in {source} must be a mapping")
-            _reject_unknown(data[section], allowed, f"section {section!r} of {source}")
+# Each top-level key has one parser: parse(data, fields) -> the Scenario fields
+# it sets, where `fields` holds those of the keys parsed before it.  Rules
+# that involve several keys live in the parser of the later key or in
+# `_assemble`, so a derived scenario re-runs exactly the parsers of the keys
+# it edits, then every cross-field rule.
 
+def _parse_engine(data, fields):
     engine = data.get("engine")
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return {"engine": engine}
 
+
+def _parse_model(data, fields):
     model = data.get("model", {})
     model_type = model.get("type", "three_level")
     _require(model_type in ("three_level", "custom"), f"model.type must be three_level or custom, got {model_type!r}")
@@ -235,7 +245,10 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         _require(model_hams[0][0] == 0.0, "model.hamiltonians must start at t = 0")
         _require(len({t for t, _ in model_hams}) == len(model_hams), "model.hamiltonians times must be distinct")
         _require_hermitian(np.stack([m for _, m in model_hams]), "model.hamiltonians")
+    return {"model_type": model_type, "model_hamiltonians": model_hams}
 
+
+def _parse_path(data, fields):
     pspec = dict(data.get("path", {}))
     ptype = pspec.setdefault("type", "circle")
     _require(ptype in ("circle", "polyline", "samples"), f"path.type must be circle, polyline or samples, got {ptype!r}")
@@ -262,33 +275,62 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         if key in pspec:
             pspec[key] = _number(pspec[key], f"path.{key}", integral=key == "samples")
     _require(pspec.get("duration", 1.0) > 0, "path.duration must be positive")
+    return {"path_spec": pspec}
 
+
+def _parse_n(data, fields):
     n_meas = _number(data.get("N", 4096), "N", integral=True)
     _require(n_meas >= 1, "N must be a positive integer")
+    return {"N": n_meas}
+
+
+def _parse_steps(data, fields):
     steps = data.get("steps")
     if steps is not None:
         steps = _number(steps, "steps", integral=True)
         _require(steps >= 1, "steps must be a positive integer")
+    return {"steps": steps}
+
+
+def _parse_level(data, fields):
     level = _number(data.get("level", 0), "level", integral=True)
     _require(level >= 0, "level must be nonnegative")
+    return {"level": level}
+
+
+def _parse_nonselective(data, fields):
     nonselective = data.get("nonselective", False)
     _require(isinstance(nonselective, bool), "nonselective must be true or false")
-    frame_method = data.get("frame_method", "analytic" if model_type == "three_level" else "tracked")
-    _require(frame_method in ("analytic", "tracked"), "frame_method must be analytic or tracked")
-    if model_type == "custom":
-        _require(frame_method == "tracked", "custom models support only tracked frames")
+    return {"nonselective": nonselective}
 
+
+def _parse_frame_method(data, fields):
+    frame_method = data.get("frame_method", "analytic" if fields["model_type"] == "three_level" else "tracked")
+    _require(frame_method in ("analytic", "tracked"), "frame_method must be analytic or tracked")
+    if fields["model_type"] == "custom":
+        _require(frame_method == "tracked", "custom models support only tracked frames")
+    return {"frame_method": frame_method}
+
+
+def _parse_gamma(data, fields):
     gamma = data.get("gamma")
-    alphas = data.get("alphas")
-    if engine == "dissipative":
+    if fields["engine"] == "dissipative":
         _require(gamma is not None, "gamma is required for the dissipative engine")
     if gamma is not None:
         gamma = _number(gamma, "gamma")
         _require(gamma >= 0, "gamma must be nonnegative")
+    return {"gamma": gamma}
+
+
+def _parse_alphas(data, fields):
+    alphas = data.get("alphas")
     if alphas is not None:
         _require(isinstance(alphas, (list, tuple)), "alphas must be a list of weights")
         alphas = tuple(_number(a, "alphas") for a in alphas)
+    return {"alphas": alphas}
 
+
+def _parse_control(data, fields):
     cspec = data.get("control", {})
     mode = cspec.get("mode", "none")
     cham = None
@@ -300,15 +342,18 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     except ValueError as exc:
         raise ValidationError(f"control: {exc}") from exc
     if control.mode == "alpha_frame":
-        _require(model_type == "three_level", "control.mode alpha_frame requires the three_level model")
+        _require(fields["model_type"] == "three_level", "control.mode alpha_frame requires the three_level model")
+    return {"control": control}
 
+
+def _parse_initial_state(data, fields):
     istate = data.get("initial_state", {"name": "E_minus"})
     iname = istate.get("name")
     iamps = istate.get("amplitudes")
     _require((iname is None) != (iamps is None), "initial_state needs exactly one of name, amplitudes")
     if iname is not None:
         _require(iname in NAMED_STATES, f"initial_state.name must be one of {NAMED_STATES}, got {iname!r}")
-        _require(model_type == "three_level", f"named state {iname!r} does not exist for a custom model")
+        _require(fields["model_type"] == "three_level", f"named state {iname!r} does not exist for a custom model")
     amps = None
     if iamps is not None:
         _require(isinstance(iamps, (list, tuple)), "initial_state.amplitudes must be a list")
@@ -318,57 +363,106 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         _require(scale > 0, "initial_state.amplitudes must be nonzero")
         amps = amps / scale
         amps = amps / np.linalg.norm(amps)
+    return {"initial_name": iname, "initial_amplitudes": amps}
 
+
+def _parse_tolerances(data, fields):
     tols = data.get("tolerances", {})
     cluster_tol = _number(tols.get("cluster", 1e-8), "tolerances.cluster")
     holonomy_tol = _number(tols.get("holonomy", 1e-2), "tolerances.holonomy")
     _require(cluster_tol > 0, "tolerances.cluster must be positive")
     _require(holonomy_tol > 0, "tolerances.holonomy must be positive")
-    budget = data.get("runtime_budget_s")
-    name = data.get("name", "")
-    _require(isinstance(name, (str, int, float)), "name must be a string or a number")
+    return {"cluster_tol": cluster_tol, "holonomy_tol": holonomy_tol}
 
-    digest = scenario_digest(data)
-    scenario = Scenario(
-        engine=engine,
-        name=str(name) or digest[:12],
-        digest=digest,
-        model_type=model_type,
-        model_hamiltonians=model_hams,
-        path_spec=pspec,
-        control=control,
-        N=n_meas,
-        steps=steps,
-        gamma=gamma,
-        alphas=alphas,
-        initial_name=iname,
-        initial_amplitudes=amps,
-        level=level,
-        nonselective=nonselective,
-        frame_method=frame_method,
-        runtime_budget_s=None if budget is None else _number(budget, "runtime_budget_s"),
-        cluster_tol=cluster_tol,
-        holonomy_tol=holonomy_tol,
-        raw=data,
-    )
+
+def _parse_name(data, fields):
+    # The displayed name falls back to the digest prefix, so `_assemble` sets it.
+    _require(isinstance(data.get("name", ""), (str, int, float)), "name must be a string or a number")
+    return {}
+
+
+def _parse_runtime_budget(data, fields):
+    budget = data.get("runtime_budget_s")
+    return {"runtime_budget_s": None if budget is None else _number(budget, "runtime_budget_s")}
+
+
+_PARSERS = {  # every top-level key, in the order of validation
+    "engine": _parse_engine,
+    "model": _parse_model,
+    "path": _parse_path,
+    "N": _parse_n,
+    "steps": _parse_steps,
+    "level": _parse_level,
+    "nonselective": _parse_nonselective,
+    "frame_method": _parse_frame_method,
+    "gamma": _parse_gamma,
+    "alphas": _parse_alphas,
+    "control": _parse_control,
+    "initial_state": _parse_initial_state,
+    "tolerances": _parse_tolerances,
+    "name": _parse_name,
+    "runtime_budget_s": _parse_runtime_budget,
+}
+
+
+def _assemble(data: dict, fields: dict, encoded: dict) -> Scenario:
+    """The Scenario of document `data`, whose keys parse to `fields` and encode to `encoded`.
+
+    Names it, digests it and checks the rules that span several keys.
+    """
+    digest = _digest(encoded)
+    scenario = Scenario(**{**fields, "name": str(data.get("name", "")) or digest[:12], "digest": digest,
+                           "raw": data, "_encoded": encoded})
 
     # The declared path must actually be constructible (winding/enclosure
     # consistency, no critical point) before the runner ever sees it.
-    if model_type == "three_level":
+    pspec = scenario.path_spec
+    if scenario.model_type == "three_level":
         try:
             path = scenario.build_path(samples=pspec.get("samples", 129))
         except (ValueError, CriticalPoint) as exc:
             raise ValidationError(f"path: {exc}") from exc
-        if ptype == "circle" and path.closed:
+        if pspec["type"] == "circle" and path.closed:
             _require(
                 winding_number(path) == pspec["windings"],
                 f"path.windings = {pspec['windings']} does not match the loop's actual winding",
             )
     # A custom model's sampled times fix its duration, so a path would be silently ignored.
-    if model_type == "custom":
+    if scenario.model_type == "custom":
         _require("path" not in data, "a custom model takes no path section")
-        _require(model_hams[-1][0] > 0, "model.hamiltonians must span a positive duration")
+        _require(scenario.model_hamiltonians[-1][0] > 0, "model.hamiltonians must span a positive duration")
     return scenario
+
+
+def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
+    """Validate a scenario document and fill defaults."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{source}: scenario document must be a mapping")
+    _reject_unknown(data, _PARSERS.keys(), source)
+    for section, allowed in _SECTION_KEYS.items():
+        if section in data:
+            if not isinstance(data[section], dict):
+                raise ParseError(f"section {section!r} in {source} must be a mapping")
+            _reject_unknown(data[section], allowed, f"section {section!r} of {source}")
+    fields = {}
+    for parse in _PARSERS.values():
+        fields.update(parse(data, fields))
+    return _assemble(data, fields, {key: _canonical(value) for key, value in data.items()})
+
+
+def _derived(base: Scenario, edits: dict) -> Scenario:
+    """`base` with the top-level keys of `edits` replaced by the given values.
+
+    Only the edited keys are parsed and JSON-encoded again; the others keep
+    `base`'s parse and encodings (shared, not copied).  `edits` must hold
+    known keys, and sections as mappings of known keys.
+    """
+    data = {**base.raw, **edits}
+    fields = dict(vars(base))
+    for key, parse in _PARSERS.items():
+        if key in edits:
+            fields.update(parse(data, fields))
+    return _assemble(data, fields, {**base._encoded, **{key: _canonical(value) for key, value in edits.items()}})
 
 
 def load_scenario(path) -> Scenario:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zenogate import dissipative, runner
+from zenogate import scenario as scenario_module
 from zenogate.adiabatic import rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
@@ -440,6 +441,107 @@ def custom_unit_loop(samples=65, duration=1.0):
         m = [[1.0, c, s], [c, c * c, c * s], [s, c * s, s * s]]
         hams.append({"t": float(t), "matrix": m})
     return {"type": "custom", "hamiltonians": hams}
+
+
+def _edited_document(scenario, axis, value):
+    """The document a sweep value stands for, written out in full."""
+    data = copy.deepcopy(scenario.raw)
+    if axis == "alpha":
+        data["control"]["alpha"] = value
+    elif axis == "T":
+        base = scenario.build_path(samples=2).duration
+        data.setdefault("path", {})["duration"] = value
+        if scenario.steps is not None:
+            data["steps"] = max(1, int(np.ceil(scenario.steps * value / base)))
+    else:
+        data[axis] = value
+    return data
+
+
+def _custom_scenarios():
+    amps = {"amplitudes": [1.0, -1.0, 0.0]}
+    model = custom_unit_loop(65)
+    return {
+        "custom_zeno": {"engine": "zeno", "model": model, "N": 64, "initial_state": amps},
+        "custom_adiabatic": {"engine": "adiabatic", "model": model, "steps": 64, "initial_state": amps},
+        "custom_dissipative": {"engine": "dissipative", "model": model, "gamma": 10.0, "initial_state": amps},
+    }
+
+
+def _derivation_cases():
+    documents = {p.stem: p for p in sorted(SCENARIO_DIR.glob("*.yaml"))}
+    documents.update(_custom_scenarios())
+    values = {"N": [64, 1000], "gamma": [0.0, 1e4], "alpha": [0.3, -1.0], "T": [0.5, 2.0], "steps": [1, 300]}
+    cases = []
+    for name, doc in documents.items():
+        scenario = load_scenario(doc) if isinstance(doc, Path) else scenario_from_dict(doc)
+        for axis, engines in runner._AXES.items():
+            if scenario.engine in engines and (axis != "alpha" or scenario.control.mode == "alpha_frame"):
+                cases += [pytest.param(doc, axis, v, id=f"{name}-{axis}={v:g}") for v in values[axis]]
+    return cases
+
+
+class TestDerive:
+    """`runner._derive` reuses the validated scenario and gives what full validation gives."""
+
+    @pytest.mark.parametrize("doc, axis, value", _derivation_cases())
+    def test_equals_full_validation(self, doc, axis, value):
+        scenario = load_scenario(doc) if isinstance(doc, Path) else scenario_from_dict(doc)
+        edited = _edited_document(scenario, axis, value)
+        try:
+            expected = scenario_from_dict(edited)
+        except ValidationError as exc:  # a T sweep of a custom model
+            with pytest.raises(ValidationError) as derived_exc:
+                runner._derive(scenario, axis, value)
+            assert str(derived_exc.value) == str(exc) == "a custom model takes no path section"
+            return
+        derived = runner._derive(scenario, axis, value)
+        for name in ("digest", "name", "steps", "N", "gamma", "alphas", "raw"):
+            assert getattr(derived, name) == getattr(expected, name), name
+        assert derived.path_spec.keys() == expected.path_spec.keys()
+        for key, spec in expected.path_spec.items():
+            assert np.array_equal(derived.path_spec[key], spec), key
+        for got, want in ((derived.control, expected.control), (derived.model_hamiltonians, expected.model_hamiltonians)):
+            assert repr(got) == repr(want)  # numpy arrays print in full at these sizes
+
+    def test_values_must_be_counts(self):
+        zeno = load_scenario(SCENARIO_DIR / "zeno_no_winding.yaml")
+        for values in ([64.5, 128.9], [64.0, True]):
+            with pytest.raises(ValidationError, match="N must be an integer"):
+                sweep(zeno, "N", values)
+        adiabatic = load_scenario(SCENARIO_DIR / "adiabatic_slow_loop.yaml")
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            sweep(adiabatic, "steps", [1000, 1000.5])
+        summary = sweep(zeno, "N", [64.0, np.int64(128)])  # integral values of any numeric type still run
+        assert [(r.axis_value, r.digest) for r in summary.records] == [
+            (64.0, runner._derive(zeno, "N", 64).digest), (128.0, runner._derive(zeno, "N", 128).digest)]
+
+    @pytest.mark.parametrize(
+        "doc, axis, value, message",
+        [
+            ("zeno_winding_one", "N", 0, "N must be a positive integer"),
+            ("dissipative_gate", "gamma", -1.0, "gamma must be nonnegative"),
+            ("adiabatic_slow_loop", "T", 0.0, "path.duration must be positive"),
+            ("custom_adiabatic", "T", 2.0, "a custom model takes no path section"),
+            ("adiabatic_slow_loop", "T", 1e308, "the derived step count inf exceeds the bound 4194304"),
+        ],
+    )
+    def test_bad_values_fail_as_full_validation_does(self, doc, axis, value, message):
+        custom = _custom_scenarios()
+        scenario = scenario_from_dict(custom[doc]) if doc in custom else load_scenario(SCENARIO_DIR / f"{doc}.yaml")
+        with pytest.raises(ValidationError) as exc:
+            sweep(scenario, axis, [value])
+        assert str(exc.value) == message
+
+    def test_model_is_parsed_once_per_sweep(self, monkeypatch):
+        calls = []
+        parse_matrix = scenario_module.parse_matrix
+        monkeypatch.setattr(scenario_module, "parse_matrix", lambda *args: calls.append(1) or parse_matrix(*args))
+        base = scenario_from_dict(_custom_scenarios()["custom_zeno"])
+        assert len(calls) == 65
+        summary = sweep(base, "N", [8, 16, 32, 64])  # measurement grids on the model's knots
+        assert len(calls) == 65
+        assert all(r.distance is not None for r in summary.records)
 
 
 class TestScenarioBoundary:

@@ -1,8 +1,12 @@
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from zenogate import runner
 from zenogate.errors import ParseError, ValidationError
 from zenogate.scenario import Scenario, load_scenario, scenario_digest, scenario_from_dict
 
@@ -202,6 +206,34 @@ class TestDigest:
     def test_shipped_scenario_digests_unchanged(self, name, digest):
         scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
         assert scenario.digest == digest
+
+    @pytest.mark.parametrize(
+        "name, axis, value, digest",
+        [
+            ("zeno_winding_one", "N", 64, "414975df43d048f2178c98085c1948e579f9a3c16150001a86f81d19d91a7c4f"),
+            ("dissipative_gate", "gamma", 1e4, "e524f3d097e7e394e708ca448c2be8b41708c14e97abbe458b156d4851eddf2d"),
+            ("adiabatic_slow_loop", "T", 2.0, "bcbeaf280f38cd40e2f100954ba63f0fc54857844c23038296e19f6ac8433fb3"),
+            ("zeno_alpha_half", "alpha", 0.3, "9c56f340510ed5bffaf62dca289c685b864bf0dec3cdf9577bcefd517d53ec85"),
+        ],
+    )
+    def test_derived_scenario_digests_unchanged(self, name, axis, value, digest):
+        derived = runner._derive(load_scenario(SCENARIO_DIR / f"{name}.yaml"), axis, value)
+        assert derived.digest == digest == scenario_digest(derived.raw)
+        assert derived.name == name
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_assembled_from_one_encoding_per_key(self, name):
+        with open(SCENARIO_DIR / f"{name}.yaml") as fh:
+            data = yaml.safe_load(fh)
+        data["control"] = {**data.get("control", {}), "alpha": np.float64(0.25)}  # numpy scalars encode too
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
+        assert scenario_digest(data) == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_derived_digest_of_unnamed_scenario_names_it(self):
+        base = scenario_from_dict(minimal_zeno())
+        derived = runner._derive(base, "N", 128)
+        assert derived.digest == scenario_digest(minimal_zeno(N=128)) != base.digest
+        assert derived.name == derived.digest[:12]
 
     def test_unnamed_scenario_is_named_by_its_digest(self):
         data = minimal_zeno()
