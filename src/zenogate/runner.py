@@ -13,6 +13,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -170,15 +171,28 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
     record.phi_expected = _expected_holonomy(scenario, path)
 
 
-def _record_dephased_prediction(record: ResultRecord, generator, frames: FramePath, rho0, rho):
+def _rotation_run(scenario: Scenario, path, frames: FramePath):
+    """The run in rotation-angle form (`zn._RotationRun`), or None.
+
+    Three-level runs with analytic frames and control none or alpha_frame have that form; every other run
+    takes `projected_evolution` and `_level_gate` of `rotating_generator`.
+    """
+    mode = scenario.control.mode
+    analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
+    if not analytic or mode not in ("none", "alpha_frame"):
+        return None
+    return zn._RotationRun.of(path, frames, scenario.control.alpha if mode == "alpha_frame" else 0.0)
+
+
+def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath, rho0, rho):
     """Compare rho with the nonselective Zeno limit W(T) U_Z P[rho0] U_Z^dag W(T)^dag.
 
-    U_Z is the product of the gates of H_Z[n] = P_n(0) K P_n(0) (blocks on orthogonal P_n(0) commute),
-    K the run's `generator` from `rotating_generator`; P is the dephasing onto the initial eigenspaces.
+    U_Z is the product of the level gates `gate_of(n)` of H_Z[n] = P_n(0) K P_n(0) (blocks on orthogonal
+    P_n(0) commute), K the run's rotating-frame generator; P is the dephasing onto the initial eigenspaces.
     """
     u = frames.frames[-1]
     for n in range(frames.nlevels):
-        u = u @ _level_gate(generator, frames, n)
+        u = u @ gate_of(n)
     pred = u @ zn.nonselective_step(rho0, frames.projectors0) @ u.conj().T
     record.distance = trace_distance(rho, pred)
     record.fidelity = state_fidelity(rho, pred)
@@ -189,23 +203,26 @@ def _record_dephased_prediction(record: ResultRecord, generator, frames: FramePa
 # ---------------------------------------------------------------------------
 
 def _run_zeno(scenario: Scenario, record: ResultRecord):
-    n = scenario.N
+    n, level = scenario.N, scenario.level
     path, frames, _ = _frames_for(scenario, samples=n + 1)
     h0 = zn.control_hamiltonian(scenario.control, path)
     psi0 = _initial_vector(scenario, path)
+    rotation = _rotation_run(scenario, path, frames)
+    gate_of = partial(_level_gate, rotating_generator(h0, frames), frames) if rotation is None else rotation.gate
 
     if scenario.nonselective:
         rho0 = np.outer(psi0, psi0.conj())
         rho = zn.nonselective_zeno_evolution(h0, frames, n, rho0)
-        _record_dephased_prediction(record, rotating_generator(h0, frames), frames, rho0, rho)
+        _record_dephased_prediction(record, gate_of, frames, rho0, rho)
         record.trace_drift = abs(float(np.trace(rho).real) - 1.0)
         return
 
-    zr = zn.projected_evolution(h0, frames, scenario.level, n, psi0)
+    zr = (zn.projected_evolution(h0, frames, level, n, psi0) if rotation is None
+          else rotation.projected_evolution(level, n, psi0))
     record.p_N = zr.survival_probability
     wt = frames.frames[-1]
-    p0 = frames.projectors0[scenario.level]
-    gate_limit = _level_gate(rotating_generator(h0, frames), frames, scenario.level)
+    p0 = frames.projectors0[level]
+    gate_limit = gate_of(level)
     record.distance = spectral_norm(zr.final_operator - wt @ gate_limit @ p0)
     pred_state = wt @ (gate_limit @ psi0)
     record.fidelity = float(abs(pred_state.conj() @ zr.conditional_state) ** 2)
@@ -273,10 +290,12 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     steps = _step_count(scenario, 512, needed)
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
-    generator = rotating_generator(h0, frames)
+    rotation = _rotation_run(scenario, path, frames)
+    generator = rotating_generator(h0, frames) if rotation is None else rotation.kappa[:, None, None] * rotation.g
     result = dis.integrate_rotating(generator, frames, scenario.gamma, alphas, rho0, steps)
     record.trace_drift = result.trace_drift
-    _record_dephased_prediction(record, generator, frames, rho0, result.final)
+    gate_of = partial(_level_gate, generator, frames) if rotation is None else rotation.gate
+    _record_dephased_prediction(record, gate_of, frames, rho0, result.final)
 
 
 _ENGINES = {"zeno": _run_zeno, "adiabatic": _run_adiabatic, "dissipative": _run_dissipative}

@@ -18,7 +18,7 @@ control radius; its frames have the closed form implemented in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,16 +37,15 @@ MIN_TRACKING_OVERLAP = 0.5
 
 @dataclass(frozen=True)
 class ParameterPath:
-    """Discretized control path (a(t), b(t)), piecewise linear between samples."""
+    """Discretized control path (a(t), b(t)), piecewise linear between samples (read-only; theta unwrapped once)."""
 
     times: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    _theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        t, a, b = (np.array(x, dtype=float) for x in (self.times, self.a, self.b))
         if not (t.shape == a.shape == b.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("times, a, b must be equal-length 1-d arrays with >= 2 samples")
         for name, x in (("times", t), ("a", a), ("b", b)):
@@ -58,9 +57,9 @@ class ParameterPath:
             raise ValueError("times must be strictly increasing")
         if np.any(a * a + b * b < CRITICAL_RADIUS_SQ):
             raise CriticalPoint("path touches the critical point (a, b) = (0, 0)")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        for name, x in (("times", t), ("a", a), ("b", b), ("_theta", np.unwrap(np.arctan2(b, a)))):
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
     @property
     def duration(self) -> float:
@@ -76,8 +75,8 @@ class ParameterPath:
         return np.hypot(self.a, self.b)
 
     def theta(self) -> np.ndarray:
-        """Polar angle along the path, unwrapped assuming |dtheta| < pi per step."""
-        return np.unwrap(np.arctan2(self.b, self.a))
+        """Polar angle along the path, unwrapped assuming |dtheta| < pi per step (read-only)."""
+        return self._theta
 
 
 def circle_path(

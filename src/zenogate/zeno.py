@@ -28,12 +28,16 @@ from .adiabatic import _midpoint_propagators, _subspace_generator, ordered_exp_f
 from .errors import (
     GridMismatch,
     IncompleteResolution,
+    InsufficientSamples,
     NotASubspaceRotation,
     ZeroSurvival,
 )
-from .linalg import _range_basis, hermitian_eigendecomposition, spectral_norm
+from .linalg import _compress, _range_basis, expm_hermitian_stack, hermitian_eigendecomposition, spectral_norm
 from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath, _plane_rotation_stack,
                        _prefix_products, _small_matmul, three_level_generators)
+
+# Matrix entries per batch of step superoperators in a nonselective run: 1024 of a three-level system.
+_CHUNK_ENTRIES = 1024 * 3**4
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,8 @@ def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None
     if config.mode == "alpha_frame":
         if path is None:
             raise ValueError("alpha_frame control needs the parameter path for its angular speed")
+        if path.times.size < 3:
+            raise InsufficientSamples("alpha_frame angular speed needs at least 3 path samples")
         theta = path.theta()
         thdot = np.gradient(theta, path.times, edge_order=2)
         g = three_level_generators(theta[0]).frame_generator
@@ -130,7 +136,6 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial)
     one midpoint factor per interval; the factors P_n(0) W^dag U_0 W P_n(0)
     multiply as r x r blocks Q^dag W^dag U_0 W Q, Q a basis of P_n(0).
     """
-    initial = np.asarray(initial, dtype=complex)
     idx = _measurement_indices(frames.times, N)
     q = _range_basis(frames.projectors0[level])
     wq = (frames.frames[idx].reshape(-1, frames.dim) @ q).reshape(idx.size, frames.dim, -1)  # W Q, one BLAS call
@@ -138,16 +143,62 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial)
     if h0_of_t is not None:
         ahead = _small_matmul(_midpoint_propagators(h0_of_t, frames.times[idx]).conj().swapaxes(-1, -2), ahead)
     factors = _small_matmul(ahead.conj().swapaxes(-1, -2), wq[:-1])
-    v = wq[-1] @ ordered_product(factors) @ q.conj().T
-    amp = v @ initial
+    return _conditioned(wq[-1] @ ordered_product(factors) @ q.conj().T, initial)
+
+
+def _conditioned(v: np.ndarray, initial) -> ZenoRun:
+    """The ZenoRun of the measured evolution V_N on `initial`; ZeroSurvival when nothing survives."""
+    amp = v @ np.asarray(initial, dtype=complex)
     p = float(np.linalg.norm(amp) ** 2)
     if p < 1e-15:
         raise ZeroSurvival("survival probability vanished; conditioning is undefined")
-    return ZenoRun(
-        final_operator=v,
-        survival_probability=p,
-        conditional_state=amp / np.sqrt(p),
-    )
+    return ZenoRun(final_operator=v, survival_probability=p, conditional_state=amp / np.sqrt(p))
+
+
+@dataclass(frozen=True)
+class _RotationRun:
+    """A built-in three-level run in rotation-angle form: analytic frames W = exp(-i g phi), phi = theta - theta_0,
+    under H_0 = `speed` g (alpha dtheta/dt; 0 without control), all rotations about one generator g (g^3 = g).
+
+    The skew part of np.gradient(W^dag) W is exactly -(cos phi d(sin phi) - sin phi d(cos phi)) g for the same
+    central difference d, so `rotating_generator` is K = kappa g, kappa = speed - (cos phi d(sin phi) - ...);
+    between measurements W(t_{k+1})^dag U_0 W(t_k) = exp(-i g psi_k), psi_k = phi_k - phi_{k+1} + speed dt_k.
+    """
+
+    frames: FramePath
+    g: np.ndarray
+    phi: np.ndarray
+    speed: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def of(cls, path: ParameterPath, frames: FramePath, alpha: float) -> "_RotationRun":
+        """The run along `frames`, the analytic frames of `path`, under H_0 = alpha dtheta/dt g."""
+        theta, times = path.theta(), frames.times
+        if times.size < 3:
+            raise InsufficientSamples("frame derivative needs at least 3 samples")
+        phi, speed = theta - theta[0], alpha * np.gradient(theta, times, edge_order=2)
+        c, s = np.cos(phi), np.sin(phi)
+        kappa = speed - (c * np.gradient(s, times, edge_order=2) - s * np.gradient(c, times, edge_order=2))
+        return cls(frames, three_level_generators(theta[0]).frame_generator, phi, speed, kappa)
+
+    def gate(self, level: int) -> np.ndarray:
+        """`adiabatic._level_gate` of K; the samples commute: one exponential exp(-i trapz(kappa) Q^dag g Q)."""
+        p0 = self.frames.projectors0[level]
+        q = _range_basis(p0)
+        u = expm_hermitian_stack(_compress(q, self.g[None]), -1j * np.trapezoid(self.kappa, self.frames.times))[0]
+        return q @ u @ q.conj().T + (np.eye(self.frames.dim) - p0)
+
+    def projected_evolution(self, level: int, N: int, initial) -> ZenoRun:
+        """:func:`projected_evolution`: V_N = W(T) Q prod_k Q^dag exp(-i g psi_k) Q Q^dag."""
+        idx = _measurement_indices(self.frames.times, N)
+        times, phi = self.frames.times[idx], self.phi[idx]
+        dts = np.diff(times)
+        psi = phi[:-1] - phi[1:] + np.interp(times[:-1] + 0.5 * dts, self.frames.times, self.speed) * dts
+        q = _range_basis(self.frames.projectors0[level])
+        g1, g2 = _compress(q, np.stack([self.g, self.g @ self.g]))
+        factors = np.eye(q.shape[1]) + (np.cos(psi) - 1.0)[:, None, None] * g2 - 1j * np.sin(psi)[:, None, None] * g1
+        return _conditioned(self.frames.frames[-1] @ q @ ordered_product(factors) @ q.conj().T, initial)
 
 
 def zeno_hamiltonian(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
@@ -242,18 +293,23 @@ def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0) -> np.
     Interleaves bare propagation (`h0_of_t` sampled once) with dephasing over all levels;
     trace is preserved exactly and coherence across subspaces is removed.
     Every one of the N + 1 transported projector families must resolve the
-    identity (IncompleteResolution otherwise).
+    identity (IncompleteResolution otherwise).  Step k acts on the row-major vec(rho) as
+    sum_n (P_n U) x conj(P_n U), P_n = P_n(t_k), U = U_0 before t_k (1 at k = 0), in fixed-size batches.
     """
-    rho = np.asarray(rho0, dtype=complex)
     idx = _measurement_indices(frames.times, N)
-    wm = frames.frames[idx]
-    projs = np.einsum("kij,njl,kml->knim", wm, frames.projectors0, wm.conj())  # (N + 1, nlevels, d, d)
-    _check_resolution(projs.sum(axis=1))
-    u0 = None if h0_of_t is None else _midpoint_propagators(h0_of_t, frames.times[idx])
-    rho = _dephase(rho, projs[0])
-    for k in range(N):
-        if u0 is not None:
-            rho = u0[k] @ rho @ u0[k].conj().T
-        rho = _dephase(rho, projs[k + 1])
-        rho = rho / float(np.trace(rho).real)  # counter float drift of the exact trace preservation
-    return rho
+    dim = frames.dim
+    if h0_of_t is not None:
+        u0 = np.concatenate([np.eye(dim)[None], _midpoint_propagators(h0_of_t, frames.times[idx])])
+    chunk = max(1, _CHUNK_ENTRIES // dim**4)
+    total = np.eye(dim * dim, dtype=complex)
+    for start in range(0, N + 1, chunk):
+        wm = frames.frames[idx[start:start + chunk]]
+        maps = np.einsum("kij,njl,kml->knim", wm, frames.projectors0, wm.conj())  # P_n(t_k)
+        _check_resolution(maps.sum(axis=1))
+        if h0_of_t is not None:
+            maps = maps @ u0[start:start + chunk, None]
+        steps = np.einsum("knil,knjm->kijlm", maps, maps.conj()).reshape(-1, dim * dim, dim * dim)
+        total = ordered_product(steps) @ total
+    rho = (total @ np.asarray(rho0, dtype=complex).reshape(-1)).reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / float(np.trace(rho).real)  # counter float drift of the exact trace preservation

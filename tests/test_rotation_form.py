@@ -1,0 +1,201 @@
+"""Built-in three-level runs in rotation-angle form against the general path, and the batched nonselective run."""
+
+import numpy as np
+import pytest
+
+from zenogate import runner
+from zenogate import zeno as zn
+from zenogate.adiabatic import _level_gate, _midpoint_propagators, rotating_generator
+from zenogate.errors import InsufficientSamples
+from zenogate.linalg import expm_hermitian_stack, random_hermitian, spectral_norm
+from zenogate.scenario import scenario_from_dict
+from zenogate.spectral import FramePath, circle_path, frame_path_analytic_three_level, three_level_projectors
+from zenogate.zeno import ControlConfig, control_hamiltonian, nonselective_zeno_evolution
+
+RECORD_FIELDS = ("p_N", "q_n", "fidelity", "phi_principal", "phi_expected", "distance", "trace_drift")
+
+PATHS = {
+    "circle_w-1": {"type": "circle", "windings": -1, "duration": 1.0},
+    "circle_w0": {"type": "circle", "center": [3.0, 0.5], "radius": 1.0, "windings": 0, "duration": 1.3},
+    "circle_w1": {"type": "circle", "center": [0.2, -0.1], "radius": 0.7, "windings": 1, "duration": 2.0},
+    "circle_w2": {"type": "circle", "windings": 2, "duration": 1.0},
+    "polyline": {"type": "polyline", "points": [[1, 0], [0, 1.5], [-1, 0], [0, -0.8], [1, 0]], "duration": 1.0},
+    "samples": {"type": "samples", "times": [0.0, 0.3, 0.5, 1.1, 1.6], "a": [1.0, 0.2, -0.9, 0.1, 1.0],
+                "b": [0.0, 1.1, 0.3, -1.2, 0.0]},
+}
+CONTROLS = {"none": {"mode": "none"}, "alpha_frame": {"mode": "alpha_frame", "alpha": 0.35}}
+
+
+def _scenario(path, control, **overrides):
+    data = {"engine": "zeno", "path": PATHS[path], "control": CONTROLS[control], "N": 64,
+            "initial_state": {"name": "E_minus"}, **overrides}
+    return scenario_from_dict(data)
+
+
+def _general_record(monkeypatch, scenario):
+    """The record of `scenario` with the rotation-angle form switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(runner, "_rotation_run", lambda *args: None)
+        return runner.run(scenario)
+
+
+def _assert_records_match(rec, ref, tol):
+    for name in RECORD_FIELDS:
+        a, b = getattr(rec, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a == pytest.approx(b, abs=tol), name
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [16, 64, 1024])
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("control", CONTROLS)
+def test_rotation_form_matches_general_path(monkeypatch, control, level, n, path):
+    scenario = _scenario(path, control, N=n, level=level,
+                         initial_state={"name": "E_minus" if level == 0 else "E_plus"})
+    path_, frames, _ = runner._frames_for(scenario, samples=n + 1)
+    rotation = runner._rotation_run(scenario, path_, frames)
+    assert rotation is not None
+    h0 = control_hamiltonian(scenario.control, path_)
+    psi0 = runner._initial_vector(scenario, path_)
+    general = zn.projected_evolution(h0, frames, level, n, psi0)
+    assert spectral_norm(rotation.projected_evolution(level, n, psi0).final_operator
+                         - general.final_operator) <= 1e-10
+    k = rotating_generator(h0, frames)
+    assert np.abs(rotation.kappa[:, None, None] * rotation.g - k).max() <= 1e-10 * max(1.0, np.abs(k).max())
+    assert spectral_norm(rotation.gate(level) - _level_gate(k, frames, level)) <= 1e-10
+    _assert_records_match(runner.run(scenario), _general_record(monkeypatch, scenario), 1e-10)
+
+
+@pytest.mark.parametrize("nonselective", [False, True])
+@pytest.mark.parametrize("control", CONTROLS)
+def test_single_measurement_has_no_frame_derivative(monkeypatch, control, nonselective):
+    scenario = _scenario("circle_w1", control, N=1, nonselective=nonselective)
+    with pytest.raises(InsufficientSamples):
+        runner.run(scenario)
+    with pytest.raises(InsufficientSamples):
+        _general_record(monkeypatch, scenario)
+
+
+@pytest.mark.parametrize("path", ["circle_w1", "polyline", "samples"])
+@pytest.mark.parametrize("control", CONTROLS)
+def test_nonselective_rotation_form_matches_general_path(monkeypatch, control, path):
+    scenario = _scenario(path, control, N=512, nonselective=True,
+                         initial_state={"amplitudes": [0.8, 0.36, -0.48]})
+    _assert_records_match(runner.run(scenario), _general_record(monkeypatch, scenario), 1e-10)
+
+
+@pytest.mark.parametrize("path", ["circle_w1", "polyline"])
+@pytest.mark.parametrize("control", CONTROLS)
+def test_dissipative_rotation_form_matches_general_path(monkeypatch, control, path):
+    scenario = scenario_from_dict({"engine": "dissipative", "path": PATHS[path], "control": CONTROLS[control],
+                                   "gamma": 300.0, "alphas": [0.0, 1.0],
+                                   "initial_state": {"amplitudes": [1.0, 0.0, 0.0]}})
+    _assert_records_match(runner.run(scenario), _general_record(monkeypatch, scenario), 1e-10)
+
+
+def _stepwise_nonselective(h0_of_t, frames, n, rho0):
+    """The step-by-step nonselective loop: dephase, then per interval propagate, dephase and renormalize."""
+    idx = np.arange(0, frames.times.size, (frames.times.size - 1) // n)
+    wm = frames.frames[idx]
+    projs = np.einsum("kij,njl,kml->knim", wm, frames.projectors0, wm.conj())
+    u0 = None if h0_of_t is None else _midpoint_propagators(h0_of_t, frames.times[idx])
+    rho = zn._dephase(np.asarray(rho0, dtype=complex), projs[0])
+    for k in range(n):
+        if u0 is not None:
+            rho = u0[k] @ rho @ u0[k].conj().T
+        rho = zn._dephase(rho, projs[k + 1])
+        rho = rho / float(np.trace(rho).real)
+    return rho
+
+
+def _mixed_state(dim, rng):
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def _nonselective_case(case, rng):
+    """(h0, frames, N): N = 1, wagon wheel and alpha control past one batch, a d = 4 custom control past several."""
+    if case == "single_step":
+        path = circle_path(samples=2)
+        return None, frame_path_analytic_three_level(path), 1
+    if case == "wagon_wheel":
+        h = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]])
+        times = np.linspace(0.0, np.pi, 2501)
+        return (lambda t: h), zn.wagon_wheel_frames(h, times, three_level_projectors(0.0)), 2500
+    if case == "alpha_frame":
+        path = circle_path(windings=2, samples=2 * 1100 + 1)
+        h0 = control_hamiltonian(ControlConfig(mode="alpha_frame", alpha=0.4), path)
+        return h0, frame_path_analytic_three_level(path), 1100
+    times = np.linspace(0.0, 1.0, 701)
+    g = random_hermitian(4, rng)
+    basis = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    projectors0 = np.stack([basis[:, :2] @ basis[:, :2].conj().T, np.outer(basis[:, 2], basis[:, 2].conj()),
+                            np.outer(basis[:, 3], basis[:, 3].conj())])
+    frames = FramePath(times=times, frames=expm_hermitian_stack(np.broadcast_to(g, (701, 4, 4)), -1j * times),
+                       projectors0=projectors0)
+    h0 = control_hamiltonian(ControlConfig(mode="custom", hamiltonian=random_hermitian(4, rng, scale=3.0)))
+    return h0, frames, 700
+
+
+@pytest.mark.parametrize("case", ["single_step", "wagon_wheel", "alpha_frame", "custom_d4"])
+def test_batched_nonselective_matches_stepwise_loop(rng, case):
+    h0, frames, n = _nonselective_case(case, rng)
+    rho0 = _mixed_state(frames.dim, rng)
+    out = nonselective_zeno_evolution(h0, frames, n, rho0)
+    assert np.abs(out - _stepwise_nonselective(h0, frames, n, rho0)).max() <= 1e-12
+    assert np.array_equal(out, out.conj().T)
+
+
+def _count_calls(monkeypatch):
+    calls = {"rotating_generator": 0, "projected_evolution": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(runner, "rotating_generator", counted("rotating_generator", rotating_generator))
+    monkeypatch.setattr(zn, "projected_evolution", counted("projected_evolution", zn.projected_evolution))
+    return calls
+
+
+CUSTOM_CONTROL = [[0.3, 0.1, 0.0], [0.1, -0.2, [0.0, 0.4]], [0.0, [0.0, -0.4], 0.0]]
+WAGON_WHEEL = [[0.0, 0.0, 0.0], [0.0, 0.0, [0.0, -1.0]], [0.0, [0.0, 1.0], 0.0]]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"control": {"mode": "alpha_frame", "alpha": 0.5}},
+                                       {"nonselective": True},
+                                       {"engine": "dissipative", "gamma": 100.0, "alphas": [0.0, 1.0]}],
+                         ids=["none", "alpha_frame", "nonselective", "dissipative"])
+def test_rotation_form_skips_the_general_path(monkeypatch, overrides):
+    calls = _count_calls(monkeypatch)
+    data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 256,
+            "initial_state": {"name": "E_minus"}, **overrides}
+    runner.run(scenario_from_dict(data))
+    assert calls == {"rotating_generator": 0, "projected_evolution": 0}
+
+
+@pytest.mark.parametrize("overrides", [{"frame_method": "tracked"},
+                                       {"control": {"mode": "wagon_wheel", "hamiltonian": WAGON_WHEEL}},
+                                       {"control": {"mode": "custom", "hamiltonian": CUSTOM_CONTROL}},
+                                       "custom_model"],
+                         ids=["tracked", "wagon_wheel", "custom_control", "custom_model"])
+def test_other_runs_take_the_general_path(monkeypatch, overrides):
+    calls = _count_calls(monkeypatch)
+    data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 256,
+            "initial_state": {"name": "E_minus"}}
+    if overrides == "custom_model":
+        hams = []
+        for t in np.linspace(0.0, 1.0, 257):
+            h = np.diag([0.0, 1.0, 3.0 + np.cos(2 * np.pi * t)])
+            hams.append({"t": float(t), "matrix": h.tolist()})
+        data.update(model={"type": "custom", "hamiltonians": hams}, initial_state={"amplitudes": [1.0, 0.0, 0.0]})
+        del data["path"]
+    else:
+        data.update(overrides)
+    runner.run(scenario_from_dict(data))
+    assert calls == {"rotating_generator": 1, "projected_evolution": 1}

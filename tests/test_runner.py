@@ -1,5 +1,6 @@
 import copy
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from zenogate import dissipative, runner
 from zenogate import scenario as scenario_module
-from zenogate.adiabatic import rotating_generator
+from zenogate.adiabatic import _level_gate, rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import load_scenario, scenario_from_dict
@@ -399,7 +400,8 @@ def lab_frame_record(data):
                                                           dissipative.STIFFNESS_BUDGET))))
     final = dissipative.integrate_master(h0, diss, rho0, duration, steps).final
     record = runner.ResultRecord(scenario_id=scenario.name, digest=scenario.digest, engine=scenario.engine)
-    runner._record_dephased_prediction(record, rotating_generator(h0, frames), frames, rho0, final)
+    runner._record_dephased_prediction(record, partial(_level_gate, rotating_generator(h0, frames), frames), frames,
+                                       rho0, final)
     return record
 
 
