@@ -27,10 +27,9 @@ def _print_record(rec):
     print("  ".join(f"{k}={v}" for k, v in pairs if v != ""))
 
 
-def _parse_values(text: str, axis: str):
-    parse = int if axis in ("N", "steps") else float
-    try:
-        return [parse(p) for p in text.split(",") if p.strip()]
+def _parse_values(text: str):
+    try:  # floats on every axis: `sweep` alone judges whether a count is integral
+        return [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ValidationError(f"--values: {exc}") from exc
 
@@ -46,7 +45,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
-    summary = sweep(scenario, args.axis, _parse_values(args.values, args.axis))
+    summary = sweep(scenario, args.axis, _parse_values(args.values))
     for rec in summary.records:
         _print_record(rec)
     for name, slope in summary.slopes.items():

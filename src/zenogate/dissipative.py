@@ -258,34 +258,21 @@ def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterRe
     return _integrate(_dephase(np.asarray(rho0, dtype=complex), mats), np.diff(hz_total.times), rhs_at)
 
 
-def coherence_probe_states(projectors):
-    """Probe density matrices spanning all cross-block coherences plus block states."""
-    bases = [list(_range_basis(np.asarray(p, dtype=complex)).T) for p in projectors]
-    probes = []
-    for vs in bases:
-        for v in vs:
-            probes.append(np.outer(v, v.conj()))
-    for n in range(len(bases)):
-        for m in range(n + 1, len(bases)):
-            for u in bases[n]:
-                for v in bases[m]:
-                    for amp in (1.0, 1j):
-                        w = (u + amp * v) / np.sqrt(2.0)
-                        probes.append(np.outer(w, w.conj()))
-    return probes
-
-
 def dephasing_fixed_point_check(diss: DissipatorSpec, t_probe: float, probes=None) -> float:
     """Worst-case trace-norm distance of exp(t_probe D_0) rho from the dephased rho.
 
     D_0 is the `dephaser` with the projectors frozen at t = 0, exponentiated
     exactly; the distance decays exponentially in gamma * t_probe times the
-    squared weight gap.  `probes` defaults to a basis of cross-block
-    coherence states plus block-diagonal ones.
+    squared weight gap.  `probes` defaults to the states v v^dag of each
+    block's basis and w w^dag, w = (u + v) / sqrt(2) or (u + i v) / sqrt(2).
     """
     frozen = np.asarray(diss.projectors_at(0.0), dtype=complex)
     if probes is None:
-        probes = coherence_probe_states(frozen)
+        bases = [_range_basis(p).T for p in frozen]
+        vecs = [v for basis in bases for v in basis]
+        vecs += [(u + amp * v) / np.sqrt(2.0) for n, basis in enumerate(bases) for other in bases[n + 1:]
+                 for u in basis for v in other for amp in (1.0, 1j)]
+        probes = [np.outer(w, w.conj()) for w in vecs]
     flow = expm_stack(t_probe * dephaser(diss.gamma, diss.alphas, frozen)[None])[0]
     worst = 0.0
     for rho in probes:

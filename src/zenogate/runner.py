@@ -21,7 +21,7 @@ from . import dissipative as dis
 from . import zeno as zn
 from .adiabatic import _level_gate, gauge_decompose, propagate_exact, rotating_generator
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
-from .linalg import spectral_norm, state_fidelity, trace_distance
+from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
 from .scenario import MAX_COUNT, Scenario, _derived, _number
 from .spectral import (
     ClosedFormHamiltonian,
@@ -172,12 +172,13 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
 
 
 def _rotation_run(scenario: Scenario, path, frames: FramePath):
-    """The run in rotation-angle form (`zn._RotationRun`), or None.
+    """The run in rotation-angle form (`zn._RotationRun`), or None for `zn._interval_factors` and `_level_gate`.
 
-    Three-level runs with analytic frames and control none or alpha_frame have that form; every other run
-    takes `projected_evolution` and `_level_gate` of `rotating_generator`.
+    Three-level runs with analytic frames and control none or alpha_frame have that form.
     """
     mode = scenario.control.mode
+    if scenario.engine == "adiabatic" and mode != "wagon_wheel":  # wagon_wheel frames replace analytic ones
+        mode = "none"  # on every engine, but the adiabatic engine ignores the control itself
     analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
     if not analytic or mode not in ("none", "alpha_frame"):
         return None
@@ -205,27 +206,28 @@ def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath
 def _run_zeno(scenario: Scenario, record: ResultRecord):
     n, level = scenario.N, scenario.level
     path, frames, _ = _frames_for(scenario, samples=n + 1)
-    h0 = zn.control_hamiltonian(scenario.control, path)
     psi0 = _initial_vector(scenario, path)
     rotation = _rotation_run(scenario, path, frames)
-    gate_of = partial(_level_gate, rotating_generator(h0, frames), frames) if rotation is None else rotation.gate
+    if rotation is None:
+        h0 = zn.control_hamiltonian(scenario.control, path)
+        gate_of = partial(_level_gate, rotating_generator(h0, frames), frames)
+        factors = partial(zn._interval_factors, h0, frames, n)
+    else:
+        gate_of, factors = rotation.gate, partial(rotation.factors, n)
 
     if scenario.nonselective:
         rho0 = np.outer(psi0, psi0.conj())
-        rho = zn.nonselective_zeno_evolution(h0, frames, n, rho0)
+        rho = zn._nonselective(frames, factors(np.eye(frames.dim)), rho0)
         _record_dephased_prediction(record, gate_of, frames, rho0, rho)
         record.trace_drift = abs(float(np.trace(rho).real) - 1.0)
         return
 
-    zr = (zn.projected_evolution(h0, frames, level, n, psi0) if rotation is None
-          else rotation.projected_evolution(level, n, psi0))
+    q = _range_basis(frames.projectors0[level])
+    zr = zn._selective(frames, q, factors(q), psi0)
     record.p_N = zr.survival_probability
-    wt = frames.frames[-1]
-    p0 = frames.projectors0[level]
-    gate_limit = gate_of(level)
-    record.distance = spectral_norm(zr.final_operator - wt @ gate_limit @ p0)
-    pred_state = wt @ (gate_limit @ psi0)
-    record.fidelity = float(abs(pred_state.conj() @ zr.conditional_state) ** 2)
+    limit = frames.frames[-1] @ gate_of(level)  # W(T) U_Z, the lab-frame Zeno limit
+    record.distance = spectral_norm(zr.final_operator - limit @ frames.projectors0[level])
+    record.fidelity = float(abs((limit @ psi0).conj() @ zr.conditional_state) ** 2)
     _record_angle(record, scenario, path, frames, zr.final_operator, scenario.holonomy_tol)
 
 
@@ -257,7 +259,9 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     p0 = frames.projectors0[scenario.level]
     psi = decomp.gauge_evolution @ psi0
     record.q_n = float(np.real(psi.conj() @ (psi - p0 @ psi)))
-    gate = p0 @ _level_gate(rotating_generator(None, frames), frames, scenario.level) @ p0
+    rotation = _rotation_run(scenario, path, frames)
+    gate_of = partial(_level_gate, rotating_generator(None, frames), frames) if rotation is None else rotation.gate
+    gate = p0 @ gate_of(scenario.level) @ p0
     evolved = decomp.gauge_evolution @ p0
     # |<G, U_G P>|^2 / (|G|^2 |U_G P|^2) with Frobenius products: at most 1 by
     # Cauchy-Schwarz, and leakage still lowers it because U_G is unitary.

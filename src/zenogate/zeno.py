@@ -16,6 +16,11 @@ so measurement sequences reproduce slow-driving holonomies with no speed
 limit, and the H_0 term is a control knob the slow-driving scenario lacks.
 Discarding measurement outcomes gives the nonselective variant acting on
 density matrices, which dephases any coherence across subspaces.
+
+Both run in the frame rotating with W, where the measured projectors are the
+constant P_n(0) and each interval is one factor F_k = W(t_{k+1})^dag U_0 W(t_k):
+`_interval_factors` (or `_RotationRun.factors`, from rotation angles) feeds the
+shared tails `_selective` and `_nonselective`.
 """
 
 from __future__ import annotations
@@ -127,27 +132,32 @@ def _measurement_indices(times: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
-def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial) -> ZenoRun:
-    """Conditioned evolution under N projective measurements along the frame.
+def _interval_factors(h0_of_t, frames: FramePath, N: int, q: np.ndarray) -> np.ndarray:
+    """The (N, r, r) blocks Q^dag F_k Q of F_k = W(t_{k+1})^dag U_0 W(t_k), Q a (d, r) basis, at times k*T/N.
 
-    `frames` must be sampled so that the uniform measurement times k*T/N are
-    grid points.  Between measurements the bare Hamiltonian `h0_of_t` (None
-    for no bare dynamics), called once on all midpoint times, propagates with
-    one midpoint factor per interval; the factors P_n(0) W^dag U_0 W P_n(0)
-    multiply as r x r blocks Q^dag W^dag U_0 W Q, Q a basis of P_n(0).
+    `h0_of_t` (None for no bare dynamics) is called once on all midpoint times: one midpoint factor per interval.
     """
     idx = _measurement_indices(frames.times, N)
-    q = _range_basis(frames.projectors0[level])
     wq = (frames.frames[idx].reshape(-1, frames.dim) @ q).reshape(idx.size, frames.dim, -1)  # W Q, one BLAS call
     ahead = wq[1:]  # U_0^dag W(t_{k+1}) Q
     if h0_of_t is not None:
         ahead = _small_matmul(_midpoint_propagators(h0_of_t, frames.times[idx]).conj().swapaxes(-1, -2), ahead)
-    factors = _small_matmul(ahead.conj().swapaxes(-1, -2), wq[:-1])
-    return _conditioned(wq[-1] @ ordered_product(factors) @ q.conj().T, initial)
+    return _small_matmul(ahead.conj().swapaxes(-1, -2), wq[:-1])
 
 
-def _conditioned(v: np.ndarray, initial) -> ZenoRun:
-    """The ZenoRun of the measured evolution V_N on `initial`; ZeroSurvival when nothing survives."""
+def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial) -> ZenoRun:
+    """Conditioned evolution under N projective measurements along the frame.
+
+    The measurement times k*T/N must be grid points of `frames`; between them the bare Hamiltonian
+    `h0_of_t` (None for none) propagates, and the factors multiply as r x r blocks Q^dag W^dag U_0 W Q.
+    """
+    q = _range_basis(frames.projectors0[level])
+    return _selective(frames, q, _interval_factors(h0_of_t, frames, N, q), initial)
+
+
+def _selective(frames: FramePath, q: np.ndarray, factors: np.ndarray, initial) -> ZenoRun:
+    """The ZenoRun of V_N = W(T) Q prod_k (Q^dag F_k Q) Q^dag on `initial`; ZeroSurvival when nothing survives."""
+    v = frames.frames[-1] @ q @ ordered_product(factors) @ q.conj().T
     amp = v @ np.asarray(initial, dtype=complex)
     p = float(np.linalg.norm(amp) ** 2)
     if p < 1e-15:
@@ -189,16 +199,14 @@ class _RotationRun:
         u = expm_hermitian_stack(_compress(q, self.g[None]), -1j * np.trapezoid(self.kappa, self.frames.times))[0]
         return q @ u @ q.conj().T + (np.eye(self.frames.dim) - p0)
 
-    def projected_evolution(self, level: int, N: int, initial) -> ZenoRun:
-        """:func:`projected_evolution`: V_N = W(T) Q prod_k Q^dag exp(-i g psi_k) Q Q^dag."""
+    def factors(self, N: int, q: np.ndarray) -> np.ndarray:
+        """:func:`_interval_factors` from the angles: Q^dag exp(-i g psi_k) Q, g^3 = g."""
         idx = _measurement_indices(self.frames.times, N)
         times, phi = self.frames.times[idx], self.phi[idx]
         dts = np.diff(times)
         psi = phi[:-1] - phi[1:] + np.interp(times[:-1] + 0.5 * dts, self.frames.times, self.speed) * dts
-        q = _range_basis(self.frames.projectors0[level])
         g1, g2 = _compress(q, np.stack([self.g, self.g @ self.g]))
-        factors = np.eye(q.shape[1]) + (np.cos(psi) - 1.0)[:, None, None] * g2 - 1j * np.sin(psi)[:, None, None] * g1
-        return _conditioned(self.frames.frames[-1] @ q @ ordered_product(factors) @ q.conj().T, initial)
+        return np.eye(q.shape[1]) + (np.cos(psi) - 1.0)[:, None, None] * g2 - 1j * np.sin(psi)[:, None, None] * g1
 
 
 def zeno_hamiltonian(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
@@ -274,9 +282,8 @@ def _dephase(rho: np.ndarray, mats) -> np.ndarray:
 
 
 def _check_resolution(totals: np.ndarray):
-    """Raise IncompleteResolution unless every summed family in the (K, d, d) stack is the identity."""
-    defect = np.linalg.norm(totals - np.eye(totals.shape[-1]), ord=2, axis=(-2, -1)).max()
-    if defect > 1e-9:
+    """Raise IncompleteResolution unless every matrix of the (K, d, d) stack is the identity (Frobenius norm)."""
+    if np.linalg.norm(totals - np.eye(totals.shape[-1]), axis=(-2, -1)).max() > 1e-9:
         raise IncompleteResolution("projectors do not resolve the identity")
 
 
@@ -287,29 +294,32 @@ def nonselective_step(rho: np.ndarray, projectors) -> np.ndarray:
     return _dephase(rho, mats)
 
 
-def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0) -> np.ndarray:
-    """Density-matrix evolution under N unread measurements along the frame.
+def _nonselective(frames: FramePath, factors: np.ndarray, rho0) -> np.ndarray:
+    """rho0 under unread measurements around the (N, d, d) interval factors F_k (Q = 1).
 
-    Interleaves bare propagation (`h0_of_t` sampled once) with dephasing over all levels;
-    trace is preserved exactly and coherence across subspaces is removed.
-    Every one of the N + 1 transported projector families must resolve the
-    identity (IncompleteResolution otherwise).  Step k acts on the row-major vec(rho) as
-    sum_n (P_n U) x conj(P_n U), P_n = P_n(t_k), U = U_0 before t_k (1 at k = 0), in fixed-size batches.
+    rho starts as the dephased rho0 (W(0) = 1); step k acts on the row-major vec(rho) as sum_n (P_n(0) F_k)
+    x conj(P_n(0) F_k), in fixed-size batches; W(T) rotates the result back once.  IncompleteResolution
+    unless the P_n(0) sum to 1 and W(t_k) is unitary at every measurement time.
     """
-    idx = _measurement_indices(frames.times, N)
     dim = frames.dim
-    if h0_of_t is not None:
-        u0 = np.concatenate([np.eye(dim)[None], _midpoint_propagators(h0_of_t, frames.times[idx])])
+    w = frames.frames[_measurement_indices(frames.times, len(factors))]
+    _check_resolution(_small_matmul(w, w.conj().swapaxes(-1, -2)))
+    rho = nonselective_step(rho0, frames.projectors0).reshape(-1)
     chunk = max(1, _CHUNK_ENTRIES // dim**4)
-    total = np.eye(dim * dim, dtype=complex)
-    for start in range(0, N + 1, chunk):
-        wm = frames.frames[idx[start:start + chunk]]
-        maps = np.einsum("kij,njl,kml->knim", wm, frames.projectors0, wm.conj())  # P_n(t_k)
-        _check_resolution(maps.sum(axis=1))
-        if h0_of_t is not None:
-            maps = maps @ u0[start:start + chunk, None]
+    for start in range(0, len(factors), chunk):
+        maps = _small_matmul(frames.projectors0, factors[start:start + chunk, None])  # P_n(0) F_k
         steps = np.einsum("knil,knjm->kijlm", maps, maps.conj()).reshape(-1, dim * dim, dim * dim)
-        total = ordered_product(steps) @ total
-    rho = (total @ np.asarray(rho0, dtype=complex).reshape(-1)).reshape(dim, dim)
+        rho = ordered_product(steps) @ rho
+    rho = frames.frames[-1] @ rho.reshape(dim, dim) @ frames.frames[-1].conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return rho / float(np.trace(rho).real)  # counter float drift of the exact trace preservation
+
+
+def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0) -> np.ndarray:
+    """Density-matrix evolution under N unread measurements along the frame, run in the frame rotating with W.
+
+    Interleaves bare propagation (`h0_of_t` sampled once) with dephasing over the constant P_n(0); trace is
+    preserved exactly and coherence across subspaces is removed.  IncompleteResolution unless the P_n(0)
+    resolve the identity and W is unitary at every measurement time.
+    """
+    return _nonselective(frames, _interval_factors(h0_of_t, frames, N, np.eye(frames.dim)), rho0)

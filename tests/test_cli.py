@@ -144,6 +144,21 @@ class TestSweepCommand:
         assert cli.main(["sweep", scenario, "--axis", "N", "--values", "64,abc"]) == 1
         assert capsys.readouterr().err.startswith("error: --values")
 
+    @pytest.mark.parametrize("axis, values", [("N", ("64,128", "64.0,128")), ("steps", ("512,1024", "512.0,1.024e3"))])
+    def test_integral_floats_run_as_counts(self, tmp_path, axis, values):
+        scenario = write_scenario(tmp_path, GOOD if axis == "N" else DISSIPATIVE)
+        outs = []
+        for i, text in enumerate(values):
+            out = tmp_path / f"sweep{i}.csv"
+            assert cli.main(["sweep", scenario, "--axis", axis, "--values", text, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_fractional_count_exit_1(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, GOOD)
+        assert cli.main(["sweep", scenario, "--axis", "N", "--values", "64.5"]) == 1
+        assert capsys.readouterr().err.strip() == "error: N must be an integer, got 64.5"
+
     def test_axis_mismatch_exit_2(self, tmp_path):
         scenario = write_scenario(tmp_path, GOOD)
         assert cli.main(["sweep", scenario, "--axis", "gamma", "--values", "1,2"]) == 2

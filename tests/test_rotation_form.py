@@ -7,7 +7,7 @@ from zenogate import runner
 from zenogate import zeno as zn
 from zenogate.adiabatic import _level_gate, _midpoint_propagators, rotating_generator
 from zenogate.errors import InsufficientSamples
-from zenogate.linalg import expm_hermitian_stack, random_hermitian, spectral_norm
+from zenogate.linalg import _range_basis, expm_hermitian_stack, random_hermitian, spectral_norm
 from zenogate.scenario import scenario_from_dict
 from zenogate.spectral import FramePath, circle_path, frame_path_analytic_three_level, three_level_projectors
 from zenogate.zeno import ControlConfig, control_hamiltonian, nonselective_zeno_evolution
@@ -58,10 +58,8 @@ def test_rotation_form_matches_general_path(monkeypatch, control, level, n, path
     rotation = runner._rotation_run(scenario, path_, frames)
     assert rotation is not None
     h0 = control_hamiltonian(scenario.control, path_)
-    psi0 = runner._initial_vector(scenario, path_)
-    general = zn.projected_evolution(h0, frames, level, n, psi0)
-    assert spectral_norm(rotation.projected_evolution(level, n, psi0).final_operator
-                         - general.final_operator) <= 1e-10
+    for q in (_range_basis(frames.projectors0[level]), np.eye(3)):
+        assert np.abs(rotation.factors(n, q) - zn._interval_factors(h0, frames, n, q)).max() <= 1e-12
     k = rotating_generator(h0, frames)
     assert np.abs(rotation.kappa[:, None, None] * rotation.g - k).max() <= 1e-10 * max(1.0, np.abs(k).max())
     assert spectral_norm(rotation.gate(level) - _level_gate(k, frames, level)) <= 1e-10
@@ -150,7 +148,7 @@ def test_batched_nonselective_matches_stepwise_loop(rng, case):
 
 
 def _count_calls(monkeypatch):
-    calls = {"rotating_generator": 0, "projected_evolution": 0}
+    calls = {"rotating_generator": 0, "_interval_factors": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -159,7 +157,7 @@ def _count_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(runner, "rotating_generator", counted("rotating_generator", rotating_generator))
-    monkeypatch.setattr(zn, "projected_evolution", counted("projected_evolution", zn.projected_evolution))
+    monkeypatch.setattr(zn, "_interval_factors", counted("_interval_factors", zn._interval_factors))
     return calls
 
 
@@ -169,14 +167,15 @@ WAGON_WHEEL = [[0.0, 0.0, 0.0], [0.0, 0.0, [0.0, -1.0]], [0.0, [0.0, 1.0], 0.0]]
 
 @pytest.mark.parametrize("overrides", [{}, {"control": {"mode": "alpha_frame", "alpha": 0.5}},
                                        {"nonselective": True},
-                                       {"engine": "dissipative", "gamma": 100.0, "alphas": [0.0, 1.0]}],
-                         ids=["none", "alpha_frame", "nonselective", "dissipative"])
+                                       {"engine": "dissipative", "gamma": 100.0, "alphas": [0.0, 1.0]},
+                                       {"engine": "adiabatic", "control": {"mode": "alpha_frame", "alpha": 0.5}}],
+                         ids=["none", "alpha_frame", "nonselective", "dissipative", "adiabatic"])
 def test_rotation_form_skips_the_general_path(monkeypatch, overrides):
     calls = _count_calls(monkeypatch)
     data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 256,
             "initial_state": {"name": "E_minus"}, **overrides}
     runner.run(scenario_from_dict(data))
-    assert calls == {"rotating_generator": 0, "projected_evolution": 0}
+    assert calls == {"rotating_generator": 0, "_interval_factors": 0}
 
 
 @pytest.mark.parametrize("overrides", [{"frame_method": "tracked"},
@@ -198,4 +197,12 @@ def test_other_runs_take_the_general_path(monkeypatch, overrides):
     else:
         data.update(overrides)
     runner.run(scenario_from_dict(data))
-    assert calls == {"rotating_generator": 1, "projected_evolution": 1}
+    assert calls == {"rotating_generator": 1, "_interval_factors": 1}
+
+
+def test_adiabatic_wagon_wheel_frames_take_the_general_path(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    data = {"engine": "adiabatic", "path": {"type": "circle", "windings": 1},
+            "control": {"mode": "wagon_wheel", "hamiltonian": WAGON_WHEEL}, "initial_state": {"name": "E_minus"}}
+    runner.run(scenario_from_dict(data))
+    assert calls == {"rotating_generator": 1, "_interval_factors": 0}

@@ -371,6 +371,16 @@ class TestNonselective:
         with pytest.raises(IncompleteResolution):
             nonselective_step(np.eye(3, dtype=complex) / 3.0, [projs0[0]])
 
+    def test_small_spectral_defect_rejected(self, projs0):
+        scaled = [projs0[0] * (1.0 + 2e-9), projs0[1]]  # sum - 1 = 2e-9 P_0: spectral norm 2e-9
+        with pytest.raises(IncompleteResolution):
+            nonselective_step(np.eye(3, dtype=complex) / 3.0, scaled)
+
+    def test_missing_level_rejected_by_evolution(self, projs0):
+        frames = constant_frames(projs0[:1])
+        with pytest.raises(IncompleteResolution):
+            nonselective_zeno_evolution(None, frames, 8, np.eye(3, dtype=complex) / 3.0)
+
     def test_non_unitary_interior_frame_rejected(self, projs0):
         frames = constant_frames(projs0)
         frames.frames[4] = 2.0 * np.eye(3)  # one measurement family sums to 4 * identity
