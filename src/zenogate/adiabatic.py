@@ -18,7 +18,8 @@ finite-speed drive is from that limit.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +34,25 @@ from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _sample_st
 
 @dataclass(frozen=True)
 class PropagatorResult:
-    """Time-ordered propagator with a step-halving error heuristic."""
+    """Time-ordered propagator with a step-halving error heuristic.
+
+    `estimated_error` is |U - U_coarse|_2, U_coarse the product on the grid of
+    step_count // 2 steps (NaN when step_count == 1).  It is built on its first
+    read, from the kept `h_of_t`, and cached; a caller that never reads it
+    never pays for the second product.
+    """
 
     unitary: np.ndarray
     step_count: int
-    estimated_error: float
     t_final: float
+    _h_of_t: object = field(compare=False, repr=False)
+
+    @cached_property
+    def estimated_error(self) -> float:
+        if self.step_count < 2:
+            return float("nan")
+        coarse = _midpoint_propagators(self._h_of_t, np.linspace(0.0, self.t_final, self.step_count // 2 + 1))
+        return spectral_norm(self.unitary - ordered_product(coarse))
 
 
 @dataclass(frozen=True)
@@ -56,9 +70,13 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
     """Product stack[K-1] @ ... @ stack[0] (later factors leftmost).
 
     Pairwise tree reduction: exact (associativity) and much faster than a
-    Python loop for long stacks of small matrices (elementwise for d <= 2).
+    Python loop for long stacks of small matrices.  Elementwise for d <= 3,
+    where np.matmul's fixed cost per matrix dominates; measured on 63k
+    unitary factors with one BLAS thread on a 2-core x86 VM, elementwise
+    takes 11 ms against 18 ms at d = 3, np.matmul wins from d = 4 on
+    (18 ms against 25 ms).
     """
-    matmul = np.matmul if stack.shape[-1] > 2 else _small_matmul
+    matmul = np.matmul if stack.shape[-1] > 3 else _small_matmul
     m = stack
     while m.shape[0] > 1:
         even = m.shape[0] - m.shape[0] % 2
@@ -90,17 +108,13 @@ def propagate_exact(h_of_t, t_final: float, steps: int) -> PropagatorResult:
 
     `h_of_t` maps the array of midpoint times to a (K, d, d) stack (or one (d, d)
     matrix); one exactly-unitary factor per step, second order in the step size.
-    `estimated_error` compares against the half-resolution product (NaN when steps == 1).
+    `estimated_error` compares against the half-resolution product (NaN when
+    steps == 1); that product is built on the first read of the attribute.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     u = ordered_product(_midpoint_propagators(h_of_t, np.linspace(0.0, t_final, steps + 1)))
-    if steps >= 2:
-        coarse = ordered_product(_midpoint_propagators(h_of_t, np.linspace(0.0, t_final, steps // 2 + 1)))
-        est = spectral_norm(u - coarse)
-    else:
-        est = float("nan")
-    return PropagatorResult(unitary=u, step_count=steps, estimated_error=est, t_final=float(t_final))
+    return PropagatorResult(unitary=u, step_count=steps, t_final=float(t_final), _h_of_t=h_of_t)
 
 
 def rotating_generator(h0_of_t, frames: FramePath) -> np.ndarray:

@@ -434,17 +434,22 @@ def frame_path_from_spectra(times, spectra: SpectrumStack) -> FramePath:
 # Built-in three-level family
 # ---------------------------------------------------------------------------
 
+def _control_radius(a, b):
+    """(a, b, r) as float arrays with r = sqrt(a^2 + b^2); CriticalPoint where the gap closes at (0, 0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rsq = a * a + b * b
+    if np.any(rsq < CRITICAL_RADIUS_SQ):
+        raise CriticalPoint("three-level Hamiltonian is undefined at (a, b) = (0, 0)")
+    return a, b, np.sqrt(rsq)
+
+
 def three_level_hamiltonian(a, b) -> np.ndarray:
     """Real symmetric 3x3 Hamiltonian of the two-control family ((K, 3, 3) for arrays of controls).
 
     Eigenvalues are 0 (twofold) and 2*sqrt(a^2 + b^2); the gap closes at the
     critical point (a, b) = (0, 0), which is rejected.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    rsq = a * a + b * b
-    if np.any(rsq < CRITICAL_RADIUS_SQ):
-        raise CriticalPoint("three-level Hamiltonian is undefined at (a, b) = (0, 0)")
-    r = np.sqrt(rsq)
+    a, b, r = _control_radius(a, b)
     h = np.array(
         [
             [r, a, b],
@@ -457,10 +462,17 @@ def three_level_hamiltonian(a, b) -> np.ndarray:
 
 
 def three_level_propagators(a, b, dts) -> np.ndarray:
-    """exp(-i H dts) = 1 + (e^{-2 i r dts} - 1) H / (2 r) for the three-level H = 2 r P_+(theta) of rank one."""
-    h = three_level_hamiltonian(a, b)
-    r2 = 2.0 * np.hypot(a, b)
-    return np.eye(3) + ((np.exp(-1j * r2 * dts) - 1.0) / r2)[..., None, None] * h
+    """exp(-i H dts) for the three-level H = 2 r P_+(theta) = r u u^T of rank one, u = (1, a/r, b/r).
+
+    Built from u directly, without the Hamiltonian stack:
+    exp(-i H dts) = 1 + (e^{-2 i r dts} - 1) u u^T / 2.  CriticalPoint at (a, b) = (0, 0).
+    """
+    a, b, r = _control_radius(a, b)
+    u = np.stack([np.ones_like(r), a / r, b / r], axis=-1)
+    half = 0.5 * (np.exp(-2j * r * dts) - 1.0)
+    out = (half[..., None] * u)[..., :, None] * u[..., None, :]
+    np.einsum("...ii->...i", out)[...] += 1.0
+    return out
 
 
 def three_level_eigenbasis(theta):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from zenogate.adiabatic import (
+    _midpoint_propagators,
     adiabatic_evolve,
     adiabatic_generator,
     escape_probability,
     gauge_decompose,
     ordered_exp_from_samples,
+    ordered_product,
     propagate_exact,
 )
 from zenogate.errors import (
@@ -322,6 +324,24 @@ def test_ordered_exp_rejects_non_finite_samples(exponentiate):
 
 
 def test_propagate_exact_samples_h_once_per_grid(recording):
+    """The fine grid is sampled by the call, the half-resolution grid on the first read of the estimate only."""
     h = recording(loop_hamiltonian(1.0))
-    propagate_exact(h, 1.0, 64)
+    res = propagate_exact(h, 1.0, 64)
+    assert h.shapes == [(64,)]
+    est = res.estimated_error
     assert h.shapes == [(64,), (32,)]
+    coarse = ordered_product(_midpoint_propagators(loop_hamiltonian(1.0), np.linspace(0.0, 1.0, 33)))
+    assert est == spectral_norm(res.unitary - coarse)
+    assert res.estimated_error == est
+    assert h.shapes == [(64,), (32,)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 1025])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
+def test_ordered_product_matches_left_fold(rng, dim, count):
+    """Tree reduction, elementwise up to d = 3 and np.matmul above, equals stack[K-1] @ ... @ stack[0]."""
+    stack = np.linalg.qr(rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim)))[0]
+    expected = stack[0]
+    for factor in stack[1:]:
+        expected = factor @ expected
+    assert np.abs(ordered_product(stack) - expected).max() <= 1e-13

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenogate import dissipative, runner
+from zenogate import adiabatic, dissipative, runner
 from zenogate import scenario as scenario_module
 from zenogate.adiabatic import _level_gate, rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
@@ -443,6 +443,22 @@ def custom_unit_loop(samples=65, duration=1.0):
         m = [[1.0, c, s], [c, c * c, c * s], [s, c * s, s * s]]
         hams.append({"t": float(t), "matrix": m})
     return {"type": "custom", "hamiltonians": hams}
+
+
+# The cluster tolerance keeps the degenerate pair of the 65-sample model one
+# level on the 2049-point tracking grid, where H interpolates linearly between samples.
+@pytest.mark.parametrize("document", [SCENARIO_DIR / "adiabatic_slow_loop.yaml",
+                                      {"engine": "adiabatic", "model": custom_unit_loop(65), "steps": 64,
+                                       "tolerances": {"cluster": 1e-2},
+                                       "initial_state": {"amplitudes": [1.0, -1.0, 0.0]}}],
+                         ids=["adiabatic_slow_loop", "custom_adiabatic"])
+def test_adiabatic_run_builds_one_product(monkeypatch, document):
+    """The runner never reads `estimated_error`, so it never builds the half-resolution product."""
+    calls = []
+    original = adiabatic._midpoint_propagators
+    monkeypatch.setattr(adiabatic, "_midpoint_propagators", lambda *args: calls.append(1) or original(*args))
+    run(load_scenario(document) if isinstance(document, Path) else scenario_from_dict(document))
+    assert len(calls) == 1
 
 
 def _edited_document(scenario, axis, value):

@@ -53,6 +53,14 @@ class TestThreeLevelHamiltonian:
         reference = expm_hermitian_stack(three_level_hamiltonian(a, b), -1j * dts)
         assert np.abs(three_level_propagators(a, b, dts) - reference).max() <= 1e-14
 
+    def test_closed_form_propagators_where_the_phase_wraps(self, rng):
+        """At 2 r dts of many turns the rank-one form still matches the eigh exponential."""
+        r, theta = rng.uniform(0.5, 2.0, 256), rng.uniform(-np.pi, np.pi, 256)
+        a, b = r * np.cos(theta), r * np.sin(theta)
+        dts = rng.uniform(2.0 * np.pi, 7.0, 256)  # 2 r dts from 2 pi to 28
+        reference = expm_hermitian_stack(three_level_hamiltonian(a, b), -1j * dts)
+        assert np.abs(three_level_propagators(a, b, dts) - reference).max() <= 1e-14
+
 
 class TestThreeLevelEigenbasis:
     def test_theta_zero_vectors(self):
