@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateBasis, ValidationError
 from .linalg import (
-    expm_hermitian,
-    hermitian_eigendecomposition,
+    _spectral_norms,
+    expm_hermitian_stack,
     hermiticity_defect,
     projector_from_basis,
     random_hermitian,
@@ -24,7 +25,6 @@ from .spectral import (
     ParameterPath,
     frame_path_analytic_three_level,
     instantaneous_spectra,
-    instantaneous_spectrum,
     three_level_eigenbasis,
     three_level_hamiltonian,
     track_levels,
@@ -44,25 +44,34 @@ class CheckResult:
         return f"{verdict}  {self.name}: worst {self.worst:.3e} (bound {self.bound:.1e})"
 
 
+def _by_dimension(probes):
+    """Probes (tuples led by a square matrix) stacked per dimension: one tuple of arrays per dimension."""
+    groups = {}
+    for probe in probes:
+        groups.setdefault(probe[0].shape[-1], []).append(probe)
+    return [tuple(np.array(x) for x in zip(*group)) for group in groups.values()]
+
+
 def _check_expm_unitarity(rng, cases):
-    worst = 0.0
+    probes = []
     for _ in range(cases):
-        dim = int(rng.integers(2, 9))
-        h = random_hermitian(dim, rng, scale=float(rng.uniform(0.1, 5.0)))
-        u = expm_hermitian(h, 1j * float(rng.uniform(-4.0, 4.0)))
-        worst = max(worst, spectral_norm(u.conj().T @ u - np.eye(dim)))
+        h = random_hermitian(int(rng.integers(2, 9)), rng, scale=float(rng.uniform(0.1, 5.0)))
+        probes.append((h, 1j * float(rng.uniform(-4.0, 4.0))))
+    worst = 0.0
+    for hs, scales in _by_dimension(probes):
+        u = expm_hermitian_stack(hs, scales)
+        worst = max(worst, float(_spectral_norms(u.conj().swapaxes(-1, -2) @ u - np.eye(hs.shape[-1])).max()))
     return CheckResult("expm_hermitian unitarity (imaginary scale)", worst <= 1e-10, 1e-10, worst)
 
 
 def _check_eig_round_trip(rng, cases):
+    probes = [(random_hermitian(int(rng.integers(2, 9)), rng, scale=float(rng.uniform(0.1, 10.0))),)
+              for _ in range(cases)]
     worst = 0.0
-    for _ in range(cases):
-        dim = int(rng.integers(2, 9))
-        h = random_hermitian(dim, rng, scale=float(rng.uniform(0.1, 10.0)))
-        w, v = hermitian_eigendecomposition(h)
-        rebuilt = sum(w[i] * np.outer(v[:, i], v[:, i].conj()) for i in range(dim))
-        scale = max(1.0, spectral_norm(h))
-        worst = max(worst, spectral_norm(h - rebuilt) / scale)
+    for (hs,) in _by_dimension(probes):
+        w, v = np.linalg.eigh(hs)
+        rebuilt = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        worst = max(worst, float((_spectral_norms(hs - rebuilt) / np.maximum(1.0, _spectral_norms(hs))).max()))
     return CheckResult("eigendecomposition round trip", worst <= 1e-9, 1e-9, worst)
 
 
@@ -74,7 +83,7 @@ def _check_projector_invariants(rng, cases):
         vectors = [random_state(dim, rng) for _ in range(count)]
         try:
             p = projector_from_basis(vectors)
-        except Exception:
+        except DegenerateBasis:
             continue  # random degeneracy: rejection is the contract
         trace = abs(float(np.trace(p).real) - count)
         worst = max(worst, spectral_norm(p @ p - p), hermiticity_defect(p), trace)
@@ -82,26 +91,24 @@ def _check_projector_invariants(rng, cases):
 
 
 def _check_submultiplicative(rng, cases):
-    worst = -np.inf
+    probes = []
     for _ in range(cases):
         dim = int(rng.integers(2, 9))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        excess = spectral_norm(a @ b) - spectral_norm(a) * spectral_norm(b)
-        worst = max(worst, excess)
+        probes.append((a, b))
+    worst = -np.inf
+    for a, b in _by_dimension(probes):
+        worst = max(worst, float((_spectral_norms(a @ b) - _spectral_norms(a) * _spectral_norms(b)).max()))
     return CheckResult("spectral_norm submultiplicativity", worst <= 1e-9, 1e-9, worst)
 
 
 def _check_three_level_spectrum(rng, cases):
-    worst = 0.0
-    ok = True
-    for _ in range(cases):
-        r = float(rng.choice([0.1, 1.0, 10.0]))
-        th = float(rng.uniform(-np.pi, np.pi))
-        spec = instantaneous_spectrum(three_level_hamiltonian(r * np.cos(th), r * np.sin(th)))
-        ok = ok and spec.ranks[0].tolist() == [2, 1]
-        energies = spec.energies[0].tolist()
-        worst = max(worst, abs(energies[0]), abs(energies[1] - 2 * r))
+    draws = [(float(rng.choice([0.1, 1.0, 10.0])), float(rng.uniform(-np.pi, np.pi))) for _ in range(cases)]
+    r, th = np.array(draws).T
+    spec = instantaneous_spectra(three_level_hamiltonian(r * np.cos(th), r * np.sin(th)))
+    ok = spec.ranks.tolist() == [[2, 1]] * cases
+    worst = max(0.0, float(np.abs(spec.energies[:, 0]).max()), float(np.abs(spec.energies[:, 1] - 2 * r).max()))
     return CheckResult("three-level energies {0, 2r} with ranks {2, 1}", ok and worst <= 1e-9, 1e-9, worst)
 
 
@@ -115,16 +122,15 @@ def _random_loop(rng, max_step=0.05):
 
 
 def _check_frame_intertwining(rng, cases):
-    worst = 0.0
+    defects = []
     for _ in range(cases):
         path, _ = _random_loop(rng)
         spectra = instantaneous_spectra(three_level_hamiltonian(path.a, path.b))
         frames, order = track_levels(path.times, spectra)
         projectors = spectra.projectors()
-        for n in range(frames.nlevels):
-            transported = frames.projector_path(n)
-            for k in range(0, frames.times.size, max(1, frames.times.size // 16)):
-                worst = max(worst, spectral_norm(transported[k] - projectors[k, order[k, n]]))
+        ks = np.arange(0, frames.times.size, max(1, frames.times.size // 16))
+        defects += [frames.projector_path(n)[ks] - projectors[ks, order[ks, n]] for n in range(frames.nlevels)]
+    worst = float(_spectral_norms(np.concatenate(defects)).max())
     return CheckResult("tracked frame intertwining", worst <= 1e-8, 1e-8, worst)
 
 
@@ -145,35 +151,29 @@ def _check_winding_reparameterization(rng, cases):
 
 
 def _check_eigenbasis_equations(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        r = float(rng.uniform(0.1, 10.0))
-        th = float(rng.uniform(-np.pi, np.pi))
-        h = three_level_hamiltonian(r * np.cos(th), r * np.sin(th))
-        ep, em, ez = three_level_eigenbasis(th)
-        worst = max(
-            worst,
-            float(np.abs(h @ ez).max()),
-            float(np.abs(h @ em).max()),
-            float(np.abs(h @ ep - 2 * r * ep).max()),
-        )
+    r, th = np.array([(float(rng.uniform(0.1, 10.0)), float(rng.uniform(-np.pi, np.pi))) for _ in range(cases)]).T
+    h = three_level_hamiltonian(r * np.cos(th), r * np.sin(th))
+    e = np.stack(three_level_eigenbasis(th), axis=-1)  # columns E_plus, E_minus, E_zero
+    energies = np.stack([2 * r, 0 * r, 0 * r], axis=-1)[:, None, :]
+    worst = float(np.abs(h @ e - e * energies).max())
     return CheckResult("three-level eigenvector equations", worst <= 1e-10, 1e-10, worst)
 
 
 def _check_analytic_frame_unitarity(rng, cases):
-    worst = 0.0
+    defects = []
     for _ in range(cases):
         path, _ = _random_loop(rng, max_step=0.3)
         frames = frame_path_analytic_three_level(path)
-        k = int(rng.integers(0, frames.times.size))
-        w = frames.frames[k]
-        worst = max(worst, spectral_norm(w.conj().T @ w - np.eye(3)))
-        worst = max(worst, spectral_norm(frames.frames[0] - np.eye(3)))
+        w = frames.frames[int(rng.integers(0, frames.times.size))]
+        defects += [w.conj().T @ w - np.eye(3), frames.frames[0] - np.eye(3)]
+    worst = float(_spectral_norms(np.array(defects)).max())
     return CheckResult("analytic frame unitarity and W(0) = 1", worst <= 1e-12, 1e-12, worst)
 
 
 def run_checks(cases: int = 100, seed: int = 2024):
-    """Run every invariant check with `cases` seeded probes each."""
+    """Run every invariant check with `cases` seeded probes each (ValidationError unless cases >= 1)."""
+    if cases < 1:
+        raise ValidationError(f"cases must be at least 1, got {cases}")
     rng = np.random.default_rng(seed)
     heavy = max(8, cases // 8)  # loop-building checks are costlier per case
     return [

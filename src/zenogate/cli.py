@@ -7,8 +7,9 @@ Subcommands::
                    [--out PATH] [--format csv|json-like] [--timing]
     zenogate check [--cases 100] [--seed 2024]
 
-Exit codes: 0 success, 1 scenario parse/validation error or a file that
-cannot be read or written, 2 engine error, 3 invariant-suite failure.
+Exit codes: 0 success (and --help), 1 malformed command line, scenario
+parse/validation error or a file that cannot be read or written, 2 engine
+error, 3 invariant-suite failure.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message: code 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ParseError, ValidationError, OSError) as exc:

@@ -132,13 +132,18 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     return x
 
 
+def _spectral_norms(ms) -> np.ndarray:
+    """Largest singular value of every matrix of a (..., m, n) stack, as sqrt of the top eigenvalue of m^dag m."""
+    ms = np.asarray(ms, dtype=complex)
+    if ms.size == 0:
+        return np.zeros(ms.shape[:-2])
+    top = np.linalg.eigvalsh(ms.conj().swapaxes(-1, -2) @ ms)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
 def spectral_norm(m) -> float:
     """Largest singular value, as sqrt of the top eigenvalue of m^dag m."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    top = np.linalg.eigvalsh(m.conj().T @ m)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(_spectral_norms(m))
 
 
 def trace_norm(m) -> float:

@@ -307,33 +307,44 @@ def _match_levels(spectra: SpectrumStack, overlaps: np.ndarray):
 
     At each sample, tracked level n = 0, 1, ... takes the still unclaimed
     level of largest overlap with its level at the previous sample (the
-    lower index on a tie).  The loop runs over Python integers and floats.
+    lower index on a tie).  Most samples are a plain stay, found for the
+    whole stack at once: ranks (so also the level count) unchanged, and
+    every level overlapping itself above MIN_TRACKING_OVERLAP and most of
+    all (lowest index on a tie).  The argmaxes are then distinct, so the
+    greedy pick is each level itself and the order carries over.  The
+    greedy step runs, over Python integers and floats, only at the other
+    samples (crossings, contention, failures).
 
     Returns ``(order, failure)``: tracked level n is level ``order[k, n]`` of
     sample k, for every sample before the first failing one; `failure` is
     None or ``(k, message)`` for the first sample whose level count, overlap
     or rank rules the match out.
     """
-    nlevels, ranks, overlaps = spectra.nlevels.tolist(), spectra.ranks.tolist(), overlaps.tolist()
+    nlevels, ranks = spectra.nlevels, spectra.ranks
     levels = range(nlevels[0])
-    order = [list(levels)]
-    for k in range(1, len(nlevels)):
+    square = overlaps[:, : len(levels), : len(levels)]
+    stay = (square.argmax(axis=2) == levels).all(axis=1) & (ranks[1:] == ranks[:-1]).all(axis=1)
+    stay &= (square.diagonal(axis1=1, axis2=2) > MIN_TRACKING_OVERLAP).all(axis=1)
+    order, last, start = np.empty((nlevels.size, len(levels)), dtype=int), list(levels), 0
+    for k in (np.flatnonzero(~stay) + 1).tolist():
+        order[start:k] = last
         if nlevels[k] != len(levels):
-            return np.array(order), (k, f"level count changed from {len(levels)} to {nlevels[k]} at sample {k}")
-        rows, cur, free = overlaps[k - 1], [], list(levels)
-        for n, i in enumerate(order[-1]):
+            return order[:k], (k, f"level count changed from {len(levels)} to {nlevels[k]} at sample {k}")
+        rows, cur, free = overlaps[k - 1].tolist(), [], list(levels)
+        for n, i in enumerate(last):
             row = rows[i]
             j = max(free, key=row.__getitem__)  # the first, so the lowest, of equal overlaps
             if row[j] <= MIN_TRACKING_OVERLAP:
                 message = f"projector overlap {row[j]:.3f} <= {MIN_TRACKING_OVERLAP}"
-                return np.array(order), (k, f"{message} for level {n} at sample {k}")
-            if ranks[k][j] != ranks[0][n]:
-                message = f"rank changed from {ranks[0][n]} to {ranks[k][j]}"
-                return np.array(order), (k, f"{message} for level {n} at sample {k}")
+                return order[:k], (k, f"{message} for level {n} at sample {k}")
+            if ranks[k, j] != ranks[0, n]:
+                message = f"rank changed from {ranks[0, n]} to {ranks[k, j]}"
+                return order[:k], (k, f"{message} for level {n} at sample {k}")
             free.remove(j)
             cur.append(j)
-        order.append(cur)
-    return np.array(order), None
+        last, start = cur, k
+    order[start:] = last
+    return order, None
 
 
 def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -179,6 +179,36 @@ class TestCheckCommand:
         assert cli.main(["check"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_no_probes_exit_1(self, capsys, cases):
+        assert cli.main(["check", "--cases", cases]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: cases must be at least 1, got {cases}"
+        assert "passed" not in captured.out
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
+            (["run"], "the following arguments are required: scenario"),
+            (["sweep", "s.yaml", "--axis", "N"], "the following arguments are required: --values"),
+            ([], "the following arguments are required: command"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ],
+    )
+    def test_malformed_command_line_exit_1(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: zenogate")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: zenogate")
+
 
 def test_console_entry_point(tmp_path):
     scenario = write_scenario(tmp_path, GOOD)
@@ -189,3 +219,9 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "phi_principal=" in proc.stdout
+
+
+def test_console_usage_error_exit_1():
+    proc = subprocess.run([sys.executable, "-m", "zenogate", "check", "--cases", "x"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "invalid int value: 'x'" in proc.stderr

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from zenogate.errors import SubspaceTrackingFailure
 from zenogate.linalg import random_hermitian, spectral_norm
 from zenogate.spectral import (
+    MIN_TRACKING_OVERLAP,
     SpectrumStack,
     circle_path,
     frame_path_from_spectra,
@@ -16,7 +17,7 @@ from zenogate.spectral import (
     three_level_hamiltonian,
     track_levels,
 )
-from zenogate.spectral import _polar
+from zenogate.spectral import _match_levels, _overlaps, _polar
 
 
 def reference_spectrum(h, cluster_tol=1e-8):
@@ -57,6 +58,39 @@ def reference_frames(times, spectra):
             w += bases[n] @ bases0[n].conj().T
         frames.append(w)
     return np.array(frames)
+
+
+def reference_match_levels(spectra, overlaps):
+    """Per-sample greedy matcher: at every sample, tracked level n = 0, 1, ... takes the unclaimed level of
+    largest overlap with its level at the previous sample (the lower index on a tie)."""
+    nlevels, ranks, overlaps = spectra.nlevels.tolist(), spectra.ranks.tolist(), overlaps.tolist()
+    levels = range(nlevels[0])
+    order = [list(levels)]
+    for k in range(1, len(nlevels)):
+        if nlevels[k] != len(levels):
+            return np.array(order), (k, f"level count changed from {len(levels)} to {nlevels[k]} at sample {k}")
+        rows, cur, free = overlaps[k - 1], [], list(levels)
+        for n, i in enumerate(order[-1]):
+            row = rows[i]
+            j = max(free, key=row.__getitem__)
+            if row[j] <= MIN_TRACKING_OVERLAP:
+                message = f"projector overlap {row[j]:.3f} <= {MIN_TRACKING_OVERLAP}"
+                return np.array(order), (k, f"{message} for level {n} at sample {k}")
+            if ranks[k][j] != ranks[0][n]:
+                message = f"rank changed from {ranks[0][n]} to {ranks[k][j]}"
+                return np.array(order), (k, f"{message} for level {n} at sample {k}")
+            free.remove(j)
+            cur.append(j)
+        order.append(cur)
+    return np.array(order), None
+
+
+def assert_matches_the_reference(spectra, overlaps):
+    order, failure = _match_levels(spectra, overlaps)
+    expected, expected_failure = reference_match_levels(spectra, overlaps)
+    assert order.dtype == expected.dtype and order.shape == expected.shape
+    assert np.array_equal(order, expected)
+    assert failure == expected_failure
 
 
 def rotating_family(dim, ranks, energies, slopes, g, times):
@@ -234,3 +268,77 @@ class TestTrackingFailures:
         with pytest.raises(SubspaceTrackingFailure) as err:
             frame_path_from_spectra(np.arange(len(sequence), dtype=float), spectra_of(*sequence))
         assert str(err.value) == message
+
+
+OVERLAP_VALUES = st.sampled_from([0.0, 0.0, 0.0, 0.3, 0.5, 0.6, 1.0])
+
+
+@st.composite
+def matching_problems(draw):
+    """(SpectrumStack, overlaps) in which runs of plain stays are broken by crossings, exact ties,
+    overlaps of exactly 0.5 and changes of rank or level count; the matcher reads only ranks and overlaps."""
+    ranks, blocks = [draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))], []
+    for _ in range(draw(st.integers(0, 12))):
+        prev = ranks[-1]
+        event = draw(st.sampled_from(["stay"] * 6 + ["contend", "contend", "cross", "cross", "count", "rank"]))
+        perm = list(range(len(prev))) if event in ("stay", "contend") else draw(st.permutations(range(len(prev))))
+        nxt = [prev[perm.index(j)] for j in range(len(prev))]  # level i moves to perm[i]
+        if event == "count":
+            nxt = nxt + [1] if len(nxt) == 1 or draw(st.booleans()) else nxt[:-1]
+        if event == "rank":
+            j = draw(st.integers(0, len(nxt) - 1))
+            nxt[j] = nxt[j] % 3 + 1
+        block = np.zeros((len(prev), len(nxt)))
+        if event in ("contend", "cross"):
+            block = np.array(draw(st.lists(st.lists(OVERLAP_VALUES, min_size=len(nxt), max_size=len(nxt)),
+                                           min_size=len(prev), max_size=len(prev))))
+        for i, j in enumerate(perm):
+            if j < len(nxt):
+                block[i, j] = max(block[i, j], draw(st.sampled_from([0.5] + [0.6, 1.0] * 6)))
+        ranks.append(nxt)
+        blocks.append(block)
+    padded = np.zeros((len(ranks), max(map(len, ranks))), dtype=int)
+    overlaps = np.zeros((len(blocks),) + padded.shape[1:] * 2)
+    for k, r in enumerate(ranks):
+        padded[k, : len(r)] = r
+    for k, block in enumerate(blocks):
+        overlaps[k, : block.shape[0], : block.shape[1]] = block
+    energies = np.where(padded > 0, 0.0, np.nan)
+    return SpectrumStack(energies=energies, ranks=padded, vectors=np.zeros((len(ranks), 1, 1), dtype=complex)), overlaps
+
+
+class TestMatchingIsThePerSampleGreedy:
+    """The stacked matcher returns exactly the order and failure of the per-sample greedy loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=matching_problems())
+    def test_drawn_overlaps(self, problem):
+        assert_matches_the_reference(*problem)
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            [tuple(E4.T)],
+            [TWO_PAIRS] * 3,
+            [TWO_PAIRS, TWO_PAIRS[::-1], TWO_PAIRS, TWO_PAIRS[::-1]],
+            [tuple(E4.T)] * 3 + [tuple(HADAMARD.T)],
+            [TWO_PAIRS] * 2 + [(E4[:, :2], E4[:, 2], E4[:, 3])],
+            [(np.eye(3)[:, :2], np.eye(3)[:, 2])] * 2 + [(np.eye(3)[:, 0], np.eye(3)[:, 1:])],
+            [TWO_PAIRS] * 2 + [(E4[:, [0, 2]], E4[:, [1, 3]])],
+        ],
+        ids=["single_sample", "stays", "crossings", "overlap_half", "level_count", "rank_change", "rank_loss"],
+    )
+    def test_hand_built_spectra(self, sequence):
+        stack = spectra_of(*sequence)
+        assert_matches_the_reference(stack, _overlaps(stack))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(2, 5), cuts=st.sets(st.integers(1, 4), max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_crossing_families(self, dim, cuts, seed):
+        edges = [0] + sorted(c for c in cuts if c < dim) + [dim]
+        ranks = np.diff(edges)
+        rng = np.random.default_rng(seed)
+        energies, slopes = rng.uniform(-2.0, 2.0, ranks.size), rng.uniform(-3.0, 3.0, ranks.size)
+        hs, _, _ = rotating_family(dim, ranks, energies, slopes, random_hermitian(dim, rng), np.linspace(0.0, 1.0, 97))
+        stack = instantaneous_spectra(hs)
+        assert_matches_the_reference(stack, _overlaps(stack))
