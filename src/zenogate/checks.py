@@ -31,6 +31,8 @@ from .spectral import (
     winding_number,
 )
 
+MAX_CASES = 10_000  # one check's probes are held at once, so memory grows with the count
+
 
 @dataclass
 class CheckResult:
@@ -171,9 +173,11 @@ def _check_analytic_frame_unitarity(rng, cases):
 
 
 def run_checks(cases: int = 100, seed: int = 2024):
-    """Run every invariant check with `cases` seeded probes each (ValidationError unless cases >= 1)."""
+    """Run every invariant check with `cases` seeded probes each (ValidationError unless 1 <= cases <= MAX_CASES)."""
     if cases < 1:
         raise ValidationError(f"cases must be at least 1, got {cases}")
+    if cases > MAX_CASES:
+        raise ValidationError(f"cases must be at most {MAX_CASES}, got {cases}")
     rng = np.random.default_rng(seed)
     heavy = max(8, cases // 8)  # loop-building checks are costlier per case
     return [

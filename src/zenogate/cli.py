@@ -7,6 +7,11 @@ Subcommands::
                    [--out PATH] [--format csv|json-like] [--timing]
     zenogate check [--cases 100] [--seed 2024]
 
+A sweep axis applies to the engines that read the key it edits: N (the
+zeno engine), gamma (dissipative), alpha (zeno and dissipative, with
+control.mode alpha_frame), T (every engine) and steps (adiabatic and
+dissipative).
+
 Exit codes: 0 success (and --help), 1 malformed command line, scenario
 parse/validation error or a file that cannot be read or written, 2 engine
 error, 3 invariant-suite failure.
@@ -19,7 +24,7 @@ import sys
 
 from .checks import run_checks
 from .errors import ParseError, ValidationError, ZenogateError
-from .runner import CSV_COLUMNS, emit, run, sweep
+from .runner import AXIS_KEYS, CSV_COLUMNS, emit, run, sweep
 from .scenario import load_scenario
 
 
@@ -78,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a scenario along one axis")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--axis", required=True, choices=["N", "gamma", "alpha", "T", "steps"])
+    p_sweep.add_argument("--axis", required=True, choices=list(AXIS_KEYS))
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=["csv", "json-like"], default="csv")

@@ -22,7 +22,7 @@ from . import zeno as zn
 from .adiabatic import _level_gate, gauge_decompose, propagate_exact, rotating_generator
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
-from .scenario import MAX_COUNT, Scenario, _derived, _number
+from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
 from .spectral import (
     ClosedFormHamiltonian,
     FramePath,
@@ -115,7 +115,7 @@ def _frames_for(scenario: Scenario, samples: int):
         if m is not None and m.shape[0] != dim:
             raise ValidationError(f"{where} has dimension {m.shape[0]}, the model has dimension {dim}")
     energies = None
-    if path is not None and scenario.control.mode == "wagon_wheel":
+    if scenario.control.mode == "wagon_wheel":
         theta0 = float(path.theta()[0])
         frames = zn.wagon_wheel_frames(scenario.control.hamiltonian, path.times, three_level_projectors(theta0))
     elif scenario.frame_method == "analytic":
@@ -140,12 +140,10 @@ def _initial_vector(scenario: Scenario, path) -> np.ndarray:
 
 def _expected_holonomy(scenario: Scenario, path) -> float | None:
     """Predicted unwrapped rotation angle of three-level level 0, when its control admits one."""
-    if scenario.control.mode not in ("none", "alpha_frame") and scenario.engine != "adiabatic":
+    if scenario.control.mode not in ("none", "alpha_frame"):
         return None
     theta = path.theta()
-    controlled = scenario.control.mode == "alpha_frame" and scenario.engine != "adiabatic"
-    alpha = scenario.control.alpha if controlled else 0.0
-    return float((1.0 - alpha) * (theta[-1] - theta[0]) / np.sqrt(2.0))
+    return float((1.0 - scenario.control.alpha) * (theta[-1] - theta[0]) / np.sqrt(2.0))
 
 
 def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FramePath, gate, tol: float):
@@ -176,13 +174,10 @@ def _rotation_run(scenario: Scenario, path, frames: FramePath):
 
     Three-level runs with analytic frames and control none or alpha_frame have that form.
     """
-    mode = scenario.control.mode
-    if scenario.engine == "adiabatic" and mode != "wagon_wheel":  # wagon_wheel frames replace analytic ones
-        mode = "none"  # on every engine, but the adiabatic engine ignores the control itself
     analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
-    if not analytic or mode not in ("none", "alpha_frame"):
+    if not analytic or scenario.control.mode not in ("none", "alpha_frame"):
         return None
-    return zn._RotationRun.of(path, frames, scenario.control.alpha if mode == "alpha_frame" else 0.0)
+    return zn._RotationRun.of(path, frames, scenario.control.alpha)
 
 
 def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath, rho0, rho):
@@ -318,13 +313,7 @@ def run(scenario: Scenario) -> ResultRecord:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_AXES = {
-    "N": ("zeno",),
-    "gamma": ("dissipative",),
-    "alpha": ("zeno",),
-    "T": ("zeno", "adiabatic", "dissipative"),
-    "steps": ("adiabatic", "dissipative"),
-}
+AXIS_KEYS = {"N": "N", "gamma": "gamma", "alpha": "control", "T": "path", "steps": "steps"}  # the key each axis edits
 
 
 def _derive(scenario: Scenario, axis: str, value) -> Scenario:
@@ -364,9 +353,9 @@ def _loglog_slope(xs, ys) -> float | None:
 
 def sweep(scenario: Scenario, axis: str, values) -> SweepSummary:
     """Run the scenario once per axis value; fit slopes on convergence axes."""
-    if axis not in _AXES:
+    if axis not in AXIS_KEYS:
         raise AxisMismatch(f"unknown sweep axis {axis!r}")
-    if scenario.engine not in _AXES[axis]:
+    if AXIS_KEYS[axis] not in ENGINE_KEYS[scenario.engine]:
         raise AxisMismatch(f"axis {axis!r} does not apply to the {scenario.engine} engine")
     if axis == "alpha" and scenario.control.mode != "alpha_frame":
         raise AxisMismatch("axis 'alpha' requires control.mode = alpha_frame")

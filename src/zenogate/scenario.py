@@ -3,10 +3,12 @@
 A scenario is a YAML document (flat keys with nested sections) declaring the
 model, control path, engine, and numerical knobs of one experiment.  Unknown
 keys are rejected outright (ParseError) because a silently ignored typo can
-poison a whole physics sweep; constraint violations raise ValidationError
-naming the offending field.
+poison a whole physics sweep.  A key that the engine (``ENGINE_KEYS``) or
+the control mode (``CONTROL_KEYS``) does not read, and every other
+constraint violation, raise ValidationError naming the offending field.
 
-Schema (defaults in parentheses)::
+Schema (defaults in parentheses; a key marked with engines is read by those
+engines only, the others by every engine)::
 
     name: str                     # optional identifier; defaults to digest prefix
     engine: adiabatic | zeno | dissipative
@@ -23,18 +25,18 @@ Schema (defaults in parentheses)::
       samples: K                  (engine-dependent)   # uniform times every path type is resampled to
       points: [[a, b], ...]       # polyline corners
       times/a/b: [...]            # explicit samples
-    control:
+    control:                      # zeno and dissipative
       mode: none | alpha_frame | wagon_wheel | custom   (none)
-      alpha: x                    # alpha_frame strength
-      hamiltonian: [[...], ...]   # constant Hermitian matrix for wagon_wheel/custom
+      alpha: x                    # alpha_frame only: strength (0)
+      hamiltonian: [[...], ...]   # wagon_wheel and custom only: constant Hermitian matrix
     N: 4096                       # zeno: number of measurements
-    steps: int                    # integrator steps (engine-dependent default)
+    steps: int                    # adiabatic and dissipative: integrator steps (engine-dependent default)
     gamma: rate                   # dissipative
     alphas: [0.0, 1.0, ...]       # dissipative: one dephasing weight per level (0..nlevels-1)
     initial_state:
       name: E_plus | E_minus | E_zero   # three_level eigenvectors at the path start
       amplitudes: [...]                 # or explicit amplitudes
-    level: 0                      # eigenspace index followed by the run
+    level: 0                      # zeno and adiabatic: eigenspace index followed by the run
     nonselective: false           # zeno: evolve a density matrix, outcomes unread
     frame_method: analytic | tracked    (analytic for three_level, tracked for custom)
     runtime_budget_s: float       # optional declared runtime bound
@@ -46,7 +48,9 @@ Every number must be finite, and counts (N, steps, level, windings,
 samples) integral and at most ``MAX_COUNT`` in magnitude, as is every
 step count the runner derives; `name` is a string or a number.  Matrix
 entries are real numbers or two-element ``[re, im]`` lists; every matrix
-must be Hermitian to ``linalg.HERMITICITY_TOL``.
+must be Hermitian to ``linalg.HERMITICITY_TOL``.  The alpha_frame and
+wagon_wheel controls need the three_level model, and wagon_wheel builds its
+own frames, so it takes no frame_method.
 """
 
 from __future__ import annotations
@@ -64,14 +68,22 @@ from .linalg import HERMITICITY_TOL, hermiticity_defect
 from .spectral import ParameterPath, circle_path, polyline_path, winding_number
 from .zeno import ControlConfig
 
-ENGINES = ("adiabatic", "zeno", "dissipative")
+_SHARED_KEYS = {"engine", "name", "model", "path", "frame_method", "initial_state", "tolerances", "runtime_budget_s"}
+ENGINE_KEYS = {  # the top-level keys each engine reads; any other key is rejected
+    "adiabatic": frozenset(_SHARED_KEYS | {"level", "steps"}),
+    "zeno": frozenset(_SHARED_KEYS | {"N", "level", "nonselective", "control"}),
+    "dissipative": frozenset(_SHARED_KEYS | {"gamma", "alphas", "steps", "control"}),
+}
+ENGINES = tuple(ENGINE_KEYS)
+CONTROL_KEYS = {"none": {"mode"}, "alpha_frame": {"mode", "alpha"},  # the control sub-keys each mode reads
+                "wagon_wheel": {"mode", "hamiltonian"}, "custom": {"mode", "hamiltonian"}}
 MAX_COUNT = 2**22  # bound on every count, so no grid is sized beyond what a run can allocate
 NAMED_STATES = ("E_plus", "E_minus", "E_zero")
 
 _SECTION_KEYS = {
     "model": {"type", "hamiltonians"},
     "path": {"type", "center", "radius", "windings", "duration", "samples", "points", "times", "a", "b"},
-    "control": {"mode", "alpha", "hamiltonian"},
+    "control": set().union(*CONTROL_KEYS.values()),
     "initial_state": {"name", "amplitudes"},
     "tolerances": {"cluster", "holonomy"},
 }
@@ -221,6 +233,9 @@ def _parse_engine(data, fields):
     engine = data.get("engine")
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
+    unread = sorted(data.keys() - ENGINE_KEYS[engine])
+    if unread:
+        raise ValidationError(f"the {engine} engine does not read {unread[0]!r}")
     return {"engine": engine}
 
 
@@ -333,6 +348,14 @@ def _parse_alphas(data, fields):
 def _parse_control(data, fields):
     cspec = data.get("control", {})
     mode = cspec.get("mode", "none")
+    _require(mode in tuple(CONTROL_KEYS), f"control: unknown control mode {mode!r}")
+    unread = sorted(cspec.keys() - CONTROL_KEYS[mode])
+    if unread:
+        raise ValidationError(f"control.mode {mode} does not read control.{unread[0]}")
+    if mode in ("alpha_frame", "wagon_wheel"):
+        _require(fields["model_type"] == "three_level", f"control.mode {mode} requires the three_level model")
+    if mode == "wagon_wheel":
+        _require("frame_method" not in data, "control.mode wagon_wheel builds its own frames and takes no frame_method")
     cham = None
     if "hamiltonian" in cspec:
         cham = parse_matrix(cspec["hamiltonian"], "control.hamiltonian")
@@ -341,8 +364,6 @@ def _parse_control(data, fields):
         control = ControlConfig(mode=mode, alpha=_number(cspec.get("alpha", 0.0), "control.alpha"), hamiltonian=cham)
     except ValueError as exc:
         raise ValidationError(f"control: {exc}") from exc
-    if control.mode == "alpha_frame":
-        _require(fields["model_type"] == "three_level", "control.mode alpha_frame requires the three_level model")
     return {"control": control}
 
 

@@ -51,6 +51,11 @@ def test_no_probes_is_a_validation_error(cases):
         run_checks(cases)
 
 
+def test_case_count_is_bounded():
+    with pytest.raises(ValidationError, match=f"cases must be at most {checks.MAX_CASES}, got {checks.MAX_CASES + 1}"):
+        run_checks(checks.MAX_CASES + 1)
+
+
 def test_projector_check_skips_only_degenerate_bases(monkeypatch):
     def degenerate(vectors):
         raise DegenerateBasis("dependent")

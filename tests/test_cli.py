@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from zenogate import cli
-from zenogate.checks import CheckResult
+from zenogate.checks import MAX_CASES, CheckResult
 from zenogate.scenario import MAX_COUNT
 
 
@@ -25,10 +25,10 @@ initial_state:
 
 
 SAMPLED = "  type: samples\n  times: {}\n  a: [1, 0]\n  b: [0, 1]\n"
-ADIABATIC = GOOD.replace("engine: zeno\n", "engine: adiabatic\n")
-DISSIPATIVE = GOOD.replace("engine: zeno\n", "engine: dissipative\ngamma: 100.0\n")
+ADIABATIC = GOOD.replace("engine: zeno\n", "engine: adiabatic\n").replace("N: 1024\n", "")
+DISSIPATIVE = GOOD.replace("engine: zeno\n", "engine: dissipative\ngamma: 100.0\n").replace("N: 1024\n", "")
 MALFORMED = {
-    "alphas_repeated": GOOD.replace("engine: zeno\n", "engine: dissipative\ngamma: 100.0\nalphas: [0.5, 0.5]\n"),
+    "alphas_repeated": DISSIPATIVE.replace("gamma: 100.0\n", "gamma: 100.0\nalphas: [0.5, 0.5]\n"),
     "points_mapping": GOOD.replace("  windings: 1\n", "  type: polyline\n  points: {a: 1}\n"),
     "times_mapping": GOOD.replace("  windings: 1\n", SAMPLED.format("{}")),
     "times_null": GOOD.replace("  windings: 1\n", SAMPLED.format("null")),
@@ -79,7 +79,7 @@ class TestRunCommand:
         ],
     )
     def test_inconsistent_inputs_exit_1(self, tmp_path, extra):
-        text = GOOD.replace("engine: zeno\n", "") if extra.startswith("engine") else GOOD
+        text = GOOD.replace("engine: zeno\n", "").replace("N: 1024\n", "") if extra.startswith("engine") else GOOD
         assert cli.main(["run", write_scenario(tmp_path, text + extra)]) == 1
 
     def test_malformed_number_exit_1(self, tmp_path, capsys):
@@ -184,6 +184,13 @@ class TestCheckCommand:
         assert cli.main(["check", "--cases", cases]) == 1
         captured = capsys.readouterr()
         assert captured.err.strip() == f"error: cases must be at least 1, got {cases}"
+        assert "passed" not in captured.out
+
+    def test_case_count_above_bound_exit_1(self, capsys):
+        cases = MAX_CASES + 1
+        assert cli.main(["check", "--cases", str(cases)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: cases must be at most {MAX_CASES}, got {cases}"
         assert "passed" not in captured.out
 
 

@@ -1,11 +1,11 @@
 """Mutation fuzzing of the scenario boundary.
 
-Each shipped scenario, shrunk to N = 16 and steps = 64 so that a run stays
-short, is mutated.  Only ZenogateError subclasses may escape
-`scenario_from_dict` and `run`, and `zenogate run` must exit as documented:
-0 on success, 1 on a parse or validation error, 2 on an engine error.
-Mutations that are malformed by construction must exit 1.  No mutation
-raises a count, because large counts are legitimate work.
+Each shipped scenario, shrunk to N = 16 (zeno) or steps = 64 (adiabatic and
+dissipative) so that a run stays short, is mutated.  Only ZenogateError
+subclasses may escape `scenario_from_dict` and `run`, and `zenogate run` must
+exit as documented: 0 on success, 1 on a parse or validation error, 2 on an
+engine error.  Mutations that are malformed by construction must exit 1.  No
+mutation raises a count, because large counts are legitimate work.
 """
 
 import contextlib
@@ -24,13 +24,19 @@ from hypothesis import strategies as st
 from zenogate import cli
 from zenogate.errors import ParseError, ValidationError, ZenogateError
 from zenogate.runner import run
-from zenogate.scenario import scenario_from_dict
+from zenogate.scenario import ENGINE_KEYS, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-BASES = {
-    path.stem: {**yaml.safe_load(path.read_text()), "N": 16, "steps": 64}
-    for path in sorted(SCENARIO_DIR.glob("*.yaml"))
-}
+
+
+def _shrunk(doc):
+    return {**doc, **({"N": 16} if doc["engine"] == "zeno" else {"steps": 64})}
+
+
+BASES = {path.stem: _shrunk(yaml.safe_load(path.read_text())) for path in sorted(SCENARIO_DIR.glob("*.yaml"))}
+# A valid value for each key that only some engines read.
+ENGINE_ONLY_VALUES = {"N": 16, "steps": 64, "level": 0, "nonselective": False, "control": {"mode": "none"},
+                      "gamma": 1.0, "alphas": [0.0, 1.0]}
 SECTIONS = ("model", "path", "control", "initial_state", "tolerances")
 NON_FINITE = (math.nan, math.inf, -math.inf)
 JUNK = (*NON_FINITE, "abc", {"x": 1}, [1.0, 2.0, 3.0], [], True, 0, -1, 0.5)
@@ -94,24 +100,33 @@ def _list_or_section(data, doc, value):
 def _count(data, doc):
     bad = {"N": (0, -1, 2.5, True), "steps": (0, -4, 0.5, False), "level": (-1, 1.5, True),
            "samples": (0, -2, 1.5, True), "windings": (0.5, True, False)}
-    field = data.draw(st.sampled_from(sorted(bad)))
+    read = ENGINE_KEYS[doc["engine"]] | {"samples", "windings"}
+    field = data.draw(st.sampled_from([f for f in sorted(bad) if f in read]))
     path = ("path", field) if field in ("samples", "windings") else (field,)
     return replaced(doc, path, data.draw(st.sampled_from(bad[field])))
 
 
+def _reads_control(doc):
+    return "control" in ENGINE_KEYS[doc["engine"]]
+
+
 def _with_control_matrix(doc, rows):
-    """`doc` with `rows` as its control matrix, keeping its control mode (custom if it has none)."""
-    return {**doc, "control": {**doc.get("control", {"mode": "custom"}), "hamiltonian": rows}}
+    """`doc` with `rows` as its control matrix, keeping a wagon_wheel control (custom otherwise)."""
+    mode = doc.get("control", {}).get("mode")
+    return {**doc, "control": {"mode": mode if mode == "wagon_wheel" else "custom", "hamiltonian": rows}}
 
 
 def _matrix(data, doc):
     lengths = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(lambda ls: set(ls) != {len(ls)}))
-    return _with_control_matrix(doc, [[0.0] * n for n in lengths])
+    rows = [[0.0] * n for n in lengths]
+    if not _reads_control(doc):  # then the matrix is the model's
+        return {**doc, "model": {"type": "custom", "hamiltonians": [{"t": 0.0, "matrix": rows}]}}
+    return _with_control_matrix(doc, rows)
 
 
 def _dimension(data, doc):
     dim = data.draw(st.sampled_from([1, 2, 4]))
-    if data.draw(st.booleans()):
+    if _reads_control(doc) and data.draw(st.booleans()):
         return _with_control_matrix(doc, np.eye(dim).tolist())
     return {**doc, "initial_state": {"amplitudes": [1.0] * dim}}
 
@@ -125,7 +140,8 @@ def _unknown_key(data, doc):
 
 def _repeated_alphas(data, doc):
     weight = data.draw(st.floats(-10.0, 10.0))
-    return {**doc, "engine": "dissipative", "gamma": doc.get("gamma", 1.0), "alphas": [weight, weight]}
+    kept = {key: value for key, value in doc.items() if key in ENGINE_KEYS["dissipative"]}
+    return {**kept, "engine": "dissipative", "gamma": doc.get("gamma", 1.0), "alphas": [weight, weight]}
 
 
 def _tolerance(data, doc):
@@ -172,3 +188,13 @@ def test_any_mutation_exits_as_documented(data):
     doc = replaced(doc, path, data.draw(st.sampled_from(JUNK)))
     code, _ = cli_exit(doc)
     assert code == documented_exit(doc) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, doc in BASES.items()
+                                       for key in sorted(ENGINE_ONLY_VALUES.keys() - ENGINE_KEYS[doc["engine"]])])
+def test_key_of_another_engine_exits_1(name, key):
+    doc = {**BASES[name], key: ENGINE_ONLY_VALUES[key]}
+    assert documented_exit(doc) == 1
+    code, err = cli_exit(doc)
+    assert code == 1
+    assert err == f"error: the {doc['engine']} engine does not read {key!r}\n"

@@ -165,14 +165,14 @@ CUSTOM_CONTROL = [[0.3, 0.1, 0.0], [0.1, -0.2, [0.0, 0.4]], [0.0, [0.0, -0.4], 0
 WAGON_WHEEL = [[0.0, 0.0, 0.0], [0.0, 0.0, [0.0, -1.0]], [0.0, [0.0, 1.0], 0.0]]
 
 
-@pytest.mark.parametrize("overrides", [{}, {"control": {"mode": "alpha_frame", "alpha": 0.5}},
-                                       {"nonselective": True},
+@pytest.mark.parametrize("overrides", [{"N": 256}, {"N": 256, "control": {"mode": "alpha_frame", "alpha": 0.5}},
+                                       {"N": 256, "nonselective": True},
                                        {"engine": "dissipative", "gamma": 100.0, "alphas": [0.0, 1.0]},
-                                       {"engine": "adiabatic", "control": {"mode": "alpha_frame", "alpha": 0.5}}],
+                                       {"engine": "adiabatic"}],
                          ids=["none", "alpha_frame", "nonselective", "dissipative", "adiabatic"])
 def test_rotation_form_skips_the_general_path(monkeypatch, overrides):
     calls = _count_calls(monkeypatch)
-    data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 256,
+    data = {"engine": "zeno", "path": {"type": "circle", "windings": 1},
             "initial_state": {"name": "E_minus"}, **overrides}
     runner.run(scenario_from_dict(data))
     assert calls == {"rotating_generator": 0, "_interval_factors": 0}
@@ -198,11 +198,3 @@ def test_other_runs_take_the_general_path(monkeypatch, overrides):
         data.update(overrides)
     runner.run(scenario_from_dict(data))
     assert calls == {"rotating_generator": 1, "_interval_factors": 1}
-
-
-def test_adiabatic_wagon_wheel_frames_take_the_general_path(monkeypatch):
-    calls = _count_calls(monkeypatch)
-    data = {"engine": "adiabatic", "path": {"type": "circle", "windings": 1},
-            "control": {"mode": "wagon_wheel", "hamiltonian": WAGON_WHEEL}, "initial_state": {"name": "E_minus"}}
-    runner.run(scenario_from_dict(data))
-    assert calls == {"rotating_generator": 1, "_interval_factors": 0}

@@ -11,7 +11,7 @@ from zenogate import scenario as scenario_module
 from zenogate.adiabatic import _level_gate, rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
-from zenogate.scenario import load_scenario, scenario_from_dict
+from zenogate.scenario import ENGINE_KEYS, load_scenario, scenario_from_dict
 from zenogate.spectral import OperatorPath
 from zenogate.zeno import control_hamiltonian, unwrap_angle
 
@@ -152,9 +152,10 @@ class TestConsistency:
         data = {
             "engine": engine,
             "path": {"type": "circle", "windings": 1, "duration": duration},
-            "N": 4096,
             "initial_state": {"name": "E_minus"},
         }
+        if engine == "zeno":
+            data["N"] = 4096
         analytic = run(scenario_from_dict(data))
         tracked = run(scenario_from_dict(dict(data, frame_method="tracked")))
         assert analytic.phi_principal is not None
@@ -184,9 +185,9 @@ class TestConsistency:
                 assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-9)
 
     @pytest.mark.parametrize("engine, overrides", [
-        ("zeno", {"N": 64}),
+        ("zeno", {"N": 64, "control": {"mode": "alpha_frame", "alpha": 0.4}}),
         ("adiabatic", {}),
-        ("dissipative", {"gamma": 100.0}),
+        ("dissipative", {"gamma": 100.0, "control": {"mode": "alpha_frame", "alpha": 0.4}}),
     ], ids=["zeno", "adiabatic", "dissipative"])
     def test_sampled_path_runs_as_the_polyline_through_its_knots(self, engine, overrides):
         """Uniform knots are the corners of a polyline: both resample onto the engine's grid alike."""
@@ -195,8 +196,7 @@ class TestConsistency:
         sampled = {"type": "samples", "times": np.linspace(0.0, 1.0, 9).tolist(),
                    "a": corners[:, 0].tolist(), "b": corners[:, 1].tolist()}
         polyline = {"type": "polyline", "points": corners.tolist()}
-        base = {"engine": engine, "control": {"mode": "alpha_frame", "alpha": 0.4},
-                "initial_state": {"amplitudes": [1.0, 0.0, 0.0]}, **overrides}
+        base = {"engine": engine, "initial_state": {"amplitudes": [1.0, 0.0, 0.0]}, **overrides}
         expected = run(scenario_from_dict(dict(base, path=polyline)))
         got = run(scenario_from_dict(dict(base, path=sampled)))
         fields = ("p_N", "q_n", "fidelity", "phi_principal", "distance", "trace_drift")
@@ -253,6 +253,20 @@ class TestSweep:
             expected = (1 - rec.axis_value) * np.sqrt(2) * np.pi
             assert rec.phi_expected == pytest.approx(expected, abs=1e-12)
             assert abs(unwrap_angle(rec.phi_principal, expected) - expected) <= 1e-3
+
+    def test_dissipative_alpha_axis_runs_each_derived_scenario(self):
+        data = {"engine": "dissipative", "path": {"type": "circle", "windings": 1, "duration": 1.0},
+                "control": {"mode": "alpha_frame", "alpha": 0.5}, "gamma": 300.0, "alphas": [0.0, 1.0],
+                "initial_state": {"amplitudes": [1.0, 0.0, 0.0]}}
+        base = scenario_from_dict(data)
+        summary = sweep(base, "alpha", [0.25, -0.5])
+        assert [r.axis_value for r in summary.records] == [-0.5, 0.25]
+        for rec in summary.records:
+            expected = run(scenario_from_dict({**data, "control": {"mode": "alpha_frame", "alpha": rec.axis_value}}))
+            assert rec.digest == expected.digest
+            for name in CSV_COLUMNS[4:-1]:
+                assert getattr(rec, name) == getattr(expected, name), name
+        assert summary.records[0].distance != summary.records[1].distance
 
     def test_axis_engine_mismatch(self):
         with pytest.raises(AxisMismatch):
@@ -493,8 +507,8 @@ def _derivation_cases():
     cases = []
     for name, doc in documents.items():
         scenario = load_scenario(doc) if isinstance(doc, Path) else scenario_from_dict(doc)
-        for axis, engines in runner._AXES.items():
-            if scenario.engine in engines and (axis != "alpha" or scenario.control.mode == "alpha_frame"):
+        for axis, key in runner.AXIS_KEYS.items():
+            if key in ENGINE_KEYS[scenario.engine] and (axis != "alpha" or scenario.control.mode == "alpha_frame"):
                 cases += [pytest.param(doc, axis, v, id=f"{name}-{axis}={v:g}") for v in values[axis]]
     return cases
 
@@ -588,6 +602,8 @@ class TestScenarioBoundary:
         data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 64,
                 "initial_state": {"name": "E_minus"}}
         data.update(overrides)
+        if data["engine"] == "dissipative":
+            del data["N"]
         with pytest.raises(ValidationError, match=field):
             run(scenario_from_dict(data))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from zenogate import runner
+from zenogate import cli, runner
 from zenogate.errors import ParseError, ValidationError
 from zenogate.scenario import Scenario, load_scenario, scenario_digest, scenario_from_dict
 
@@ -115,8 +115,10 @@ class TestValidation:
     def test_positive_counts(self):
         with pytest.raises(ValidationError, match="N"):
             scenario_from_dict(minimal_zeno(N=0))
+        data = minimal_zeno(engine="adiabatic", steps=-3)
+        del data["N"]
         with pytest.raises(ValidationError, match="steps"):
-            scenario_from_dict(minimal_zeno(steps=-3))
+            scenario_from_dict(data)
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     @pytest.mark.parametrize("field", ["cluster", "holonomy"])
@@ -136,6 +138,7 @@ class TestValidation:
 
     def test_gamma_required_for_dissipative(self):
         data = minimal_zeno(engine="dissipative")
+        del data["N"]
         with pytest.raises(ValidationError, match="gamma"):
             scenario_from_dict(data)
 
@@ -176,6 +179,86 @@ class TestValidation:
         for amps, direction in (([0.8, 0.0, -1.0e200], [0.0, 0.0, -1.0]), ([1.0e-200, 0.0, 0.0], [1.0, 0.0, 0.0])):
             s = scenario_from_dict(minimal_zeno(initial_state={"amplitudes": amps}))
             assert np.abs(s.initial_amplitudes - direction).max() <= 1e-15
+
+
+# A document each engine accepts, and keys that only the other engines read, with a valid value.
+ENGINE_BASES = {
+    "zeno": minimal_zeno(),
+    "adiabatic": {"engine": "adiabatic", "path": {"type": "circle", "windings": 1}, "steps": 64,
+                  "initial_state": {"name": "E_minus"}},
+    "dissipative": {"engine": "dissipative", "path": {"type": "circle", "windings": 1}, "gamma": 10.0,
+                    "initial_state": {"amplitudes": [1.0, 0.0, 0.0]}},
+}
+OTHER_ENGINES_KEYS = {
+    "zeno": {"steps": 64, "gamma": 10.0, "alphas": [0.0, 1.0]},
+    "adiabatic": {"N": 64, "nonselective": True, "control": {"mode": "alpha_frame", "alpha": 0.5},
+                  "gamma": 10.0, "alphas": [0.0, 1.0]},
+    "dissipative": {"N": 64, "level": 0, "nonselective": False},
+}
+WAGON_WHEEL = [[0.0, 0.0, 0.0], [0.0, 0.0, [0.0, -1.0]], [0.0, [0.0, 1.0], 0.0]]
+
+
+def cli_run(tmp_path, data):
+    """The exit code of `zenogate run` on `data` written as a YAML file."""
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return cli.main(["run", str(path)])
+
+
+class TestEngineContract:
+    """A key that the engine, or the control mode, does not read is a ValidationError (exit 1) naming both."""
+
+    @pytest.mark.parametrize("engine, key", [(engine, key) for engine, keys in OTHER_ENGINES_KEYS.items()
+                                             for key in keys])
+    def test_key_of_another_engine_is_rejected(self, tmp_path, capsys, engine, key):
+        scenario_from_dict(ENGINE_BASES[engine])
+        data = {**ENGINE_BASES[engine], key: OTHER_ENGINES_KEYS[engine][key]}
+        with pytest.raises(ValidationError, match=f"the {engine} engine does not read '{key}'"):
+            scenario_from_dict(data)
+        assert cli_run(tmp_path, data) == 1
+        assert capsys.readouterr().err == f"error: the {engine} engine does not read '{key}'\n"
+
+    @pytest.mark.parametrize("control, message", [
+        ({"mode": "none", "alpha": 0.5}, "control.mode none does not read control.alpha"),
+        ({"mode": "wagon_wheel", "alpha": 0.5, "hamiltonian": WAGON_WHEEL},
+         "control.mode wagon_wheel does not read control.alpha"),
+        ({"mode": "custom", "alpha": 0.0, "hamiltonian": WAGON_WHEEL},
+         "control.mode custom does not read control.alpha"),
+        ({"mode": "none", "hamiltonian": WAGON_WHEEL}, "control.mode none does not read control.hamiltonian"),
+        ({"mode": "alpha_frame", "alpha": 0.5, "hamiltonian": WAGON_WHEEL},
+         "control.mode alpha_frame does not read control.hamiltonian"),
+        ({"hamiltonian": WAGON_WHEEL}, "control.mode none does not read control.hamiltonian"),
+    ], ids=["none-alpha", "wagon_wheel-alpha", "custom-alpha", "none-hamiltonian", "alpha_frame-hamiltonian",
+            "default-hamiltonian"])
+    def test_control_key_of_another_mode_is_rejected(self, tmp_path, capsys, control, message):
+        for engine in ("zeno", "dissipative"):
+            data = {**ENGINE_BASES[engine], "control": control}
+            with pytest.raises(ValidationError, match=message):
+                scenario_from_dict(data)
+            assert cli_run(tmp_path, data) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_wagon_wheel_needs_three_level(self, tmp_path, capsys):
+        data = minimal_zeno(control={"mode": "wagon_wheel", "hamiltonian": WAGON_WHEEL},
+                            initial_state={"amplitudes": [1.0, 0.0, 0.0]},
+                            model={"type": "custom", "hamiltonians": [{"t": 0.0, "matrix": np.eye(3).tolist()},
+                                                                      {"t": 1.0, "matrix": np.eye(3).tolist()}]})
+        del data["path"]
+        scenario_from_dict({**data, "control": {"mode": "custom", "hamiltonian": WAGON_WHEEL}})
+        with pytest.raises(ValidationError, match="control.mode wagon_wheel requires the three_level model"):
+            scenario_from_dict(data)
+        assert cli_run(tmp_path, data) == 1
+        assert "wagon_wheel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frame_method", ["analytic", "tracked"])
+    def test_wagon_wheel_takes_no_frame_method(self, tmp_path, capsys, frame_method):
+        data = minimal_zeno(control={"mode": "wagon_wheel", "hamiltonian": WAGON_WHEEL})
+        scenario_from_dict(data)
+        data["frame_method"] = frame_method
+        with pytest.raises(ValidationError, match="wagon_wheel builds its own frames and takes no frame_method"):
+            scenario_from_dict(data)
+        assert cli_run(tmp_path, data) == 1
+        assert "frame_method" in capsys.readouterr().err
 
 
 class TestDigest:
