@@ -39,7 +39,8 @@ class PropagatorResult:
     `estimated_error` is |U - U_coarse|_2, U_coarse the product on the grid of
     step_count // 2 steps (NaN when step_count == 1).  It is built on its first
     read, from the kept `h_of_t`, and cached; a caller that never reads it
-    never pays for the second product.
+    never pays for the second product.  A closed-form propagator keeps no
+    `h_of_t` (None): it is exact, and its `estimated_error` is 0.0.
     """
 
     unitary: np.ndarray
@@ -49,6 +50,8 @@ class PropagatorResult:
 
     @cached_property
     def estimated_error(self) -> float:
+        if self._h_of_t is None:
+            return 0.0
         if self.step_count < 2:
             return float("nan")
         coarse = _midpoint_propagators(self._h_of_t, np.linspace(0.0, self.t_final, self.step_count // 2 + 1))
@@ -201,7 +204,7 @@ def adiabatic_evolve(frames: FramePath, level: int, initial, energies=None):
         if energies.shape != frames.times.shape:
             raise GridMismatch("energies must be sampled on the frame grid")
         phase = np.trapezoid(energies, frames.times)
-    state = np.exp(-1j * phase) * (frames.frames[-1] @ (holonomy @ initial))
+    state = np.exp(-1j * phase) * (frames.final @ (holonomy @ initial))
     state = state / np.linalg.norm(state)
     return state, holonomy
 
@@ -218,7 +221,7 @@ def escape_probability(h_of_t, frames: FramePath, level: int, initial, t_final: 
         raise GridMismatch("frames do not cover t_final")
     result = propagate_exact(h_of_t, t_final, steps)
     psi = result.unitary @ initial
-    wt = frames.frames[-1]
+    wt = frames.final
     pt = wt @ frames.projectors0[level] @ wt.conj().T
     return float((psi.conj() @ (psi - pt @ psi)).real)
 
@@ -241,7 +244,7 @@ def gauge_decompose(u: PropagatorResult, frames: FramePath, energies) -> GaugeDe
     if abs(u.t_final - frames.times[-1]) > 1e-9 * max(1.0, abs(u.t_final)):
         raise GridMismatch("propagator and frames cover different time spans")
     phases = np.trapezoid(energies, frames.times, axis=0)
-    wt = frames.frames[-1]
+    wt = frames.final
     core = wt.conj().T @ u.unitary
     ug = sum(
         np.exp(+1j * phases[n]) * (frames.projectors0[n] @ core)

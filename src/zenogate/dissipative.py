@@ -229,7 +229,7 @@ def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0,
         ad = np.einsum("kil,jm->kijlm", kdt, eye) - np.einsum("il,kmj->kijlm", eye, kdt)
         s = -1j * ad.reshape(kdt.shape[0], dim * dim, dim * dim) + dts[start:start + chunk, None, None] * d0
         total = ordered_product(expm_stack(s)) @ total
-    w0, wt = frames.frames[0], frames.frames[-1]
+    w0, wt = frames.initial, frames.final
     rotated = total @ (w0.conj().T @ np.asarray(rho0, dtype=complex) @ w0).reshape(-1)
     rho = wt @ rotated.reshape(dim, dim) @ wt.conj().T
     rho = 0.5 * (rho + rho.conj().T)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dissipative as dis
 from . import zeno as zn
-from .adiabatic import _level_gate, gauge_decompose, propagate_exact, rotating_generator
+from .adiabatic import PropagatorResult, _level_gate, gauge_decompose, propagate_exact, rotating_generator
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
 from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
@@ -27,7 +27,7 @@ from .spectral import (
     ClosedFormHamiltonian,
     FramePath,
     OperatorPath,
-    _plane_rotation_stack,
+    _circle_controls,
     frame_path_analytic_three_level,
     instantaneous_spectra,
     three_level_eigenbasis,
@@ -89,13 +89,25 @@ def _format_value(v) -> str:
 # ---------------------------------------------------------------------------
 
 def _model_hamiltonian(scenario: Scenario, path):
-    """The model's H(t) as a callable on a whole time grid; (a, b) interpolate linearly between path samples."""
+    """The model's H(t) as a callable on a whole time grid.
+
+    With analytic frames a circle path is followed on the circle itself, at
+    the fraction t / T of the loop; otherwise (a, b) interpolate linearly
+    between path samples, and tracked frames sample them at the knots.
+    """
     if scenario.model_type == "custom":
         times, mats = zip(*scenario.model_hamiltonians)
         return OperatorPath(times=times, operators=np.stack(mats)).at
 
-    def controls(t):
-        return np.interp(t, path.times, path.a), np.interp(t, path.times, path.b)
+    spec = scenario.path_spec
+    if spec["type"] == "circle" and scenario.frame_method == "analytic":
+        on_circle = _circle_controls(spec["center"], spec["radius"], spec["windings"])
+
+        def controls(t):
+            return on_circle(np.asarray(t) / spec["duration"])
+    else:
+        def controls(t):
+            return np.interp(t, path.times, path.a), np.interp(t, path.times, path.b)
 
     return ClosedFormHamiltonian(lambda t: three_level_hamiltonian(*controls(t)),
                                  lambda t, dts: three_level_propagators(*controls(t), dts))
@@ -149,19 +161,16 @@ def _expected_holonomy(scenario: Scenario, path) -> float | None:
 def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FramePath, gate, tol: float):
     """Fill the angle fields from `gate`, the run's lab-frame operator on the followed level.
 
-    The angle is read in the gauge of the closed-form frame, the one
-    `phi_expected` assumes.  A tracked W(T) is another gauge: its
-    maximal-overlap continuity already carries the holonomy, so W(T)^dag
-    would strip the angle off.
+    The angle is read in the gauge of the run's closed-form frame (analytic
+    or wagon-wheel), the one `phi_expected` assumes.  A tracked W(T) is
+    another gauge: its maximal-overlap continuity already carries the
+    holonomy, so W(T)^dag would strip the angle off; the analytic W(T)
+    stands in for it.
     """
     if scenario.model_type != "three_level" or scenario.level != 0:
         return
-    theta = path.theta()
-    gens = three_level_generators(float(theta[0]))
-    if scenario.control.mode == "wagon_wheel":
-        wt = frames.frames[-1]  # closed form exp(-2i H_0 T)
-    else:
-        wt = _plane_rotation_stack(gens.frame_generator, theta[-1:] - theta[0])[0]
+    gens = three_level_generators(float(path.theta()[0]))
+    wt = (frames if scenario.frame_method == "analytic" else frame_path_analytic_three_level(path)).final
     try:
         record.phi_principal = zn.holonomy_angle(wt.conj().T @ gate, gens.subspace_generator, tol=tol)
     except NotASubspaceRotation:
@@ -186,7 +195,7 @@ def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath
     U_Z is the product of the level gates `gate_of(n)` of H_Z[n] = P_n(0) K P_n(0) (blocks on orthogonal
     P_n(0) commute), K the run's rotating-frame generator; P is the dephasing onto the initial eigenspaces.
     """
-    u = frames.frames[-1]
+    u = frames.final
     for n in range(frames.nlevels):
         u = u @ gate_of(n)
     pred = u @ zn.nonselective_step(rho0, frames.projectors0) @ u.conj().T
@@ -220,7 +229,7 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     q = _range_basis(frames.projectors0[level])
     zr = zn._selective(frames, q, factors(q), psi0)
     record.p_N = zr.survival_probability
-    limit = frames.frames[-1] @ gate_of(level)  # W(T) U_Z, the lab-frame Zeno limit
+    limit = frames.final @ gate_of(level)  # W(T) U_Z, the lab-frame Zeno limit
     record.distance = spectral_norm(zr.final_operator - limit @ frames.projectors0[level])
     record.fidelity = float(abs((limit @ psi0).conj() @ zr.conditional_state) ** 2)
     _record_angle(record, scenario, path, frames, zr.final_operator, scenario.holonomy_tol)
@@ -240,7 +249,31 @@ def _step_count(scenario: Scenario, floor: int, estimate: float) -> int:
     return _bounded_count(max(float(floor), float(np.ceil(estimate))))
 
 
+def _centred_circle_propagator(spec: dict, frames: FramePath, g: np.ndarray, steps: int) -> PropagatorResult:
+    """U(T) = W(T) exp(-i K T) on a circle around the origin: exact, whatever `steps` (only recorded) is.
+
+    In the frame rotating with the analytic frames W = exp(-i g phi) the
+    generator K = W^dag H W + i dW^dag/dt W = 2 r P_+(theta_0) - (dtheta/dt) g
+    is constant, so U takes one eigendecomposition of one 3 x 3 matrix.
+    Its `estimated_error` reads 0.0.
+    """
+    duration = spec["duration"]
+    p_plus = frames.projectors0[1]  # the excited level, energy 2r
+    k = 2.0 * spec["radius"] * p_plus - (2.0 * np.pi * spec["windings"] / duration) * g
+    w, v = np.linalg.eigh(k)
+    u = frames.final @ (v * np.exp(-1j * duration * w)) @ v.conj().T
+    return PropagatorResult(unitary=u, step_count=steps, t_final=duration, _h_of_t=None)
+
+
 def _run_adiabatic(scenario: Scenario, record: ResultRecord):
+    """Propagate H(t), then strip the frame and the dynamical phases (`gauge_decompose`).
+
+    Three routes: a circle around the origin with analytic frames in closed
+    form (`_centred_circle_propagator`); any other circle with analytic
+    frames by `propagate_exact` on the circle itself; polyline and samples
+    paths, tracked frames and custom models by `propagate_exact` on the
+    model's H(t) (`_model_hamiltonian`).
+    """
     path, frames, energies = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
     duration = float(frames.times[-1])
     steps = _step_count(scenario, 1024, 100.0 * duration)
@@ -248,13 +281,17 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
         r = path.radius()
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
 
-    result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
+    rotation = _rotation_run(scenario, path, frames)
+    spec = scenario.path_spec
+    if rotation is not None and spec["type"] == "circle" and spec["center"] == [0.0, 0.0]:
+        result = _centred_circle_propagator(spec, frames, rotation.g, steps)
+    else:
+        result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
     decomp = gauge_decompose(result, frames, energies)
     psi0 = _initial_vector(scenario, path)
     p0 = frames.projectors0[scenario.level]
     psi = decomp.gauge_evolution @ psi0
     record.q_n = float(np.real(psi.conj() @ (psi - p0 @ psi)))
-    rotation = _rotation_run(scenario, path, frames)
     gate_of = partial(_level_gate, rotating_generator(None, frames), frames) if rotation is None else rotation.gate
     gate = p0 @ gate_of(scenario.level) @ p0
     evolved = decomp.gauge_evolution @ p0

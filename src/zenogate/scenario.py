@@ -3,9 +3,10 @@
 A scenario is a YAML document (flat keys with nested sections) declaring the
 model, control path, engine, and numerical knobs of one experiment.  Unknown
 keys are rejected outright (ParseError) because a silently ignored typo can
-poison a whole physics sweep.  A key that the engine (``ENGINE_KEYS``) or
-the control mode (``CONTROL_KEYS``) does not read, and every other
-constraint violation, raise ValidationError naming the offending field.
+poison a whole physics sweep.  A key that the engine (``ENGINE_KEYS``,
+``UNREAD_SUBKEYS`` inside sections) or the control mode (``CONTROL_KEYS``)
+does not read, and every other constraint violation, raise ValidationError
+naming the offending field.
 
 Schema (defaults in parentheses; a key marked with engines is read by those
 engines only, the others by every engine)::
@@ -22,7 +23,7 @@ engines only, the others by every engine)::
       radius: r                   (1.0)
       windings: m                 (1)   # signed loops around the origin; 0 if not enclosing
       duration: T                 (1.0)   # a samples path is rescaled to T (default: its last time)
-      samples: K                  (engine-dependent)   # uniform times every path type is resampled to
+      samples: K                  (2049)   # adiabatic: uniform frame times every path type is resampled to
       points: [[a, b], ...]       # polyline corners
       times/a/b: [...]            # explicit samples
     control:                      # zeno and dissipative
@@ -42,7 +43,7 @@ engines only, the others by every engine)::
     runtime_budget_s: float       # optional declared runtime bound
     tolerances:                   # each > 0
       cluster: 1e-8
-      holonomy: 1e-2
+      holonomy: 1e-2              # zeno and adiabatic: angle read from a gate this close to a rotation
 
 Every number must be finite, and counts (N, steps, level, windings,
 samples) integral and at most ``MAX_COUNT`` in magnitude, as is every
@@ -73,6 +74,11 @@ ENGINE_KEYS = {  # the top-level keys each engine reads; any other key is reject
     "adiabatic": frozenset(_SHARED_KEYS | {"level", "steps"}),
     "zeno": frozenset(_SHARED_KEYS | {"N", "level", "nonselective", "control"}),
     "dissipative": frozenset(_SHARED_KEYS | {"gamma", "alphas", "steps", "control"}),
+}
+UNREAD_SUBKEYS = {  # the section keys an engine does not read, in a section it reads; rejected too
+    "adiabatic": {},
+    "zeno": {"path": frozenset({"samples"})},  # measurements sample the path at N + 1 times
+    "dissipative": {"path": frozenset({"samples"}), "tolerances": frozenset({"holonomy"})},  # 4097 samples; no angle
 }
 ENGINES = tuple(ENGINE_KEYS)
 CONTROL_KEYS = {"none": {"mode"}, "alpha_frame": {"mode", "alpha"},  # the control sub-keys each mode reads
@@ -263,7 +269,15 @@ def _parse_model(data, fields):
     return {"model_type": model_type, "model_hamiltonians": model_hams}
 
 
+def _reject_unread_subkeys(data, fields, section: str):
+    """ValidationError naming the first key of `section` that the engine does not read (`UNREAD_SUBKEYS`)."""
+    unread = sorted(data.get(section, {}).keys() & UNREAD_SUBKEYS[fields["engine"]].get(section, set()))
+    if unread:
+        raise ValidationError(f"the {fields['engine']} engine does not read {section}.{unread[0]}")
+
+
 def _parse_path(data, fields):
+    _reject_unread_subkeys(data, fields, "path")
     pspec = dict(data.get("path", {}))
     ptype = pspec.setdefault("type", "circle")
     _require(ptype in ("circle", "polyline", "samples"), f"path.type must be circle, polyline or samples, got {ptype!r}")
@@ -388,6 +402,7 @@ def _parse_initial_state(data, fields):
 
 
 def _parse_tolerances(data, fields):
+    _reject_unread_subkeys(data, fields, "tolerances")
     tols = data.get("tolerances", {})
     cluster_tol = _number(tols.get("cluster", 1e-8), "tolerances.cluster")
     holonomy_tol = _number(tols.get("holonomy", 1e-2), "tolerances.holonomy")

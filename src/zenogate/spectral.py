@@ -19,6 +19,7 @@ control radius; its frames have the closed form implemented in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,6 +93,18 @@ def circle_path(
     origin is traversed `windings` times (negative = clockwise), while a
     non-enclosing circle must declare ``windings=0`` and is traversed once.
     """
+    s = np.linspace(0.0, 1.0, samples)
+    a, b = _circle_controls(center, radius, windings)(s)
+    return ParameterPath(times=duration * s, a=a, b=b)
+
+
+def _circle_controls(center, radius: float, windings: int) -> Callable:
+    """s -> (a, b) on the loop of :func:`circle_path` after the fraction `s` of its duration (any array of s).
+
+    The loop is center + radius (cos phi, sin phi) with phi = 2 pi turns s,
+    turns = `windings` around the origin or one for a non-enclosing circle
+    (ValueError when `windings` says otherwise).
+    """
     ca, cb = float(center[0]), float(center[1])
     encloses = np.hypot(ca, cb) < radius
     if encloses and windings == 0:
@@ -99,10 +112,12 @@ def circle_path(
     if not encloses and windings != 0:
         raise ValueError("circle does not enclose the origin; windings must be 0")
     turns = windings if encloses else 1
-    s = np.linspace(0.0, 1.0, samples)
-    phi = 2 * np.pi * turns * s
-    t = duration * s
-    return ParameterPath(times=t, a=ca + radius * np.cos(phi), b=cb + radius * np.sin(phi))
+
+    def controls(s):
+        phi = 2 * np.pi * turns * s
+        return ca + radius * np.cos(phi), cb + radius * np.sin(phi)
+
+    return controls
 
 
 def polyline_path(points, duration: float = 1.0, samples: int = 1025) -> ParameterPath:
@@ -217,11 +232,21 @@ class FramePath:
 
     @property
     def dim(self) -> int:
-        return self.frames.shape[1]
+        return self.projectors0.shape[-1]
 
     @property
     def nlevels(self) -> int:
         return self.projectors0.shape[0]
+
+    @property
+    def initial(self) -> np.ndarray:
+        """W(t_0), the first frame."""
+        return self.frames[0]
+
+    @property
+    def final(self) -> np.ndarray:
+        """W(T), the last frame."""
+        return self.frames[-1]
 
     def projector_path(self, level: int) -> np.ndarray:
         """Stack of transported projectors W(t_k) P_n(0) W(t_k)^dag."""
@@ -532,9 +557,38 @@ def _plane_rotation_stack(generator: np.ndarray, phis: np.ndarray) -> np.ndarray
     return eye + (c - 1.0) * g2 - 1j * s * generator
 
 
+class _RotationFramePath(FramePath):
+    """Frames exp(-i g phi_k) about one generator g (g^3 = g): the (K, d, d) stack is built on its first read.
+
+    `initial` and `final` come from the first and last angle alone, equal bit
+    for bit to the stack's ends.
+    """
+
+    def __init__(self, times, phi, generator, projectors0):
+        object.__setattr__(self, "times", np.asarray(times, dtype=float))
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "projectors0", np.asarray(projectors0, dtype=complex))
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        return _plane_rotation_stack(self.generator, self.phi)
+
+    @property
+    def initial(self) -> np.ndarray:
+        return _plane_rotation_stack(self.generator, self.phi[:1])[0]
+
+    @property
+    def final(self) -> np.ndarray:
+        return _plane_rotation_stack(self.generator, self.phi[-1:])[0]
+
+
 def frame_path_analytic_three_level(path: ParameterPath) -> FramePath:
-    """Closed-form transport frames exp(-i G (theta(t) - theta_0)) for the three-level family."""
+    """Closed-form transport frames exp(-i G (theta(t) - theta_0)) for the three-level family.
+
+    The (K, 3, 3) stack `frames` is built only when it is read; W(0) and W(T)
+    (`initial`, `final`) come from theta alone.
+    """
     theta = path.theta()
     gens = three_level_generators(theta[0])
-    frames = _plane_rotation_stack(gens.frame_generator, theta - theta[0])
-    return FramePath(times=path.times, frames=frames, projectors0=three_level_projectors(theta[0]))
+    return _RotationFramePath(path.times, theta - theta[0], gens.frame_generator, three_level_projectors(theta[0]))

@@ -157,7 +157,7 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial)
 
 def _selective(frames: FramePath, q: np.ndarray, factors: np.ndarray, initial) -> ZenoRun:
     """The ZenoRun of V_N = W(T) Q prod_k (Q^dag F_k Q) Q^dag on `initial`; ZeroSurvival when nothing survives."""
-    v = frames.frames[-1] @ q @ ordered_product(factors) @ q.conj().T
+    v = frames.final @ q @ ordered_product(factors) @ q.conj().T
     amp = v @ np.asarray(initial, dtype=complex)
     p = float(np.linalg.norm(amp) ** 2)
     if p < 1e-15:
@@ -310,7 +310,8 @@ def _nonselective(frames: FramePath, factors: np.ndarray, rho0) -> np.ndarray:
         maps = _small_matmul(frames.projectors0, factors[start:start + chunk, None])  # P_n(0) F_k
         steps = np.einsum("knil,knjm->kijlm", maps, maps.conj()).reshape(-1, dim * dim, dim * dim)
         rho = ordered_product(steps) @ rho
-    rho = frames.frames[-1] @ rho.reshape(dim, dim) @ frames.frames[-1].conj().T
+    wt = frames.final
+    rho = wt @ rho.reshape(dim, dim) @ wt.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return rho / float(np.trace(rho).real)  # counter float drift of the exact trace preservation
 

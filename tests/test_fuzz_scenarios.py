@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from zenogate import cli
 from zenogate.errors import ParseError, ValidationError, ZenogateError
 from zenogate.runner import run
-from zenogate.scenario import ENGINE_KEYS, scenario_from_dict
+from zenogate.scenario import ENGINE_KEYS, UNREAD_SUBKEYS, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -37,6 +37,7 @@ BASES = {path.stem: _shrunk(yaml.safe_load(path.read_text())) for path in sorted
 # A valid value for each key that only some engines read.
 ENGINE_ONLY_VALUES = {"N": 16, "steps": 64, "level": 0, "nonselective": False, "control": {"mode": "none"},
                       "gamma": 1.0, "alphas": [0.0, 1.0]}
+SECTION_ONLY_VALUES = {("path", "samples"): 129, ("tolerances", "holonomy"): 0.05}
 SECTIONS = ("model", "path", "control", "initial_state", "tolerances")
 NON_FINITE = (math.nan, math.inf, -math.inf)
 JUNK = (*NON_FINITE, "abc", {"x": 1}, [1.0, 2.0, 3.0], [], True, 0, -1, 0.5)
@@ -100,7 +101,7 @@ def _list_or_section(data, doc, value):
 def _count(data, doc):
     bad = {"N": (0, -1, 2.5, True), "steps": (0, -4, 0.5, False), "level": (-1, 1.5, True),
            "samples": (0, -2, 1.5, True), "windings": (0.5, True, False)}
-    read = ENGINE_KEYS[doc["engine"]] | {"samples", "windings"}
+    read = ENGINE_KEYS[doc["engine"]] | ({"samples", "windings"} - UNREAD_SUBKEYS[doc["engine"]].get("path", set()))
     field = data.draw(st.sampled_from([f for f in sorted(bad) if f in read]))
     path = ("path", field) if field in ("samples", "windings") else (field,)
     return replaced(doc, path, data.draw(st.sampled_from(bad[field])))
@@ -145,7 +146,8 @@ def _repeated_alphas(data, doc):
 
 
 def _tolerance(data, doc):
-    field = data.draw(st.sampled_from(["cluster", "holonomy"]))
+    read = {"cluster", "holonomy"} - UNREAD_SUBKEYS[doc["engine"]].get("tolerances", set())
+    field = data.draw(st.sampled_from(sorted(read)))
     return {**doc, "tolerances": {field: data.draw(st.sampled_from([0.0, -0.0, -1e-3, -1.0]))}}
 
 
@@ -198,3 +200,14 @@ def test_key_of_another_engine_exits_1(name, key):
     code, err = cli_exit(doc)
     assert code == 1
     assert err == f"error: the {doc['engine']} engine does not read {key!r}\n"
+
+
+@pytest.mark.parametrize("name, section, key", [(name, section, key) for name, doc in BASES.items()
+                                                for section, keys in UNREAD_SUBKEYS[doc["engine"]].items()
+                                                for key in sorted(keys)])
+def test_section_key_of_another_engine_exits_1(name, section, key):
+    doc = {**BASES[name], section: {**BASES[name].get(section, {}), key: SECTION_ONLY_VALUES[section, key]}}
+    assert documented_exit(doc) == 1
+    code, err = cli_exit(doc)
+    assert code == 1
+    assert err == f"error: the {doc['engine']} engine does not read {section}.{key}\n"

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenogate import adiabatic, dissipative, runner
+from zenogate import adiabatic, dissipative, runner, spectral
 from zenogate import scenario as scenario_module
 from zenogate.adiabatic import _level_gate, rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import ENGINE_KEYS, load_scenario, scenario_from_dict
-from zenogate.spectral import OperatorPath
+from zenogate.linalg import spectral_norm
+from zenogate.spectral import OperatorPath, three_level_generators
 from zenogate.zeno import control_hamiltonian, unwrap_angle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -173,14 +174,13 @@ class TestConsistency:
         with pytest.raises(ValidationError, match="alphas"):
             run(scenario_from_dict(data))
 
-    def test_t_sweep_of_sampled_loop_matches_circle(self):
-        base = {"engine": "adiabatic", "steps": 64, "initial_state": {"name": "E_minus"}}
-        circle = dict(base, path={"type": "circle", "windings": 1, "duration": 1.0, "samples": 257})
-        sampled = dict(base, path={**sampled_unit_loop(257), "samples": 257})
+    def test_t_sweep_of_sampled_loop_matches_written_out_documents(self):
+        sampled = scenario_from_dict({"engine": "adiabatic", "steps": 64, "initial_state": {"name": "E_minus"},
+                                      "path": {**sampled_unit_loop(257), "samples": 257}})
         values = [4.0, 8.0]
-        expected = sweep(scenario_from_dict(circle), "T", values).records
-        got = sweep(scenario_from_dict(sampled), "T", values).records
-        for a, b in zip(expected, got):
+        got = sweep(sampled, "T", values).records
+        for b, value in zip(got, values):
+            a = run(scenario_from_dict(_edited_document(sampled, "T", value)))
             for name in ("q_n", "fidelity", "distance"):
                 assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-9)
 
@@ -219,10 +219,10 @@ class TestConsistency:
 
     def test_sampled_loop_default_steps_follow_duration(self):
         t_final = 2 * np.pi * 10.25
-        base = {"engine": "adiabatic", "initial_state": {"name": "E_minus"}}
-        circle = run(scenario_from_dict(dict(base, path={"type": "circle", "windings": 1, "duration": t_final})))
-        sampled = run(scenario_from_dict(dict(base, path=sampled_unit_loop(2049, t_final))))
-        assert sampled.q_n == pytest.approx(circle.q_n, rel=1e-9)
+        base = {"engine": "adiabatic", "path": sampled_unit_loop(2049, t_final), "initial_state": {"name": "E_minus"}}
+        default = run(scenario_from_dict(base))
+        explicit = run(scenario_from_dict(dict(base, steps=max(1024, int(np.ceil(100.0 * t_final))))))
+        assert default.q_n == pytest.approx(explicit.q_n, rel=1e-9)
 
 
 class TestSweep:
@@ -354,10 +354,10 @@ def test_built_in_model_runs_without_per_sample_eigh(monkeypatch, recording, eng
     """Built-in propagators, controls and level gates are closed forms: eigh only ever sees one matrix."""
     eigh = recording(np.linalg.eigh)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    data = {"engine": engine, "path": {"type": "circle", "windings": 1, "duration": 30.0, "samples": 1025},
+    data = {"engine": engine, "path": {"type": "circle", "windings": 1, "duration": 30.0},
             "initial_state": {"name": "E_minus"}}
     if engine == "adiabatic":
-        data["steps"] = 4096
+        data.update(steps=4096, path={**data["path"], "samples": 1025})
     else:
         data.update(N=1024, control={"mode": "alpha_frame", "alpha": 0.5})
     run(scenario_from_dict(data))
@@ -459,20 +459,87 @@ def custom_unit_loop(samples=65, duration=1.0):
     return {"type": "custom", "hamiltonians": hams}
 
 
-# The cluster tolerance keeps the degenerate pair of the 65-sample model one
-# level on the 2049-point tracking grid, where H interpolates linearly between samples.
-@pytest.mark.parametrize("document", [SCENARIO_DIR / "adiabatic_slow_loop.yaml",
-                                      {"engine": "adiabatic", "model": custom_unit_loop(65), "steps": 64,
-                                       "tolerances": {"cluster": 1e-2},
-                                       "initial_state": {"amplitudes": [1.0, -1.0, 0.0]}}],
-                         ids=["adiabatic_slow_loop", "custom_adiabatic"])
-def test_adiabatic_run_builds_one_product(monkeypatch, document):
-    """The runner never reads `estimated_error`, so it never builds the half-resolution product."""
+SLOW_LOOP = load_scenario(SCENARIO_DIR / "adiabatic_slow_loop.yaml").raw
+
+
+def offset_slow_loop(**path):
+    """adiabatic_slow_loop around the centre (0.3, 0): still one winding, no longer the closed form."""
+    return {**SLOW_LOOP, "path": {**SLOW_LOOP["path"], "center": [0.3, 0.0], **path}}
+
+
+def counted_products(monkeypatch):
+    """A list that gains one entry per `adiabatic._midpoint_propagators` call, i.e. per midpoint product built."""
     calls = []
     original = adiabatic._midpoint_propagators
     monkeypatch.setattr(adiabatic, "_midpoint_propagators", lambda *args: calls.append(1) or original(*args))
-    run(load_scenario(document) if isinstance(document, Path) else scenario_from_dict(document))
+    return calls
+
+
+# The cluster tolerance keeps the degenerate pair of the 65-sample model one
+# level on the 2049-point tracking grid, where H interpolates linearly between samples.
+@pytest.mark.parametrize("document", [offset_slow_loop(),
+                                      {"engine": "adiabatic", "model": custom_unit_loop(65), "steps": 64,
+                                       "tolerances": {"cluster": 1e-2},
+                                       "initial_state": {"amplitudes": [1.0, -1.0, 0.0]}}],
+                         ids=["offset_slow_loop", "custom_adiabatic"])
+def test_adiabatic_run_builds_one_product(monkeypatch, document):
+    """The runner never reads `estimated_error`, so it never builds the half-resolution product."""
+    calls = counted_products(monkeypatch)
+    run(scenario_from_dict(document))
     assert len(calls) == 1
+
+
+class TestCentredCircle:
+    """A circle around the origin with analytic frames: U(T) = W(T) exp(-i K T), K constant."""
+
+    def test_builds_no_product(self, monkeypatch):
+        calls = counted_products(monkeypatch)
+        run(scenario_from_dict(SLOW_LOOP))
+        assert calls == []
+
+    def test_matches_the_exact_circle(self, monkeypatch):
+        scenario = scenario_from_dict(SLOW_LOOP)
+        path, frames, _ = runner._frames_for(scenario, samples=2049)
+        g = three_level_generators(0.0).frame_generator
+        closed = runner._centred_circle_propagator(scenario.path_spec, frames, g, scenario.steps)
+        assert closed.estimated_error == 0.0
+        duration = scenario.path_spec["duration"]
+        exact = adiabatic.propagate_exact(runner._model_hamiltonian(scenario, path), duration, 252000)
+        assert spectral_norm(closed.unitary - exact.unitary) <= 1e-7
+        record = run(scenario)
+        monkeypatch.setattr(runner, "_centred_circle_propagator", lambda *args: exact)
+        reference = run(scenario)
+        for name in ("q_n", "fidelity", "phi_principal", "distance"):
+            assert getattr(record, name) == pytest.approx(getattr(reference, name), abs=1e-6), name
+
+    def test_steps_do_not_move_the_record(self):
+        fields = ("q_n", "fidelity", "phi_principal", "distance")
+        centred = sweep(scenario_from_dict(SLOW_LOOP), "steps", [1, 1000, 63000]).records
+        rows = [[getattr(r, f) for f in fields] for r in centred]
+        assert rows == [rows[0]] * 3
+        offset = sweep(scenario_from_dict(offset_slow_loop()), "steps", [16000, 63000]).records
+        assert offset[0].distance != offset[1].distance
+        assert offset[0].q_n != offset[1].q_n
+
+
+@pytest.mark.parametrize("document", [
+    SCENARIO_DIR / "zeno_winding_one.yaml",
+    SCENARIO_DIR / "zeno_alpha_half.yaml",
+    SCENARIO_DIR / "adiabatic_slow_loop.yaml",
+    offset_slow_loop(),
+    {"engine": "adiabatic", "path": sampled_unit_loop(257, 20.0), "steps": 2000, "initial_state": {"name": "E_minus"}},
+    SCENARIO_DIR / "dissipative_gate.yaml",
+], ids=["zeno_winding_one", "zeno_alpha_half", "adiabatic_slow_loop", "offset_slow_loop", "sampled_adiabatic",
+        "dissipative_gate"])
+def test_rotation_runs_build_no_frame_stack(monkeypatch, document):
+    """These runs read only W(0) and W(T) of the analytic frames: no frame is built from more than one angle."""
+    angles = []
+    original = spectral._plane_rotation_stack
+    monkeypatch.setattr(spectral, "_plane_rotation_stack", lambda g, phis: angles.append(len(phis)) or original(g, phis))
+    scenario = load_scenario(document) if isinstance(document, Path) else scenario_from_dict(document)
+    assert not scenario.nonselective
+    run(scenario)
+    assert angles and set(angles) == {1}
 
 
 def _edited_document(scenario, axis, value):

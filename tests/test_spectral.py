@@ -7,6 +7,8 @@ from zenogate.spectral import (
     OperatorPath,
     ParameterPath,
     SpectrumStack,
+    _circle_controls,
+    _plane_rotation_stack,
     circle_path,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
@@ -217,6 +219,19 @@ class TestFramePathAnalytic:
                 assert spectral_norm(transported[k] - ref) <= 1e-8
 
 
+    @pytest.mark.parametrize("path", [circle_path(center=(0.3, -0.2), radius=1.4, windings=-2, samples=1025),
+                                      polyline_path([[1.0, 0.0], [0.0, 2.0], [-1.0, -1.0], [1.0, 0.0]], samples=97)],
+                             ids=["offset_circle", "polyline"])
+    def test_stack_and_ends_are_the_closed_form_bit_for_bit(self, path, gens):
+        frames = frame_path_analytic_three_level(path)
+        theta = path.theta()
+        stack = _plane_rotation_stack(gens.frame_generator, theta - theta[0])
+        ends = frames.initial, frames.final  # read before the stack is built
+        assert np.array_equal(frames.frames, stack)
+        assert np.array_equal(ends[0], stack[0]) and np.array_equal(ends[1], stack[-1])
+        assert frames.dim == 3 and frames.nlevels == 2
+
+
 class TestWindingNumber:
     def test_unit_circle(self):
         assert winding_number(circle_path(windings=1, samples=65)) == 1
@@ -257,6 +272,13 @@ class TestPathConstructors:
             circle_path(center=(3.0, 0.0), radius=1.0, windings=1)
         with pytest.raises(ValueError):
             circle_path(center=(0.0, 0.0), radius=1.0, windings=0)
+
+    def test_circle_controls_follow_the_sampled_loop(self):
+        path = circle_path(center=(0.5, 0.25), radius=2.0, windings=-1, duration=3.0, samples=65)
+        a, b = _circle_controls((0.5, 0.25), 2.0, -1)(np.linspace(0.0, 1.0, 65))
+        assert np.array_equal(a, path.a) and np.array_equal(b, path.b)
+        quarter = _circle_controls((0.5, 0.25), 2.0, -1)(0.25)
+        assert quarter == pytest.approx((0.5, 0.25 - 2.0), abs=1e-15)
 
     def test_polyline_hits_corners(self):
         path = polyline_path([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0]], samples=9)
