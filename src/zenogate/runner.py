@@ -91,16 +91,16 @@ def _format_value(v) -> str:
 def _model_hamiltonian(scenario: Scenario, path):
     """The model's H(t) as a callable on a whole time grid.
 
-    With analytic frames a circle path is followed on the circle itself, at
-    the fraction t / T of the loop; otherwise (a, b) interpolate linearly
-    between path samples, and tracked frames sample them at the knots.
+    A circle path is followed on the circle itself, at the fraction t / T of
+    the loop; polyline and samples paths interpolate (a, b) linearly between
+    path samples.
     """
     if scenario.model_type == "custom":
         times, mats = zip(*scenario.model_hamiltonians)
         return OperatorPath(times=times, operators=np.stack(mats)).at
 
     spec = scenario.path_spec
-    if spec["type"] == "circle" and scenario.frame_method == "analytic":
+    if spec["type"] == "circle":
         on_circle = _circle_controls(spec["center"], spec["radius"], spec["windings"])
 
         def controls(t):
@@ -178,7 +178,7 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
     record.phi_expected = _expected_holonomy(scenario, path)
 
 
-def _rotation_run(scenario: Scenario, path, frames: FramePath):
+def _rotation_run(scenario: Scenario, frames: FramePath):
     """The run in rotation-angle form (`zn._RotationRun`), or None for `zn._interval_factors` and `_level_gate`.
 
     Three-level runs with analytic frames and control none or alpha_frame have that form.
@@ -186,7 +186,7 @@ def _rotation_run(scenario: Scenario, path, frames: FramePath):
     analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
     if not analytic or scenario.control.mode not in ("none", "alpha_frame"):
         return None
-    return zn._RotationRun.of(path, frames, scenario.control.alpha)
+    return zn._RotationRun(frames, scenario.control.alpha)
 
 
 def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath, rho0, rho):
@@ -211,7 +211,7 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     n, level = scenario.N, scenario.level
     path, frames, _ = _frames_for(scenario, samples=n + 1)
     psi0 = _initial_vector(scenario, path)
-    rotation = _rotation_run(scenario, path, frames)
+    rotation = _rotation_run(scenario, frames)
     if rotation is None:
         h0 = zn.control_hamiltonian(scenario.control, path)
         gate_of = partial(_level_gate, rotating_generator(h0, frames), frames)
@@ -249,7 +249,7 @@ def _step_count(scenario: Scenario, floor: int, estimate: float) -> int:
     return _bounded_count(max(float(floor), float(np.ceil(estimate))))
 
 
-def _centred_circle_propagator(spec: dict, frames: FramePath, g: np.ndarray, steps: int) -> PropagatorResult:
+def _centred_circle_propagator(spec: dict, frames: FramePath, steps: int) -> PropagatorResult:
     """U(T) = W(T) exp(-i K T) on a circle around the origin: exact, whatever `steps` (only recorded) is.
 
     In the frame rotating with the analytic frames W = exp(-i g phi) the
@@ -259,7 +259,7 @@ def _centred_circle_propagator(spec: dict, frames: FramePath, g: np.ndarray, ste
     """
     duration = spec["duration"]
     p_plus = frames.projectors0[1]  # the excited level, energy 2r
-    k = 2.0 * spec["radius"] * p_plus - (2.0 * np.pi * spec["windings"] / duration) * g
+    k = 2.0 * spec["radius"] * p_plus - (2.0 * np.pi * spec["windings"] / duration) * frames.generator
     w, v = np.linalg.eigh(k)
     u = frames.final @ (v * np.exp(-1j * duration * w)) @ v.conj().T
     return PropagatorResult(unitary=u, step_count=steps, t_final=duration, _h_of_t=None)
@@ -281,10 +281,10 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
         r = path.radius()
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
 
-    rotation = _rotation_run(scenario, path, frames)
+    rotation = _rotation_run(scenario, frames)
     spec = scenario.path_spec
     if rotation is not None and spec["type"] == "circle" and spec["center"] == [0.0, 0.0]:
-        result = _centred_circle_propagator(spec, frames, rotation.g, steps)
+        result = _centred_circle_propagator(spec, frames, steps)
     else:
         result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
     decomp = gauge_decompose(result, frames, energies)
@@ -314,7 +314,6 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     """
     path, frames, _ = _frames_for(scenario, samples=4097)
     duration = float(frames.times[-1])
-    h0 = zn.control_hamiltonian(scenario.control, path)
     alphas = tuple(float(i) for i in range(frames.nlevels)) if scenario.alphas is None else scenario.alphas
     if len(alphas) != frames.nlevels:
         raise ValidationError(f"alphas needs one weight per level: {len(alphas)} given, {frames.nlevels} levels")
@@ -326,11 +325,14 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     steps = _step_count(scenario, 512, needed)
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
-    rotation = _rotation_run(scenario, path, frames)
-    generator = rotating_generator(h0, frames) if rotation is None else rotation.kappa[:, None, None] * rotation.g
+    rotation = _rotation_run(scenario, frames)
+    if rotation is None:
+        generator = rotating_generator(zn.control_hamiltonian(scenario.control, path), frames)
+        gate_of = partial(_level_gate, generator, frames)
+    else:
+        generator, gate_of = rotation.rotating_generator(), rotation.gate
     result = dis.integrate_rotating(generator, frames, scenario.gamma, alphas, rho0, steps)
     record.trace_drift = result.trace_drift
-    gate_of = partial(_level_gate, generator, frames) if rotation is None else rotation.gate
     _record_dephased_prediction(record, gate_of, frames, rho0, result.final)
 
 

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .linalg import _compress, _range_basis, expm_hermitian_stack, hermitian_eigendecomposition, spectral_norm
 from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath, _plane_rotation_stack,
-                       _prefix_products, _small_matmul, three_level_generators)
+                       _prefix_products, _RotationFramePath, _small_matmul, three_level_generators)
 
 # Matrix entries per batch of step superoperators in a nonselective run: 1024 of a three-level system.
 _CHUNK_ENTRIES = 1024 * 3**4
@@ -84,7 +84,8 @@ def _constant_propagators(h):
 def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None):
     """Materialize a control config as a ClosedFormHamiltonian (H_0 stack or one constant matrix), or None.
 
-    alpha_frame H_0 = alpha dtheta/dt G propagates as a plane rotation, a constant H_0 decomposed once.
+    alpha_frame H_0 = alpha dtheta/dt G turns by alpha (theta(t_b) - theta(t_a)) over an interval, theta linear
+    between path samples; a constant H_0 is decomposed once.
     """
     if config.mode == "none":
         return None
@@ -93,16 +94,15 @@ def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None
             raise ValueError("alpha_frame control needs the parameter path for its angular speed")
         if path.times.size < 3:
             raise InsufficientSamples("alpha_frame angular speed needs at least 3 path samples")
-        theta = path.theta()
-        thdot = np.gradient(theta, path.times, edge_order=2)
+        theta, times = path.theta(), path.times
+        thdot = np.gradient(theta, times, edge_order=2)
         g = three_level_generators(theta[0]).frame_generator
-        times = path.times
 
-        def speed(t):
-            return config.alpha * np.interp(t, times, thdot)
+        def turns(t, dts):
+            return config.alpha * (np.interp(t + 0.5 * dts, times, theta) - np.interp(t - 0.5 * dts, times, theta))
 
-        return ClosedFormHamiltonian(lambda t: speed(t)[..., None, None] * g,
-                                     lambda t, dts: _plane_rotation_stack(g, speed(t) * dts))
+        return ClosedFormHamiltonian(lambda t: config.alpha * np.interp(t, times, thdot)[..., None, None] * g,
+                                     lambda t, dts: _plane_rotation_stack(g, turns(t, dts)))
     h = np.asarray(config.hamiltonian, dtype=complex)
     propagators = _constant_propagators(h)
     return ClosedFormHamiltonian(lambda t: h, lambda t, dts: propagators(dts))
@@ -168,44 +168,38 @@ def _selective(frames: FramePath, q: np.ndarray, factors: np.ndarray, initial) -
 @dataclass(frozen=True)
 class _RotationRun:
     """A built-in three-level run in rotation-angle form: analytic frames W = exp(-i g phi), phi = theta - theta_0,
-    under H_0 = `speed` g (alpha dtheta/dt; 0 without control), all rotations about one generator g (g^3 = g).
+    under H_0 = alpha dtheta/dt g (alpha = 0 without control), all rotations about one generator g (g^3 = g).
 
-    The skew part of np.gradient(W^dag) W is exactly -(cos phi d(sin phi) - sin phi d(cos phi)) g for the same
-    central difference d, so `rotating_generator` is K = kappa g, kappa = speed - (cos phi d(sin phi) - ...);
-    between measurements W(t_{k+1})^dag U_0 W(t_k) = exp(-i g psi_k), psi_k = phi_k - phi_{k+1} + speed dt_k.
+    In the frame rotating with W the generator is K = (alpha - 1) dtheta/dt g, so every rotation the run needs is
+    (alpha - 1) times a difference of phi: a property of the loop, not of the grid it is sampled on.
     """
 
-    frames: FramePath
-    g: np.ndarray
-    phi: np.ndarray
-    speed: np.ndarray
-    kappa: np.ndarray
+    frames: _RotationFramePath
+    alpha: float
 
-    @classmethod
-    def of(cls, path: ParameterPath, frames: FramePath, alpha: float) -> "_RotationRun":
-        """The run along `frames`, the analytic frames of `path`, under H_0 = alpha dtheta/dt g."""
-        theta, times = path.theta(), frames.times
-        if times.size < 3:
-            raise InsufficientSamples("frame derivative needs at least 3 samples")
-        phi, speed = theta - theta[0], alpha * np.gradient(theta, times, edge_order=2)
-        c, s = np.cos(phi), np.sin(phi)
-        kappa = speed - (c * np.gradient(s, times, edge_order=2) - s * np.gradient(c, times, edge_order=2))
-        return cls(frames, three_level_generators(theta[0]).frame_generator, phi, speed, kappa)
+    def __post_init__(self):
+        if self.frames.times.size < 3:
+            # Two samples of a closed loop coincide: the unwrapped angle would read phi(T) = 0 whatever the winding.
+            raise InsufficientSamples("the unwrapped frame angle needs at least 3 samples")
+
+    def rotating_generator(self) -> np.ndarray:
+        """K = (alpha - 1) dphi/dt g on the frame grid: one central difference, exact where theta is linear in t."""
+        dphi = np.gradient(self.frames.phi, self.frames.times, edge_order=2)
+        return (self.alpha - 1.0) * dphi[:, None, None] * self.frames.generator
 
     def gate(self, level: int) -> np.ndarray:
-        """`adiabatic._level_gate` of K; the samples commute: one exponential exp(-i trapz(kappa) Q^dag g Q)."""
+        """`adiabatic._level_gate` of K: exp(-i (alpha - 1) phi(T) Q^dag g Q) on P_n(0), the identity off it."""
         p0 = self.frames.projectors0[level]
         q = _range_basis(p0)
-        u = expm_hermitian_stack(_compress(q, self.g[None]), -1j * np.trapezoid(self.kappa, self.frames.times))[0]
+        angle = (self.alpha - 1.0) * self.frames.phi[-1]
+        u = expm_hermitian_stack(_compress(q, self.frames.generator[None]), -1j * angle)[0]
         return q @ u @ q.conj().T + (np.eye(self.frames.dim) - p0)
 
     def factors(self, N: int, q: np.ndarray) -> np.ndarray:
-        """:func:`_interval_factors` from the angles: Q^dag exp(-i g psi_k) Q, g^3 = g."""
-        idx = _measurement_indices(self.frames.times, N)
-        times, phi = self.frames.times[idx], self.phi[idx]
-        dts = np.diff(times)
-        psi = phi[:-1] - phi[1:] + np.interp(times[:-1] + 0.5 * dts, self.frames.times, self.speed) * dts
-        g1, g2 = _compress(q, np.stack([self.g, self.g @ self.g]))
+        """:func:`_interval_factors` by angle: Q^dag exp(-i g psi_k) Q, psi_k = (alpha - 1)(phi_{k+1} - phi_k)."""
+        psi = (self.alpha - 1.0) * np.diff(self.frames.phi[_measurement_indices(self.frames.times, N)])
+        g = self.frames.generator
+        g1, g2 = _compress(q, np.stack([g, g @ g]))
         return np.eye(q.shape[1]) + (np.cos(psi) - 1.0)[:, None, None] * g2 - 1j * np.sin(psi)[:, None, None] * g1
 
 

@@ -27,7 +27,8 @@ from zenogate.spectral import (
     three_level_eigenbasis,
     three_level_projectors,
 )
-from zenogate.zeno import ControlConfig, control_hamiltonian, nonselective_step, zeno_hamiltonian, zeno_unitary
+from zenogate.zeno import (ControlConfig, _RotationRun, control_hamiltonian, nonselective_step, zeno_hamiltonian,
+                           zeno_unitary)
 
 
 def static_dissipator(gamma, theta=0.0, alphas=(0.0, 1.0)):
@@ -222,6 +223,16 @@ class TestIntegrateRotating:
         result = integrate_rotating(rotating_generator(h0, frames), frames, gamma, alphas, rho0, frames.times.size - 1)
         assert trace_distance(result.final, lab_frame_oracle(h0, path, gamma, alphas, rho0)) <= 2e-6
         assert result.trace_drift <= 1e-9
+
+    @pytest.mark.parametrize("case, alpha", [("benchmark_loop", 0.0), ("alpha_frame_circle", 0.5)])
+    def test_rotation_form_meets_lab_frame_oracle(self, case, alpha):
+        """Where theta is linear in t the rotation form's K is exact: on the default grid the gap is rounding."""
+        path, h0, alphas, psi = oracle_case(case)
+        frames = frame_path_analytic_three_level(path)
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        k = _RotationRun(frames, alpha).rotating_generator()
+        result = integrate_rotating(k, frames, 1000.0, alphas, rho0, 512)
+        assert trace_distance(result.final, lab_frame_oracle(h0, path, 1000.0, alphas, rho0)) <= 1e-8
 
     def test_gap_to_oracle_falls_with_frame_grid(self):
         """16x finer frames than the default grid: the dW/dt gap drops from ~1e-6 to ~3e-9."""

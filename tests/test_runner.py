@@ -13,7 +13,7 @@ from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import ENGINE_KEYS, load_scenario, scenario_from_dict
 from zenogate.linalg import spectral_norm
-from zenogate.spectral import OperatorPath, three_level_generators
+from zenogate.spectral import OperatorPath
 from zenogate.zeno import control_hamiltonian, unwrap_angle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -500,8 +500,7 @@ class TestCentredCircle:
     def test_matches_the_exact_circle(self, monkeypatch):
         scenario = scenario_from_dict(SLOW_LOOP)
         path, frames, _ = runner._frames_for(scenario, samples=2049)
-        g = three_level_generators(0.0).frame_generator
-        closed = runner._centred_circle_propagator(scenario.path_spec, frames, g, scenario.steps)
+        closed = runner._centred_circle_propagator(scenario.path_spec, frames, scenario.steps)
         assert closed.estimated_error == 0.0
         duration = scenario.path_spec["duration"]
         exact = adiabatic.propagate_exact(runner._model_hamiltonian(scenario, path), duration, 252000)
@@ -511,6 +510,13 @@ class TestCentredCircle:
         reference = run(scenario)
         for name in ("q_n", "fidelity", "phi_principal", "distance"):
             assert getattr(record, name) == pytest.approx(getattr(reference, name), abs=1e-6), name
+
+    def test_tracked_loop_follows_the_circle(self):
+        """Tracked frames propagate the same circle: their q_n gap to the closed form is the midpoint product's."""
+        exact = run(scenario_from_dict(SLOW_LOOP)).q_n
+        tracked = [run(scenario_from_dict({**SLOW_LOOP, "frame_method": "tracked", "steps": steps})).q_n
+                   for steps in (63000, 126000)]
+        assert (tracked[0] - exact) / (tracked[1] - exact) == pytest.approx(4.0, rel=0.05)
 
     def test_steps_do_not_move_the_record(self):
         fields = ("q_n", "fidelity", "phi_principal", "distance")
