@@ -173,11 +173,14 @@ def _check_analytic_frame_unitarity(rng, cases):
 
 
 def run_checks(cases: int = 100, seed: int = 2024):
-    """Run every invariant check with `cases` seeded probes each (ValidationError unless 1 <= cases <= MAX_CASES)."""
+    """Run every invariant check with `cases` seeded probes each (ValidationError unless 1 <= cases <= MAX_CASES
+    and `seed` is a non-negative integer)."""
     if cases < 1:
         raise ValidationError(f"cases must be at least 1, got {cases}")
     if cases > MAX_CASES:
         raise ValidationError(f"cases must be at most {MAX_CASES}, got {cases}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     heavy = max(8, cases // 8)  # loop-building checks are costlier per case
     return [

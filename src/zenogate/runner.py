@@ -23,20 +23,10 @@ from .adiabatic import PropagatorResult, _level_gate, gauge_decompose, propagate
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
 from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
-from .spectral import (
-    ClosedFormHamiltonian,
-    FramePath,
-    OperatorPath,
-    _circle_controls,
-    frame_path_analytic_three_level,
-    instantaneous_spectra,
-    three_level_eigenbasis,
-    three_level_generators,
-    three_level_hamiltonian,
-    three_level_projectors,
-    three_level_propagators,
-    track_levels,
-)
+from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, _circle_controls, _rotations,
+                       frame_path_analytic_three_level, instantaneous_spectra, three_level_eigenbasis,
+                       three_level_generators, three_level_hamiltonian, three_level_projectors, three_level_propagators,
+                       track_levels)
 
 CSV_COLUMNS = (
     "scenario_id", "engine", "axis", "axis_value", "p_N", "q_n", "fidelity",
@@ -128,8 +118,8 @@ def _frames_for(scenario: Scenario, samples: int):
             raise ValidationError(f"{where} has dimension {m.shape[0]}, the model has dimension {dim}")
     energies = None
     if scenario.control.mode == "wagon_wheel":
-        theta0 = float(path.theta()[0])
-        frames = zn.wagon_wheel_frames(scenario.control.hamiltonian, path.times, three_level_projectors(theta0))
+        projectors0 = three_level_projectors(path.theta()[0])
+        frames = zn.wagon_wheel_frames(scenario.control.hamiltonian, path.times, projectors0)
     elif scenario.frame_method == "analytic":
         frames = frame_path_analytic_three_level(path)
     else:
@@ -181,8 +171,11 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
 def _rotation_run(scenario: Scenario, frames: FramePath):
     """The run in rotation-angle form (`zn._RotationRun`), or None for `zn._interval_factors` and `_level_gate`.
 
-    Three-level runs with analytic frames and control none or alpha_frame have that form.
+    Three-level runs with analytic frames and control none or alpha_frame have that form, and so have wagon-wheel
+    runs: their frames turn about H_0 by phi = 2t, and H_0 = (1/2) dphi/dt H_0, so alpha = 1/2 and K = -H_0.
     """
+    if scenario.control.mode == "wagon_wheel":
+        return zn._RotationRun(frames, 0.5)
     analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
     if not analytic or scenario.control.mode not in ("none", "alpha_frame"):
         return None
@@ -254,14 +247,13 @@ def _centred_circle_propagator(spec: dict, frames: FramePath, steps: int) -> Pro
 
     In the frame rotating with the analytic frames W = exp(-i g phi) the
     generator K = W^dag H W + i dW^dag/dt W = 2 r P_+(theta_0) - (dtheta/dt) g
-    is constant, so U takes one eigendecomposition of one 3 x 3 matrix.
+    is constant, so U is one rotation about K (`spectral._rotations`).
     Its `estimated_error` reads 0.0.
     """
     duration = spec["duration"]
     p_plus = frames.projectors0[1]  # the excited level, energy 2r
     k = 2.0 * spec["radius"] * p_plus - (2.0 * np.pi * spec["windings"] / duration) * frames.generator
-    w, v = np.linalg.eigh(k)
-    u = frames.final @ (v * np.exp(-1j * duration * w)) @ v.conj().T
+    u = frames.final @ _rotations(k)(np.array([duration]))[0]
     return PropagatorResult(unitary=u, step_count=steps, t_final=duration, _h_of_t=None)
 
 
@@ -382,8 +374,9 @@ def _derive(scenario: Scenario, axis: str, value) -> Scenario:
 
 
 def _loglog_slope(xs, ys) -> float | None:
+    """Least-squares slope of log y over log x on the positive points; None unless two distinct x remain."""
     pts = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None and x > 0 and y > 0]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None
     lx = np.log([p[0] for p in pts])
     ly = np.log([p[1] for p in pts])
@@ -391,7 +384,7 @@ def _loglog_slope(xs, ys) -> float | None:
 
 
 def sweep(scenario: Scenario, axis: str, values) -> SweepSummary:
-    """Run the scenario once per axis value; fit slopes on convergence axes."""
+    """Run the scenario once per axis value; fit slopes on convergence axes (ValidationError without values)."""
     if axis not in AXIS_KEYS:
         raise AxisMismatch(f"unknown sweep axis {axis!r}")
     if AXIS_KEYS[axis] not in ENGINE_KEYS[scenario.engine]:
@@ -399,6 +392,8 @@ def sweep(scenario: Scenario, axis: str, values) -> SweepSummary:
     if axis == "alpha" and scenario.control.mode != "alpha_frame":
         raise AxisMismatch("axis 'alpha' requires control.mode = alpha_frame")
     values = sorted(values)
+    if not values:
+        raise ValidationError(f"a sweep along {axis!r} needs at least one value")
     records = []
     for v in values:
         derived = _derive(scenario, axis, v)

@@ -24,13 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CriticalPoint,
-    InsufficientSamples,
-    OpenPath,
-    SubspaceTrackingFailure,
-)
-from .linalg import CLUSTER_TOL, _checked_hermitian_stack
+from .errors import CriticalPoint, InsufficientSamples, OpenPath, SubspaceTrackingFailure
+from .linalg import CLUSTER_TOL, _checked_hermitian_stack, _compress
 
 CRITICAL_RADIUS_SQ = 1e-24
 MIN_TRACKING_OVERLAP = 0.5
@@ -68,9 +63,7 @@ class ParameterPath:
 
     @property
     def closed(self) -> bool:
-        return (
-            abs(self.a[-1] - self.a[0]) <= 1e-12 and abs(self.b[-1] - self.b[0]) <= 1e-12
-        )
+        return abs(self.a[-1] - self.a[0]) <= 1e-12 and abs(self.b[-1] - self.b[0]) <= 1e-12
 
     def radius(self) -> np.ndarray:
         return np.hypot(self.a, self.b)
@@ -141,9 +134,7 @@ def winding_number(path: ParameterPath) -> int:
     theta = path.theta()
     turns = (theta[-1] - theta[0]) / (2 * np.pi)
     if abs(turns - round(turns)) > 1e-6:
-        raise ValueError(
-            f"accumulated angle {turns:.8f} turns is not an integer; path is undersampled"
-        )
+        raise ValueError(f"accumulated angle {turns:.8f} turns is not an integer; path is undersampled")
     return int(round(turns))
 
 
@@ -219,15 +210,19 @@ class FramePath:
     projectors0: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
         f = np.asarray(self.frames, dtype=complex)
+        self._set_times_and_projectors(f.shape)
+        object.__setattr__(self, "frames", f)
+
+    def _set_times_and_projectors(self, frames_shape):
+        """Store `times` and `projectors0` as arrays, checked against the shape of the frame stack (ValueError)."""
+        t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.projectors0, dtype=complex)
-        if f.ndim != 3 or f.shape[0] != t.size:
+        if len(frames_shape) != 3 or frames_shape[0] != t.size:
             raise ValueError("frames must be a (len(times), d, d) stack")
-        if p.ndim != 3 or p.shape[1:] != f.shape[1:]:
+        if p.ndim != 3 or p.shape[1:] != frames_shape[1:]:
             raise ValueError("projectors0 must be an (nlevels, d, d) stack matching the frames")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "frames", f)
         object.__setattr__(self, "projectors0", p)
 
     @property
@@ -548,39 +543,55 @@ def three_level_projectors(theta):
     return p_minus + p_zero, p_plus
 
 
-def _plane_rotation_stack(generator: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """exp(-i * generator * phi) for a stack of angles, generator^3 = generator."""
-    g2 = generator @ generator
-    eye = np.eye(generator.shape[0], dtype=complex)
-    c = np.cos(phis)[:, None, None]
-    s = np.sin(phis)[:, None, None]
-    return eye + (c - 1.0) * g2 - 1j * s * generator
+def _rotations(generator):
+    """(phis, basis=None) -> exp(-i G phi_k) about one fixed Hermitian G, or Q^dag exp(-i G phi_k) Q on a (d, r) basis.
+
+    G^3 = G (a plane rotation) takes the closed form 1 + (cos phi - 1) G^2 - i sin phi G; any other G one eigh of
+    the (d, d) matrix.  ValueError unless G is square and finite, NonHermitianInput unless it is Hermitian.
+    """
+    g = _checked_hermitian_stack(np.asarray(generator)[None], what="rotation generator")[0]
+    g2 = g @ g
+    if np.abs(g2 @ g - g).max() <= 1e-14 * np.abs(g).max():  # eigenvalues 0, +-1 to rounding
+        def rotations(phis, basis=None):
+            g1, sq = (g, g2) if basis is None else _compress(basis, np.stack([g, g2]))
+            c, s = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
+            return np.eye(sq.shape[-1]) + (c - 1.0) * sq - 1j * s * g1
+        return rotations
+    w, v = np.linalg.eigh(g)
+
+    def rotations(phis, basis=None):
+        vq = v.conj().T if basis is None else v.conj().T @ basis  # V^dag Q
+        return (vq.conj().T * np.exp(-1j * np.multiply.outer(phis, w))[:, None, :]) @ vq
+    return rotations
 
 
 class _RotationFramePath(FramePath):
-    """Frames exp(-i g phi_k) about one generator g (g^3 = g): the (K, d, d) stack is built on its first read.
+    """Frames exp(-i G phi_k) about one fixed Hermitian G (:func:`_rotations`): the stack is built on its first read.
 
     `initial` and `final` come from the first and last angle alone, equal bit
-    for bit to the stack's ends.
+    for bit to the stack's ends.  Times and projectors are checked at once.
     """
 
     def __init__(self, times, phi, generator, projectors0):
-        object.__setattr__(self, "times", np.asarray(times, dtype=float))
+        g = np.asarray(generator, dtype=complex)
+        object.__setattr__(self, "rotations", _rotations(g))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "projectors0", projectors0)
+        self._set_times_and_projectors(np.shape(phi) + g.shape)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "projectors0", np.asarray(projectors0, dtype=complex))
+        object.__setattr__(self, "generator", g)
 
     @cached_property
     def frames(self) -> np.ndarray:
-        return _plane_rotation_stack(self.generator, self.phi)
+        return self.rotations(self.phi)
 
     @property
     def initial(self) -> np.ndarray:
-        return _plane_rotation_stack(self.generator, self.phi[:1])[0]
+        return self.rotations(self.phi[:1])[0]
 
     @property
     def final(self) -> np.ndarray:
-        return _plane_rotation_stack(self.generator, self.phi[-1:])[0]
+        return self.rotations(self.phi[-1:])[0]
 
 
 def frame_path_analytic_three_level(path: ParameterPath) -> FramePath:

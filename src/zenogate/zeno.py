@@ -30,16 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import _midpoint_propagators, _subspace_generator, ordered_exp_from_samples, ordered_product
-from .errors import (
-    GridMismatch,
-    IncompleteResolution,
-    InsufficientSamples,
-    NotASubspaceRotation,
-    ZeroSurvival,
-)
-from .linalg import _compress, _range_basis, expm_hermitian_stack, hermitian_eigendecomposition, spectral_norm
-from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath, _plane_rotation_stack,
-                       _prefix_products, _RotationFramePath, _small_matmul, three_level_generators)
+from .errors import GridMismatch, IncompleteResolution, InsufficientSamples, NotASubspaceRotation, ZeroSurvival
+from .linalg import _compress, _range_basis, expm_hermitian_stack, spectral_norm
+from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath, _prefix_products, _rotations,
+                       _RotationFramePath, _small_matmul, three_level_generators)
 
 # Matrix entries per batch of step superoperators in a nonselective run: 1024 of a three-level system.
 _CHUNK_ENTRIES = 1024 * 3**4
@@ -75,17 +69,11 @@ class ControlConfig:
             raise ValueError(f"control mode {self.mode!r} needs a Hamiltonian matrix")
 
 
-def _constant_propagators(h):
-    """dts -> the stack exp(-i h dts[k]) for one Hermitian h (NonHermitianInput otherwise), decomposed once."""
-    w, v = hermitian_eigendecomposition(h)
-    return lambda dts: (v * np.exp(-1j * np.multiply.outer(dts, w))[:, None, :]) @ v.conj().T
-
-
 def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None):
     """Materialize a control config as a ClosedFormHamiltonian (H_0 stack or one constant matrix), or None.
 
     alpha_frame H_0 = alpha dtheta/dt G turns by alpha (theta(t_b) - theta(t_a)) over an interval, theta linear
-    between path samples; a constant H_0 is decomposed once.
+    between path samples; a constant H_0 propagates by `spectral._rotations` of H_0 (NonHermitianInput otherwise).
     """
     if config.mode == "none":
         return None
@@ -97,34 +85,33 @@ def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None
         theta, times = path.theta(), path.times
         thdot = np.gradient(theta, times, edge_order=2)
         g = three_level_generators(theta[0]).frame_generator
+        rotations = _rotations(g)
 
         def turns(t, dts):
             return config.alpha * (np.interp(t + 0.5 * dts, times, theta) - np.interp(t - 0.5 * dts, times, theta))
 
         return ClosedFormHamiltonian(lambda t: config.alpha * np.interp(t, times, thdot)[..., None, None] * g,
-                                     lambda t, dts: _plane_rotation_stack(g, turns(t, dts)))
+                                     lambda t, dts: rotations(turns(t, dts)))
     h = np.asarray(config.hamiltonian, dtype=complex)
-    propagators = _constant_propagators(h)
-    return ClosedFormHamiltonian(lambda t: h, lambda t, dts: propagators(dts))
+    rotations = _rotations(h)
+    return ClosedFormHamiltonian(lambda t: h, lambda t, dts: rotations(dts))
 
 
 def wagon_wheel_frames(h0, times, projectors0) -> FramePath:
-    """Frame family W(t) = exp(-2 i H_0 t): measurement basis outrunning the drive.
+    """Frame family W(t) = exp(-2 i H_0 t), the rotation by phi = 2t about H_0 (stack built when first read).
 
-    In the Zeno limit the conditioned dynamics then runs time-reversed
-    relative to H_0 on each measured subspace.
+    The measurement basis outruns the drive: in the Zeno limit the conditioned
+    dynamics runs time-reversed relative to H_0 on each measured subspace.
     """
     times = np.asarray(times, dtype=float)
-    return FramePath(times=times, frames=_constant_propagators(h0)(2.0 * times), projectors0=projectors0)
+    return _RotationFramePath(times, 2.0 * times, h0, projectors0)
 
 
 def _measurement_indices(times: np.ndarray, n: int) -> np.ndarray:
     """Indices of the uniform measurement grid k*T/N inside the frame grid."""
     span = times.size - 1
     if span < n or span % n != 0:
-        raise GridMismatch(
-            f"frame grid with {span} intervals cannot host {n} uniform measurement intervals"
-        )
+        raise GridMismatch(f"frame grid with {span} intervals cannot host {n} uniform measurement intervals")
     idx = np.arange(0, times.size, span // n)
     target = times[0] + (times[-1] - times[0]) * np.arange(n + 1) / n
     if not np.allclose(times[idx], target, rtol=0.0, atol=1e-9 * max(1.0, abs(times[-1]))):
@@ -167,11 +154,12 @@ def _selective(frames: FramePath, q: np.ndarray, factors: np.ndarray, initial) -
 
 @dataclass(frozen=True)
 class _RotationRun:
-    """A built-in three-level run in rotation-angle form: analytic frames W = exp(-i g phi), phi = theta - theta_0,
-    under H_0 = alpha dtheta/dt g (alpha = 0 without control), all rotations about one generator g (g^3 = g).
+    """A run in rotation-angle form: frames W = exp(-i G phi) about one fixed Hermitian G under H_0 = alpha dphi/dt G.
 
-    In the frame rotating with W the generator is K = (alpha - 1) dtheta/dt g, so every rotation the run needs is
-    (alpha - 1) times a difference of phi: a property of the loop, not of the grid it is sampled on.
+    Built-in three-level runs with analytic frames have G = g, phi = theta - theta_0 and alpha the control's (0
+    without control); wagon-wheel frames have G = H_0, phi = 2t and alpha = 1/2.  In the frame rotating with W the
+    generator is K = (alpha - 1) dphi/dt G, so every rotation the run needs is (alpha - 1) times a difference of
+    phi: a property of the path, not of the grid it is sampled on.
     """
 
     frames: _RotationFramePath
@@ -183,12 +171,12 @@ class _RotationRun:
             raise InsufficientSamples("the unwrapped frame angle needs at least 3 samples")
 
     def rotating_generator(self) -> np.ndarray:
-        """K = (alpha - 1) dphi/dt g on the frame grid: one central difference, exact where theta is linear in t."""
+        """K = (alpha - 1) dphi/dt G on the frame grid: one central difference, exact where phi is linear in t."""
         dphi = np.gradient(self.frames.phi, self.frames.times, edge_order=2)
         return (self.alpha - 1.0) * dphi[:, None, None] * self.frames.generator
 
     def gate(self, level: int) -> np.ndarray:
-        """`adiabatic._level_gate` of K: exp(-i (alpha - 1) phi(T) Q^dag g Q) on P_n(0), the identity off it."""
+        """`adiabatic._level_gate` of K: exp(-i (alpha - 1) phi(T) Q^dag G Q) on P_n(0), the identity off it."""
         p0 = self.frames.projectors0[level]
         q = _range_basis(p0)
         angle = (self.alpha - 1.0) * self.frames.phi[-1]
@@ -196,11 +184,9 @@ class _RotationRun:
         return q @ u @ q.conj().T + (np.eye(self.frames.dim) - p0)
 
     def factors(self, N: int, q: np.ndarray) -> np.ndarray:
-        """:func:`_interval_factors` by angle: Q^dag exp(-i g psi_k) Q, psi_k = (alpha - 1)(phi_{k+1} - phi_k)."""
+        """:func:`_interval_factors` by angle: Q^dag exp(-i G psi_k) Q, psi_k = (alpha - 1)(phi_{k+1} - phi_k)."""
         psi = (self.alpha - 1.0) * np.diff(self.frames.phi[_measurement_indices(self.frames.times, N)])
-        g = self.frames.generator
-        g1, g2 = _compress(q, np.stack([g, g @ g]))
-        return np.eye(q.shape[1]) + (np.cos(psi) - 1.0)[:, None, None] * g2 - 1j * np.sin(psi)[:, None, None] * g1
+        return self.frames.rotations(psi, q)
 
 
 def zeno_hamiltonian(h0_of_t, frames: FramePath, level: int) -> OperatorPath:

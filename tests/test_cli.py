@@ -159,6 +159,17 @@ class TestSweepCommand:
         assert cli.main(["sweep", scenario, "--axis", "N", "--values", "64.5"]) == 1
         assert capsys.readouterr().err.strip() == "error: N must be an integer, got 64.5"
 
+    def test_no_values_exit_1(self, tmp_path, capsys):
+        scenario, out = write_scenario(tmp_path, GOOD), tmp_path / "sweep.csv"
+        assert cli.main(["sweep", scenario, "--axis", "N", "--values", ",", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == "error: a sweep along 'N' needs at least one value"
+        assert not out.exists()
+
+    def test_repeated_values_print_no_slope(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, GOOD)
+        assert cli.main(["sweep", scenario, "--axis", "N", "--values", "64,64"]) == 0
+        assert "loglog_slope" not in capsys.readouterr().out
+
     def test_axis_mismatch_exit_2(self, tmp_path):
         scenario = write_scenario(tmp_path, GOOD)
         assert cli.main(["sweep", scenario, "--axis", "gamma", "--values", "1,2"]) == 2
@@ -185,6 +196,12 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.err.strip() == f"error: cases must be at least 1, got {cases}"
         assert "passed" not in captured.out
+
+    def test_negative_seed_exit_1(self, capsys):
+        assert cli.main(["check", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: seed must be a non-negative integer, got -1"
+        assert captured.out == ""
 
     def test_case_count_above_bound_exit_1(self, capsys):
         cases = MAX_CASES + 1
@@ -232,3 +249,9 @@ def test_console_usage_error_exit_1():
     proc = subprocess.run([sys.executable, "-m", "zenogate", "check", "--cases", "x"], capture_output=True, text=True)
     assert proc.returncode == 1
     assert "invalid int value: 'x'" in proc.stderr
+
+
+def test_console_negative_seed_exit_1():
+    proc = subprocess.run([sys.executable, "-m", "zenogate", "check", "--seed", "-1"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"

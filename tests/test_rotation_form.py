@@ -1,4 +1,5 @@
-"""Built-in three-level runs in rotation-angle form against the general path, and the batched nonselective run."""
+"""Rotation-angle runs (analytic three-level and wagon-wheel frames) against the general path, and the batched
+nonselective run."""
 
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from zenogate import runner
 from zenogate import zeno as zn
 from zenogate.adiabatic import _level_gate, _midpoint_propagators, rotating_generator
 from zenogate.errors import InsufficientSamples
-from zenogate.linalg import _range_basis, expm_hermitian_stack, random_hermitian, spectral_norm
+from zenogate.linalg import _range_basis, expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm
 from zenogate.scenario import load_scenario, scenario_from_dict
 from zenogate.spectral import FramePath, circle_path, frame_path_analytic_three_level, three_level_projectors
 from zenogate.zeno import ControlConfig, control_hamiltonian, nonselective_zeno_evolution
@@ -27,7 +28,11 @@ PATHS = {
     "samples": {"type": "samples", "times": [0.0, 0.3, 0.5, 1.1, 1.6], "a": [1.0, 0.2, -0.9, 0.1, 1.0],
                 "b": [0.0, 1.1, 0.3, -1.2, 0.0]},
 }
-CONTROLS = {"none": {"mode": "none"}, "alpha_frame": {"mode": "alpha_frame", "alpha": 0.35}}
+WAGON_WHEEL = [[0.0, 0.0, 0.0], [0.0, 0.0, [0.0, -1.0]], [0.0, [0.0, 1.0], 0.0]]  # the shipped H_0: G^3 = G
+RANDOM_H0 = [[[z.real, z.imag] for z in row] for row in random_hermitian(3, np.random.default_rng(3), scale=0.7)]
+CONTROLS = {"none": {"mode": "none"}, "alpha_frame": {"mode": "alpha_frame", "alpha": 0.35},
+            "wagon_wheel": {"mode": "wagon_wheel", "hamiltonian": WAGON_WHEEL},
+            "wagon_wheel_eigh": {"mode": "wagon_wheel", "hamiltonian": RANDOM_H0}}
 
 
 def _scenario(path, control, **overrides):
@@ -51,7 +56,7 @@ def _assert_records_match(rec, ref, tol, fields=RECORD_FIELDS):
             assert a == pytest.approx(b, abs=tol), name
 
 
-# The general route differentiates the frames by central differences; the rotation form reads its angles off theta.
+# The general route differentiates the frames by central differences; the rotation form reads its angles off phi.
 # Fields that do not depend on that quotient agree to rounding, distance and fidelity only to second order.
 EXACT_FIELDS = tuple(f for f in RECORD_FIELDS if f not in ("distance", "fidelity"))
 
@@ -143,7 +148,7 @@ def test_dissipative_rotation_form_matches_general_path(monkeypatch, control, pa
 
 
 SHIPPED_ROTATION_RUNS = ["zeno_winding_one", "zeno_winding_two", "zeno_no_winding", "zeno_alpha_half",
-                         "dephasing_superposition"]
+                         "dephasing_superposition", "wagon_wheel"]
 
 
 @pytest.mark.parametrize("name", SHIPPED_ROTATION_RUNS)
@@ -156,6 +161,15 @@ def test_predicted_gate_is_free_of_n(name):
         rotation = runner._rotation_run(scenario, frames)
         limits.append(frames.final @ rotation.gate(0) @ rotation.gate(1))
     assert spectral_norm(limits[0] - limits[1]) <= 1e-10
+
+
+def test_wagon_wheel_gate_is_the_time_reversed_drive():
+    """The shipped wagon wheel's Zeno limit on level 0 is exp(+i T P_0 H_0 P_0) exactly, at any N."""
+    scenario = scenario_from_dict({**load_scenario(SCENARIO_DIR / "wagon_wheel.yaml").raw, "N": 16})
+    _, frames, _ = runner._frames_for(scenario, samples=17)
+    p0, h0 = frames.projectors0[0], scenario.control.hamiltonian
+    reversed_gate = expm_hermitian(p0 @ h0 @ p0, 1j * frames.times[-1])
+    assert spectral_norm(runner._rotation_run(scenario, frames).gate(0) - reversed_gate) <= 1e-12
 
 
 def test_slow_loop_record_is_free_of_samples():
@@ -235,14 +249,18 @@ def _count_calls(monkeypatch):
 
 
 CUSTOM_CONTROL = [[0.3, 0.1, 0.0], [0.1, -0.2, [0.0, 0.4]], [0.0, [0.0, -0.4], 0.0]]
-WAGON_WHEEL = [[0.0, 0.0, 0.0], [0.0, 0.0, [0.0, -1.0]], [0.0, [0.0, 1.0], 0.0]]
 
 
 @pytest.mark.parametrize("overrides", [{"N": 256}, {"N": 256, "control": {"mode": "alpha_frame", "alpha": 0.5}},
                                        {"N": 256, "nonselective": True},
                                        {"engine": "dissipative", "gamma": 100.0, "alphas": [0.0, 1.0]},
-                                       {"engine": "adiabatic"}],
-                         ids=["none", "alpha_frame", "nonselective", "dissipative", "adiabatic"])
+                                       {"engine": "adiabatic"},
+                                       {"N": 256, "control": CONTROLS["wagon_wheel"]},
+                                       {"N": 256, "nonselective": True, "control": CONTROLS["wagon_wheel"]},
+                                       {"engine": "dissipative", "gamma": 100.0, "alphas": [0.0, 1.0],
+                                        "control": CONTROLS["wagon_wheel"]}],
+                         ids=["none", "alpha_frame", "nonselective", "dissipative", "adiabatic", "wagon_wheel",
+                              "wagon_wheel_nonselective", "wagon_wheel_dissipative"])
 def test_rotation_form_skips_the_general_path(monkeypatch, overrides):
     calls = _count_calls(monkeypatch)
     data = {"engine": "zeno", "path": {"type": "circle", "windings": 1},
@@ -252,10 +270,9 @@ def test_rotation_form_skips_the_general_path(monkeypatch, overrides):
 
 
 @pytest.mark.parametrize("overrides", [{"frame_method": "tracked"},
-                                       {"control": {"mode": "wagon_wheel", "hamiltonian": WAGON_WHEEL}},
                                        {"control": {"mode": "custom", "hamiltonian": CUSTOM_CONTROL}},
                                        "custom_model"],
-                         ids=["tracked", "wagon_wheel", "custom_control", "custom_model"])
+                         ids=["tracked", "custom_control", "custom_model"])
 def test_other_runs_take_the_general_path(monkeypatch, overrides):
     calls = _count_calls(monkeypatch)
     data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 256,

@@ -1,5 +1,6 @@
 import copy
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -237,6 +238,17 @@ class TestSweep:
         before = copy.deepcopy(scenario.raw)
         sweep(scenario, axis, values)
         assert scenario.raw == before
+
+    def test_no_values_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="needs at least one value"):
+            sweep(load_scenario(SCENARIO_DIR / "zeno_winding_one.yaml"), "N", [])
+
+    def test_repeated_values_fit_no_slope(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = sweep(load_scenario(SCENARIO_DIR / "zeno_winding_one.yaml"), "N", [64, 64])
+        assert summary.slopes == {}
+        assert [r.axis_value for r in summary.records] == [64.0, 64.0]
 
     def test_n_axis_slopes(self):
         summary = sweep(zeno_scenario(), "N", [2**k for k in range(6, 11)])
@@ -535,17 +547,23 @@ class TestCentredCircle:
     offset_slow_loop(),
     {"engine": "adiabatic", "path": sampled_unit_loop(257, 20.0), "steps": 2000, "initial_state": {"name": "E_minus"}},
     SCENARIO_DIR / "dissipative_gate.yaml",
+    SCENARIO_DIR / "wagon_wheel.yaml",
+    {"engine": "dissipative", "path": {"type": "circle", "windings": 1}, "gamma": 100.0, "alphas": [0.0, 1.0],
+     "control": {"mode": "wagon_wheel", "hamiltonian": np.diag([0.5, -1.0, 2.0]).tolist()},
+     "initial_state": {"name": "E_minus"}},
 ], ids=["zeno_winding_one", "zeno_alpha_half", "adiabatic_slow_loop", "offset_slow_loop", "sampled_adiabatic",
-        "dissipative_gate"])
+        "dissipative_gate", "wagon_wheel", "wagon_wheel_dissipative"])
 def test_rotation_runs_build_no_frame_stack(monkeypatch, document):
-    """These runs read only W(0) and W(T) of the analytic frames: no frame is built from more than one angle."""
-    angles = []
-    original = spectral._plane_rotation_stack
-    monkeypatch.setattr(spectral, "_plane_rotation_stack", lambda g, phis: angles.append(len(phis)) or original(g, phis))
+    """These runs read only W(0) and W(T) of their rotation frames (analytic or wagon-wheel): no stack is built."""
+    reads = []
+    cls = spectral._RotationFramePath
+    stack, final = cls.frames.func, cls.final.fget
+    monkeypatch.setattr(cls, "frames", property(lambda self: reads.append("frames") or stack(self)))
+    monkeypatch.setattr(cls, "final", property(lambda self: reads.append("final") or final(self)))
     scenario = load_scenario(document) if isinstance(document, Path) else scenario_from_dict(document)
     assert not scenario.nonselective
     run(scenario)
-    assert angles and set(angles) == {1}
+    assert reads and set(reads) == {"final"}
 
 
 def _edited_document(scenario, axis, value):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from zenogate.errors import CriticalPoint, OpenPath, SubspaceTrackingFailure
-from zenogate.linalg import expm_hermitian, expm_hermitian_stack, spectral_norm
+from zenogate.errors import CriticalPoint, NonHermitianInput, OpenPath, SubspaceTrackingFailure
+from zenogate.linalg import expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm
 from zenogate.spectral import (
     OperatorPath,
     ParameterPath,
     SpectrumStack,
     _circle_controls,
-    _plane_rotation_stack,
+    _rotations,
     circle_path,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
@@ -225,11 +225,54 @@ class TestFramePathAnalytic:
     def test_stack_and_ends_are_the_closed_form_bit_for_bit(self, path, gens):
         frames = frame_path_analytic_three_level(path)
         theta = path.theta()
-        stack = _plane_rotation_stack(gens.frame_generator, theta - theta[0])
+        g, phi = gens.frame_generator, theta - theta[0]
+        stack = _rotations(g)(phi)
+        closed = np.eye(3) + (np.cos(phi) - 1.0)[:, None, None] * (g @ g) - 1j * np.sin(phi)[:, None, None] * g
+        assert np.array_equal(stack, closed)
         ends = frames.initial, frames.final  # read before the stack is built
         assert np.array_equal(frames.frames, stack)
         assert np.array_equal(ends[0], stack[0]) and np.array_equal(ends[1], stack[-1])
         assert frames.dim == 3 and frames.nlevels == 2
+
+
+class TestRotations:
+    """spectral._rotations: exp(-i G phi) about one fixed Hermitian G, closed form when G^3 = G, else one eigh."""
+
+    GENERATORS = {
+        "plane": lambda rng, gens: gens.frame_generator,
+        "subspace": lambda rng, gens: gens.subspace_generator,
+        "tiny_plane": lambda rng, gens: 1e-15 * gens.frame_generator,  # G^3 = G only to an absolute 1e-15
+        "random": lambda rng, gens: random_hermitian(4, rng, scale=2.0),
+    }
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_matches_expm_in_full_and_on_a_basis(self, rng, gens, name):
+        g = self.GENERATORS[name](rng, gens)
+        phis = np.array([0.0, 0.3, -2.1, 7.5, 1e3])
+        refs = np.stack([expm_hermitian(g, -1j * phi) for phi in phis])
+        rotations = _rotations(g)
+        assert np.abs(rotations(phis) - refs).max() <= 1e-12
+        q = np.linalg.qr(rng.standard_normal((g.shape[0], 2)) + 1j * rng.standard_normal((g.shape[0], 2)))[0]
+        assert np.abs(rotations(phis, q) - q.conj().T @ refs @ q).max() <= 1e-12
+
+    @pytest.mark.parametrize("name, decompositions", [("plane", 0), ("subspace", 0), ("tiny_plane", 1), ("random", 1)])
+    def test_decomposes_only_a_generator_without_closed_form(self, monkeypatch, recording, rng, gens, name,
+                                                             decompositions):
+        g = self.GENERATORS[name](rng, gens)
+        eigh = recording(np.linalg.eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        rotations = _rotations(g)
+        rotations(np.linspace(0.0, 5.0, 100))
+        rotations(np.linspace(0.0, 5.0, 100), np.eye(g.shape[0])[:, :2])
+        assert eigh.shapes == [g.shape] * decompositions
+
+    def test_rejects_what_is_not_hermitian(self):
+        h = np.zeros((3, 3), dtype=complex)
+        h[0, 1] = 1.0
+        with pytest.raises(NonHermitianInput):
+            _rotations(h)
+        with pytest.raises(ValueError):
+            _rotations(np.eye(3)[:2])
 
 
 class TestWindingNumber:

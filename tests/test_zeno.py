@@ -491,6 +491,23 @@ def test_non_hermitian_control_rejected(projs0, evolve):
             wagon_wheel_frames(h0, frames.times, projs0)
 
 
+def test_wagon_wheel_frames_are_checked_before_their_stack_is_built(gens, projs0):
+    """The stack exp(-2i H_0 t_k) is built on first read, but times, projectors and H_0 are checked at once."""
+    h0, times = gens.frame_generator, np.linspace(0.0, 1.0, 9)
+    frames = wagon_wheel_frames(h0, times, projs0)
+    assert "frames" not in vars(frames)
+    assert np.abs(frames.frames - expm_hermitian_stack(np.broadcast_to(h0, (9, 3, 3)), -2j * times)).max() <= 1e-14
+    with pytest.raises(ValueError, match="frames must be"):
+        wagon_wheel_frames(h0, times[None], projs0)
+    for projectors in (projs0[0], np.stack(projs0)[:, :2, :2]):
+        with pytest.raises(ValueError, match="projectors0 must be"):
+            wagon_wheel_frames(h0, times, projectors)
+    with pytest.raises(ValueError, match="square"):
+        wagon_wheel_frames(h0[:2], times, projs0)
+    with pytest.raises(NonHermitianInput):
+        wagon_wheel_frames(h0 + np.triu(np.ones((3, 3)), 1), times, projs0)
+
+
 @pytest.mark.parametrize(
     "evolve, shape",
     [("projected", (16,)), ("nonselective", (16,)), ("zeno_hamiltonian", (65,)), ("effective_frame", (64,))],
