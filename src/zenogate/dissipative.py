@@ -24,16 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import ordered_product
 from .errors import StiffnessBudgetExceeded
 from .linalg import _range_basis, expm_stack, trace_distance
 from .spectral import FramePath, OperatorPath, _sample_stack
-from .zeno import _dephase
+from .zeno import MasterResult, _dephase, _fold
 
 STIFFNESS_BUDGET = 0.1
 EXPONENTIAL_BUDGET = 1e3
-# Matrix entries per batch of step exponentials: 256 superoperators of a three-level system.
-_CHUNK_ENTRIES = 256 * 3**4
 
 
 def _weights(gamma: float, alphas) -> tuple:
@@ -75,18 +72,6 @@ class DissipatorSpec:
 
     def max_weight_gap_sq(self) -> float:
         return _gap_sq(self.alphas)
-
-
-@dataclass(frozen=True)
-class MasterResult:
-    """Endpoint of a master-equation integration and the trace renormalization it needed.
-
-    RK4 sums |tr - 1| over its per-step renormalizations; the rotating-frame
-    engine renormalizes once, at the end.
-    """
-
-    final: np.ndarray
-    trace_drift: float
 
 
 def _lindblad(rho, h0, lop, l2, gamma: float) -> np.ndarray:
@@ -198,11 +183,11 @@ def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0,
     generator sampled on the frame grid (`generator`, from
     `adiabatic.rotating_generator`; linear between samples) and D_0 the
     constant `dephaser`.  Each of the `steps` uniform steps is one
-    exponential exp(-i ad(integral of K over the step) + dt D_0), built and
-    multiplied in fixed-size batches.  The exact integral keeps a step that
-    spans many frame samples accurate where K jumps (at the corners of a
-    path).  The count must keep dt * gamma * max_gap^2 within
-    EXPONENTIAL_BUDGET (StiffnessBudgetExceeded otherwise).  No step
+    exponential exp(-i ad(integral of K over the step) + dt D_0), folded
+    onto rho~(0) = rho0 (W(0) = 1) by `zeno._fold`.  The exact integral
+    keeps a step that spans many frame samples accurate where K jumps (at
+    the corners of a path).  The count must keep dt * gamma * max_gap^2
+    within EXPONENTIAL_BUDGET (StiffnessBudgetExceeded otherwise).  No step
     renormalizes: `trace_drift` is |tr rho(T) - 1| before the one final
     division by the trace.  It is accumulated rounding and grows with
     gamma: on the unit loop 6e-11 at gamma = 1e7 and 9.7e-10 at 1e8, where
@@ -222,19 +207,13 @@ def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0,
     eye = np.eye(dim)
     grid = np.linspace(t0, t1, steps + 1)
     dts = np.diff(grid)
-    chunk = max(1, _CHUNK_ENTRIES // dim**4)
-    total = np.eye(dim * dim, dtype=complex)
-    for start in range(0, steps, chunk):
-        kdt = np.diff(integral(grid[start:start + chunk + 1]), axis=0)  # integral of K over each step
+
+    def maps(start, stop):
+        kdt = np.diff(integral(grid[start:stop + 1]), axis=0)  # integral of K over each step
         ad = np.einsum("kil,jm->kijlm", kdt, eye) - np.einsum("il,kmj->kijlm", eye, kdt)
-        s = -1j * ad.reshape(kdt.shape[0], dim * dim, dim * dim) + dts[start:start + chunk, None, None] * d0
-        total = ordered_product(expm_stack(s)) @ total
-    w0, wt = frames.initial, frames.final
-    rotated = total @ (w0.conj().T @ np.asarray(rho0, dtype=complex) @ w0).reshape(-1)
-    rho = wt @ rotated.reshape(dim, dim) @ wt.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
-    return MasterResult(final=rho / tr, trace_drift=abs(tr - 1.0))
+        return expm_stack(-1j * ad.reshape(-1, dim * dim, dim * dim) + dts[start:stop, None, None] * d0)
+
+    return _fold(frames, rho0, steps, maps)
 
 
 def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterResult:

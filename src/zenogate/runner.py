@@ -20,7 +20,7 @@ import numpy as np
 from . import dissipative as dis
 from . import zeno as zn
 from .adiabatic import PropagatorResult, _level_gate, gauge_decompose, propagate_exact, rotating_generator
-from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
+from .errors import AxisMismatch, InsufficientSamples, NotASubspaceRotation, ValidationError
 from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
 from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
 from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, _circle_controls, _rotations,
@@ -179,11 +179,14 @@ def _rotation_run(scenario: Scenario, frames: FramePath):
     analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
     if not analytic or scenario.control.mode not in ("none", "alpha_frame"):
         return None
+    if frames.times.size < 3:
+        # Two samples of a closed loop coincide: the unwrapped angle would read phi(T) = 0 whatever the winding.
+        raise InsufficientSamples("the unwrapped frame angle needs at least 3 samples")
     return zn._RotationRun(frames, scenario.control.alpha)
 
 
-def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath, rho0, rho):
-    """Compare rho with the nonselective Zeno limit W(T) U_Z P[rho0] U_Z^dag W(T)^dag.
+def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath, rho0, result: zn.MasterResult):
+    """Compare result.final with the nonselective Zeno limit W(T) U_Z P[rho0] U_Z^dag W(T)^dag; copy its drift.
 
     U_Z is the product of the level gates `gate_of(n)` of H_Z[n] = P_n(0) K P_n(0) (blocks on orthogonal
     P_n(0) commute), K the run's rotating-frame generator; P is the dephasing onto the initial eigenspaces.
@@ -192,8 +195,9 @@ def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath
     for n in range(frames.nlevels):
         u = u @ gate_of(n)
     pred = u @ zn.nonselective_step(rho0, frames.projectors0) @ u.conj().T
-    record.distance = trace_distance(rho, pred)
-    record.fidelity = state_fidelity(rho, pred)
+    record.distance = trace_distance(result.final, pred)
+    record.fidelity = state_fidelity(result.final, pred)
+    record.trace_drift = result.trace_drift
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +218,8 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
 
     if scenario.nonselective:
         rho0 = np.outer(psi0, psi0.conj())
-        rho = zn._nonselective(frames, factors(np.eye(frames.dim)), rho0)
-        _record_dephased_prediction(record, gate_of, frames, rho0, rho)
-        record.trace_drift = abs(float(np.trace(rho).real) - 1.0)
+        result = zn._nonselective(frames, factors(np.eye(frames.dim)), rho0)
+        _record_dephased_prediction(record, gate_of, frames, rho0, result)
         return
 
     q = _range_basis(frames.projectors0[level])
@@ -324,8 +327,7 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     else:
         generator, gate_of = rotation.rotating_generator(), rotation.gate
     result = dis.integrate_rotating(generator, frames, scenario.gamma, alphas, rho0, steps)
-    record.trace_drift = result.trace_drift
-    _record_dephased_prediction(record, gate_of, frames, rho0, result.final)
+    _record_dephased_prediction(record, gate_of, frames, rho0, result)
 
 
 _ENGINES = {"zeno": _run_zeno, "adiabatic": _run_adiabatic, "dissipative": _run_dissipative}

@@ -40,7 +40,7 @@ engines only, the others by every engine)::
     level: 0                      # zeno and adiabatic: eigenspace index followed by the run
     nonselective: false           # zeno: evolve a density matrix, outcomes unread
     frame_method: analytic | tracked    (analytic for three_level, tracked for custom)
-    runtime_budget_s: float       # optional declared runtime bound
+    runtime_budget_s: float       # optional declared runtime bound, > 0
     tolerances:                   # each > 0
       cluster: 1e-8
       holonomy: 1e-2              # zeno and adiabatic: angle read from a gate this close to a rotation
@@ -419,7 +419,9 @@ def _parse_name(data, fields):
 
 def _parse_runtime_budget(data, fields):
     budget = data.get("runtime_budget_s")
-    return {"runtime_budget_s": None if budget is None else _number(budget, "runtime_budget_s")}
+    budget = None if budget is None else _number(budget, "runtime_budget_s")
+    _require(budget is None or budget > 0, "runtime_budget_s must be positive")
+    return {"runtime_budget_s": budget}
 
 
 _PARSERS = {  # every top-level key, in the order of validation

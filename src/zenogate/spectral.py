@@ -201,7 +201,8 @@ class FramePath:
     """Sampled unitary family W(t_k) with the initial projectors it transports.
 
     frames[k] maps the range of projectors0[n] onto the instantaneous n-th
-    eigenspace at times[k]; frames[0] is the identity.  `projectors0` is an
+    eigenspace at times[k]; frames[0] must be the identity (ValueError
+    otherwise), which every engine assumes.  `projectors0` is an
     (nlevels, d, d) stack of projector matrices.
     """
 
@@ -211,17 +212,19 @@ class FramePath:
 
     def __post_init__(self):
         f = np.asarray(self.frames, dtype=complex)
-        self._set_times_and_projectors(f.shape)
+        self._set_times_and_projectors(f.shape, lambda: f[:1])
         object.__setattr__(self, "frames", f)
 
-    def _set_times_and_projectors(self, frames_shape):
-        """Store `times` and `projectors0` as arrays, checked against the shape of the frame stack (ValueError)."""
+    def _set_times_and_projectors(self, frames_shape, first):
+        """Store `times` and `projectors0` as arrays, checked against the frames' shape and first() = W(t_0) = 1."""
         t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.projectors0, dtype=complex)
         if len(frames_shape) != 3 or frames_shape[0] != t.size:
             raise ValueError("frames must be a (len(times), d, d) stack")
         if p.ndim != 3 or p.shape[1:] != frames_shape[1:]:
             raise ValueError("projectors0 must be an (nlevels, d, d) stack matching the frames")
+        if np.abs(first() - np.eye(p.shape[-1])).max(initial=0.0) > 1e-12:
+            raise ValueError("the first frame must be the identity: W(t_0) = 1")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "projectors0", p)
 
@@ -232,11 +235,6 @@ class FramePath:
     @property
     def nlevels(self) -> int:
         return self.projectors0.shape[0]
-
-    @property
-    def initial(self) -> np.ndarray:
-        """W(t_0), the first frame."""
-        return self.frames[0]
 
     @property
     def final(self) -> np.ndarray:
@@ -568,8 +566,8 @@ def _rotations(generator):
 class _RotationFramePath(FramePath):
     """Frames exp(-i G phi_k) about one fixed Hermitian G (:func:`_rotations`): the stack is built on its first read.
 
-    `initial` and `final` come from the first and last angle alone, equal bit
-    for bit to the stack's ends.  Times and projectors are checked at once.
+    `final` comes from the last angle alone, equal bit for bit to the stack's
+    end.  Times, projectors and W(t_0) = 1 are checked at once.
     """
 
     def __init__(self, times, phi, generator, projectors0):
@@ -577,17 +575,13 @@ class _RotationFramePath(FramePath):
         object.__setattr__(self, "rotations", _rotations(g))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "projectors0", projectors0)
-        self._set_times_and_projectors(np.shape(phi) + g.shape)
+        self._set_times_and_projectors(np.shape(phi) + g.shape, lambda: self.rotations(phi[:1]))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "generator", g)
 
     @cached_property
     def frames(self) -> np.ndarray:
         return self.rotations(self.phi)
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.rotations(self.phi[:1])[0]
 
     @property
     def final(self) -> np.ndarray:
@@ -597,8 +591,8 @@ class _RotationFramePath(FramePath):
 def frame_path_analytic_three_level(path: ParameterPath) -> FramePath:
     """Closed-form transport frames exp(-i G (theta(t) - theta_0)) for the three-level family.
 
-    The (K, 3, 3) stack `frames` is built only when it is read; W(0) and W(T)
-    (`initial`, `final`) come from theta alone.
+    The (K, 3, 3) stack `frames` is built only when it is read; W(T)
+    (`final`) comes from theta alone.
     """
     theta = path.theta()
     gens = three_level_generators(theta[0])

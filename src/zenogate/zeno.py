@@ -20,7 +20,8 @@ density matrices, which dephases any coherence across subspaces.
 Both run in the frame rotating with W, where the measured projectors are the
 constant P_n(0) and each interval is one factor F_k = W(t_{k+1})^dag U_0 W(t_k):
 `_interval_factors` (or `_RotationRun.factors`, from rotation angles) feeds the
-shared tails `_selective` and `_nonselective`.
+shared tails `_selective` and `_nonselective`.  `_fold`, the density-matrix
+tail, also ends every dissipative run.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .linalg import _compress, _range_basis, expm_hermitian_stack, spectral_norm
 from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath, _prefix_products, _rotations,
                        _RotationFramePath, _small_matmul, three_level_generators)
 
-# Matrix entries per batch of step superoperators in a nonselective run: 1024 of a three-level system.
-_CHUNK_ENTRIES = 1024 * 3**4
+# Matrix entries per batch of d^2 x d^2 step maps in `_fold`: 256 of a three-level system.
+_CHUNK_ENTRIES = 256 * 3**4
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,14 @@ class ZenoRun:
     final_operator: np.ndarray
     survival_probability: float
     conditional_state: np.ndarray
+
+
+@dataclass(frozen=True)
+class MasterResult:
+    """Endpoint of a density-matrix evolution and its |tr - 1| before renormalizing (`_fold`: once; RK4: summed)."""
+
+    final: np.ndarray
+    trace_drift: float
 
 
 @dataclass(frozen=True)
@@ -165,11 +174,6 @@ class _RotationRun:
     frames: _RotationFramePath
     alpha: float
 
-    def __post_init__(self):
-        if self.frames.times.size < 3:
-            # Two samples of a closed loop coincide: the unwrapped angle would read phi(T) = 0 whatever the winding.
-            raise InsufficientSamples("the unwrapped frame angle needs at least 3 samples")
-
     def rotating_generator(self) -> np.ndarray:
         """K = (alpha - 1) dphi/dt G on the frame grid: one central difference, exact where phi is linear in t."""
         dphi = np.gradient(self.frames.phi, self.frames.times, edge_order=2)
@@ -274,26 +278,40 @@ def nonselective_step(rho: np.ndarray, projectors) -> np.ndarray:
     return _dephase(rho, mats)
 
 
-def _nonselective(frames: FramePath, factors: np.ndarray, rho0) -> np.ndarray:
-    """rho0 under unread measurements around the (N, d, d) interval factors F_k (Q = 1).
+def _fold(frames: FramePath, rho0, steps: int, maps) -> MasterResult:
+    """rho(T) = W(T) rho~(T) W(T)^dag with vec(rho~(T)) = M_{steps-1} ... M_0 vec(rho0), rho~(0) = rho0 (W(0) = 1).
 
-    rho starts as the dephased rho0 (W(0) = 1); step k acts on the row-major vec(rho) as sum_n (P_n(0) F_k)
-    x conj(P_n(0) F_k), in fixed-size batches; W(T) rotates the result back once.  IncompleteResolution
-    unless the P_n(0) sum to 1 and W(t_k) is unitary at every measurement time.
+    `maps(start, stop)` builds the (stop - start, d^2, d^2) step maps M_k acting on the row-major vec(rho~); they
+    are built and applied in fixed-size batches.  The result is re-Hermitized and divided by its trace once;
+    `trace_drift` is |tr rho(T) - 1| read before that division.
+    """
+    dim = frames.dim
+    rho = np.asarray(rho0, dtype=complex).reshape(-1)
+    chunk = max(1, _CHUNK_ENTRIES // dim**4)
+    for start in range(0, steps, chunk):
+        rho = ordered_product(maps(start, min(start + chunk, steps))) @ rho
+    wt = frames.final
+    rho = wt @ rho.reshape(dim, dim) @ wt.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.trace(rho).real)
+    return MasterResult(final=rho / tr, trace_drift=abs(tr - 1.0))
+
+
+def _nonselective(frames: FramePath, factors: np.ndarray, rho0) -> MasterResult:
+    """`_fold` of rho0 under unread measurements around the (N, d, d) interval factors F_k (Q = 1).
+
+    rho~ starts as the dephased rho0; step k acts on vec(rho~) as sum_n (P_n(0) F_k) x conj(P_n(0) F_k).
+    IncompleteResolution unless the P_n(0) sum to 1 and W(t_k) is unitary at every measurement time.
     """
     dim = frames.dim
     w = frames.frames[_measurement_indices(frames.times, len(factors))]
     _check_resolution(_small_matmul(w, w.conj().swapaxes(-1, -2)))
-    rho = nonselective_step(rho0, frames.projectors0).reshape(-1)
-    chunk = max(1, _CHUNK_ENTRIES // dim**4)
-    for start in range(0, len(factors), chunk):
-        maps = _small_matmul(frames.projectors0, factors[start:start + chunk, None])  # P_n(0) F_k
-        steps = np.einsum("knil,knjm->kijlm", maps, maps.conj()).reshape(-1, dim * dim, dim * dim)
-        rho = ordered_product(steps) @ rho
-    wt = frames.final
-    rho = wt @ rho.reshape(dim, dim) @ wt.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / float(np.trace(rho).real)  # counter float drift of the exact trace preservation
+
+    def maps(start, stop):
+        m = _small_matmul(frames.projectors0, factors[start:stop, None])  # P_n(0) F_k
+        return np.einsum("knil,knjm->kijlm", m, m.conj()).reshape(-1, dim * dim, dim * dim)
+
+    return _fold(frames, nonselective_step(rho0, frames.projectors0), len(factors), maps)
 
 
 def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0) -> np.ndarray:
@@ -303,4 +321,4 @@ def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0) -> np.
     preserved exactly and coherence across subspaces is removed.  IncompleteResolution unless the P_n(0)
     resolve the identity and W is unitary at every measurement time.
     """
-    return _nonselective(frames, _interval_factors(h0_of_t, frames, N, np.eye(frames.dim)), rho0)
+    return _nonselective(frames, _interval_factors(h0_of_t, frames, N, np.eye(frames.dim)), rho0).final

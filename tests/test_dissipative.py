@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zenogate import dissipative
+from zenogate import zeno
 from zenogate.adiabatic import rotating_generator
 from zenogate.dissipative import (
     EXPONENTIAL_BUDGET,
@@ -27,8 +27,8 @@ from zenogate.spectral import (
     three_level_eigenbasis,
     three_level_projectors,
 )
-from zenogate.zeno import (ControlConfig, _RotationRun, control_hamiltonian, nonselective_step, zeno_hamiltonian,
-                           zeno_unitary)
+from zenogate.zeno import (ControlConfig, _RotationRun, control_hamiltonian, nonselective_step,
+                           nonselective_zeno_evolution, zeno_hamiltonian, zeno_unitary)
 
 
 def static_dissipator(gamma, theta=0.0, alphas=(0.0, 1.0)):
@@ -248,9 +248,12 @@ class TestIntegrateRotating:
         frames = frame_path_analytic_three_level(path)
         rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
         k = rotating_generator(h0, frames)
-        whole = integrate_rotating(k, frames, 50.0, alphas, rho0, 100).final
-        monkeypatch.setattr(dissipative, "_CHUNK_ENTRIES", 7 * 3**4)  # 7 steps per batch, a short last batch
-        assert spectral_norm(integrate_rotating(k, frames, 50.0, alphas, rho0, 100).final - whole) <= 1e-13
+        runs = (lambda: integrate_rotating(k, frames, 50.0, alphas, rho0, 100).final,
+                lambda: nonselective_zeno_evolution(h0, frames, 256, rho0))
+        whole = [run() for run in runs]
+        monkeypatch.setattr(zeno, "_CHUNK_ENTRIES", 7 * 3**4)  # 7 steps per batch, a short last batch
+        for run, ref in zip(runs, whole):
+            assert spectral_norm(run() - ref) <= 1e-13
 
     def test_state_invariants(self):
         frames = frame_path_analytic_three_level(circle_path(samples=513))

@@ -151,6 +151,10 @@ def _tolerance(data, doc):
     return {**doc, "tolerances": {field: data.draw(st.sampled_from([0.0, -0.0, -1e-3, -1.0]))}}
 
 
+def _runtime_budget(data, doc):
+    return {**doc, "runtime_budget_s": data.draw(st.sampled_from([0, 0.0, -0.0, -1e-3, -5.0]))}
+
+
 MALFORMED = {
     "non_finite": lambda data, doc: _numeric_leaf(data, doc, NON_FINITE),
     "wrong_type": lambda data, doc: _numeric_leaf(data, doc, ("abc", [1.0, 2.0, 3.0], {"x": 1})),
@@ -162,6 +166,7 @@ MALFORMED = {
     "unknown_key": _unknown_key,
     "repeated_alphas": _repeated_alphas,
     "non_positive_tolerance": _tolerance,
+    "non_positive_runtime_budget": _runtime_budget,
 }
 
 

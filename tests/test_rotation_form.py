@@ -11,7 +11,8 @@ from zenogate import runner
 from zenogate import zeno as zn
 from zenogate.adiabatic import _level_gate, _midpoint_propagators, rotating_generator
 from zenogate.errors import InsufficientSamples
-from zenogate.linalg import _range_basis, expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm
+from zenogate.linalg import (_range_basis, expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm,
+                             trace_distance)
 from zenogate.scenario import load_scenario, scenario_from_dict
 from zenogate.spectral import FramePath, circle_path, frame_path_analytic_three_level, three_level_projectors
 from zenogate.zeno import ControlConfig, control_hamiltonian, nonselective_zeno_evolution
@@ -109,11 +110,32 @@ def test_general_gate_converges_to_rotation_gate(control, path):
 @pytest.mark.parametrize("nonselective", [False, True])
 @pytest.mark.parametrize("control", CONTROLS)
 def test_single_measurement_has_no_frame_derivative(monkeypatch, control, nonselective):
+    """At N = 1 the general route and the unwrapped three-level angle refuse; wagon-wheel frames read phi = 2t."""
     scenario = _scenario("circle_w1", control, N=1, nonselective=nonselective)
     with pytest.raises(InsufficientSamples):
-        runner.run(scenario)
-    with pytest.raises(InsufficientSamples):
         _general_record(monkeypatch, scenario)
+    if scenario.control.mode != "wagon_wheel":
+        with pytest.raises(InsufficientSamples):
+            runner.run(scenario)
+        return
+    rec = runner.run(scenario)
+    # The one factor is F_0 = W(T)^dag exp(-i H_0 T) = exp(+i H_0 T), and the gate on level n is exp(+i T Q^dag H_0 Q).
+    path_, frames, _ = runner._frames_for(scenario, samples=2)
+    h0, duration = scenario.control.hamiltonian, float(frames.times[-1])
+    psi0 = runner._initial_vector(scenario, path_)
+    factor = expm_hermitian(h0, 1j * duration)
+    if not nonselective:
+        q = _range_basis(frames.projectors0[0])
+        assert rec.p_N == pytest.approx(np.linalg.norm(q.conj().T @ factor @ q @ q.conj().T @ psi0) ** 2, abs=1e-12)
+        return
+    wt = expm_hermitian(h0, -2j * duration)
+    dephased = zn.nonselective_step(np.outer(psi0, psi0.conj()), frames.projectors0)
+    rho = wt @ zn.nonselective_step(factor @ dephased @ factor.conj().T, frames.projectors0) @ wt.conj().T
+    qs = [_range_basis(p) for p in frames.projectors0]
+    gate = sum(q @ expm_hermitian(q.conj().T @ h0 @ q, 1j * duration) @ q.conj().T for q in qs)
+    pred = wt @ gate @ dephased @ gate.conj().T @ wt.conj().T
+    assert rec.distance == pytest.approx(trace_distance(rho, pred), abs=1e-12)
+    assert rec.trace_drift <= 1e-12
 
 
 @pytest.mark.parametrize("path", ["circle_w1", "polyline", "samples"])

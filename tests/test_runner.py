@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenogate import adiabatic, dissipative, runner, spectral
+from zenogate import adiabatic, dissipative, runner, spectral, zeno
 from zenogate import scenario as scenario_module
 from zenogate.adiabatic import _level_gate, rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
@@ -424,11 +424,38 @@ def lab_frame_record(data):
     diss = dissipative.DissipatorSpec(scenario.gamma, scenario.alphas, projectors_from_frames(frames))
     steps = max(512, int(np.ceil(dissipative.fewest_steps(diss.gamma, diss.alphas, duration,
                                                           dissipative.STIFFNESS_BUDGET))))
-    final = dissipative.integrate_master(h0, diss, rho0, duration, steps).final
+    result = dissipative.integrate_master(h0, diss, rho0, duration, steps)
     record = runner.ResultRecord(scenario_id=scenario.name, digest=scenario.digest, engine=scenario.engine)
     runner._record_dephased_prediction(record, partial(_level_gate, rotating_generator(h0, frames), frames), frames,
-                                       rho0, final)
+                                       rho0, result)
     return record
+
+
+@pytest.mark.parametrize("engine", ["zeno", "dissipative"])
+def test_trace_drift_is_read_before_the_one_division(monkeypatch, engine):
+    """Both density-matrix engines end in `zeno._fold`: with every step map scaled by 1 + 1e-6, the record reports
+    the trace (1 + 1e-6)^steps the fold divided out, and the state it reports does not change."""
+    amps = {"initial_state": {"amplitudes": [0.8, 0.36, -0.48]}}
+    data = ({"engine": "zeno", "N": 512, "nonselective": True, **amps} if engine == "zeno" else
+            {"engine": "dissipative", "gamma": 300.0, "alphas": [0.0, 1.0], **amps})
+    scenario = scenario_from_dict(data)
+    plain = run(scenario)
+    folds = []
+    original = zeno._fold
+
+    def spy(frames, rho0, steps, maps):
+        folds.append((steps, original(frames, rho0, steps, lambda start, stop: (1.0 + 1e-6) * maps(start, stop))))
+        return folds[-1][1]
+
+    monkeypatch.setattr(zeno, "_fold", spy)
+    monkeypatch.setattr(dissipative, "_fold", spy)
+    rec = run(scenario)
+    [(steps, result)] = folds
+    assert rec.trace_drift == result.trace_drift == pytest.approx((1.0 + 1e-6) ** steps - 1.0, rel=1e-6)
+    assert abs(np.trace(result.final).real - 1.0) <= 1e-15
+    assert rec.distance == pytest.approx(plain.distance, abs=1e-12)
+    assert rec.fidelity == pytest.approx(plain.fidelity, abs=1e-12)
+    assert plain.trace_drift <= 1e-9
 
 
 class TestDissipativeEngine:

@@ -126,6 +126,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"tolerances.{field}"):
             scenario_from_dict(minimal_zeno(tolerances={field: value}))
 
+    @pytest.mark.parametrize("value", [0, 0.0, -5])
+    def test_runtime_budget_must_be_positive(self, value):
+        with pytest.raises(ValidationError, match="runtime_budget_s must be positive"):
+            scenario_from_dict(minimal_zeno(runtime_budget_s=value))
+
     def test_alpha_frame_needs_three_level(self):
         data = minimal_zeno(control={"mode": "alpha_frame", "alpha": 0.5})
         data["model"] = {

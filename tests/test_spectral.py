@@ -4,6 +4,7 @@ import pytest
 from zenogate.errors import CriticalPoint, NonHermitianInput, OpenPath, SubspaceTrackingFailure
 from zenogate.linalg import expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm
 from zenogate.spectral import (
+    FramePath,
     OperatorPath,
     ParameterPath,
     SpectrumStack,
@@ -154,6 +155,12 @@ class TestFramePathFromSpectra:
             w = frames.frames[k]
             assert spectral_norm(w.conj().T @ w - np.eye(3)) <= 1e-10
 
+    def test_first_frame_must_be_the_identity(self):
+        """Every engine assumes W(0) = 1, so a frame path that starts elsewhere is refused at construction."""
+        w = np.stack([expm_hermitian(three_level_generators(0.0).frame_generator, -1j * t) for t in (0.3, 0.6)])
+        with pytest.raises(ValueError, match="identity"):
+            FramePath(times=[0.0, 1.0], frames=w, projectors0=three_level_projectors(0.0))
+
     def test_tracks_levels_through_energy_order_swap(self):
         """Levels whose energies cross are matched by overlap, not energy order."""
         # |0> is the lower level at t = 0 and the upper one at t = 1
@@ -229,9 +236,9 @@ class TestFramePathAnalytic:
         stack = _rotations(g)(phi)
         closed = np.eye(3) + (np.cos(phi) - 1.0)[:, None, None] * (g @ g) - 1j * np.sin(phi)[:, None, None] * g
         assert np.array_equal(stack, closed)
-        ends = frames.initial, frames.final  # read before the stack is built
+        end = frames.final  # read before the stack is built
         assert np.array_equal(frames.frames, stack)
-        assert np.array_equal(ends[0], stack[0]) and np.array_equal(ends[1], stack[-1])
+        assert np.array_equal(stack[0], np.eye(3)) and np.array_equal(end, stack[-1])
         assert frames.dim == 3 and frames.nlevels == 2
 
 

@@ -506,6 +506,8 @@ def test_wagon_wheel_frames_are_checked_before_their_stack_is_built(gens, projs0
         wagon_wheel_frames(h0[:2], times, projs0)
     with pytest.raises(NonHermitianInput):
         wagon_wheel_frames(h0 + np.triu(np.ones((3, 3)), 1), times, projs0)
+    with pytest.raises(ValueError, match="identity"):  # W(t_0) = exp(-2i H_0 t_0) is not 1
+        wagon_wheel_frames(h0, times + 0.5, projs0)
 
 
 @pytest.mark.parametrize(
