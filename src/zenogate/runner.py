@@ -209,21 +209,23 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     path, frames, _ = _frames_for(scenario, samples=n + 1)
     psi0 = _initial_vector(scenario, path)
     rotation = _rotation_run(scenario, frames)
+    step = _constant_step(scenario, frames, rotation)
+    repeats = None if step is None else n  # one step factor taken n times
     if rotation is None:
         h0 = zn.control_hamiltonian(scenario.control, path)
         gate_of = partial(_level_gate, rotating_generator(h0, frames), frames)
         factors = partial(zn._interval_factors, h0, frames, n)
     else:
-        gate_of, factors = rotation.gate, partial(rotation.factors, n)
+        gate_of, factors = rotation.gate, partial(rotation.factors, n) if step is None else partial(step, n)
 
     if scenario.nonselective:
         rho0 = np.outer(psi0, psi0.conj())
-        result = zn._nonselective(frames, factors(np.eye(frames.dim)), rho0)
+        result = zn._nonselective(frames, factors(np.eye(frames.dim)), rho0, repeats)
         _record_dephased_prediction(record, gate_of, frames, rho0, result)
         return
 
     q = _range_basis(frames.projectors0[level])
-    zr = zn._selective(frames, q, factors(q), psi0)
+    zr = zn._selective(frames, q, factors(q), psi0, repeats)
     record.p_N = zr.survival_probability
     limit = frames.final @ gate_of(level)  # W(T) U_Z, the lab-frame Zeno limit
     record.distance = spectral_norm(zr.final_operator - limit @ frames.projectors0[level])
@@ -245,29 +247,41 @@ def _step_count(scenario: Scenario, floor: int, estimate: float) -> int:
     return _bounded_count(max(float(floor), float(np.ceil(estimate))))
 
 
-def _centred_circle_propagator(spec: dict, frames: FramePath, steps: int) -> PropagatorResult:
-    """U(T) = W(T) exp(-i K T) on a circle around the origin: exact, whatever `steps` (only recorded) is.
+def _constant_step(scenario: Scenario, frames: FramePath, rotation):
+    """(n, basis=None) -> Q^dag exp(-i K T / n) Q, a (1, r, r) stack, when the rotating-frame generator K is constant.
 
-    In the frame rotating with the analytic frames W = exp(-i g phi) the
-    generator K = W^dag H W + i dW^dag/dt W = 2 r P_+(theta_0) - (dtheta/dt) g
-    is constant, so U is one rotation about K (`spectral._rotations`).
-    Its `estimated_error` reads 0.0.
+    K is constant for a wagon-wheel control (K = -H_0) and for a rotation-form run (`_rotation_run`) on a circle
+    around the origin, where dtheta/dt = 2 pi windings / T.  A Zeno run turns about its frame generator G by
+    (alpha - 1) phi(T) / n; an adiabatic run adds the model's H, K = 2 r P_+(theta_0) - (dtheta/dt) g, and turns
+    about K by T / n.  Both go through `spectral._rotations`.  None for every other run (dissipative runs keep
+    `dis.integrate_rotating` and do not ask), and for a Zeno grid of half-turn steps (N = 2 |windings| / odd) that
+    the unwrapped angle reads forwards at one sample and backwards at another, so that its factors differ.
     """
-    duration = spec["duration"]
-    p_plus = frames.projectors0[1]  # the excited level, energy 2r
-    k = 2.0 * spec["radius"] * p_plus - (2.0 * np.pi * spec["windings"] / duration) * frames.generator
-    u = frames.final @ _rotations(k)(np.array([duration]))[0]
-    return PropagatorResult(unitary=u, step_count=steps, t_final=duration, _h_of_t=None)
+    if rotation is None:
+        return None
+    spec = scenario.path_spec
+    if scenario.control.mode != "wagon_wheel" and (spec["type"] != "circle" or spec["center"] != [0.0, 0.0]):
+        return None
+    if scenario.engine == "adiabatic":
+        theta_dot = 2.0 * np.pi * spec["windings"] / spec["duration"]
+        k = 2.0 * spec["radius"] * frames.projectors0[1] - theta_dot * frames.generator  # level 1 has energy 2r
+        rotations, angle = _rotations(k), spec["duration"]
+    elif np.ptp(np.diff(frames.phi)) > np.pi:
+        return None
+    else:
+        rotations, angle = frames.rotations, (rotation.alpha - 1.0) * frames.phi[-1]
+    return lambda n, basis=None: rotations(np.array([angle / n]), basis)
 
 
 def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     """Propagate H(t), then strip the frame and the dynamical phases (`gauge_decompose`).
 
     Three routes: a circle around the origin with analytic frames in closed
-    form (`_centred_circle_propagator`); any other circle with analytic
-    frames by `propagate_exact` on the circle itself; polyline and samples
-    paths, tracked frames and custom models by `propagate_exact` on the
-    model's H(t) (`_model_hamiltonian`).
+    form, U(T) = W(T) exp(-i K T) (`_constant_step`), exact whatever `steps`
+    (only recorded) is, with `estimated_error` 0.0; any other circle with
+    analytic frames by `propagate_exact` on the circle itself; polyline and
+    samples paths, tracked frames and custom models by `propagate_exact` on
+    the model's H(t) (`_model_hamiltonian`).
     """
     path, frames, energies = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
     duration = float(frames.times[-1])
@@ -277,11 +291,11 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
 
     rotation = _rotation_run(scenario, frames)
-    spec = scenario.path_spec
-    if rotation is not None and spec["type"] == "circle" and spec["center"] == [0.0, 0.0]:
-        result = _centred_circle_propagator(spec, frames, steps)
-    else:
+    step = _constant_step(scenario, frames, rotation)
+    if step is None:
         result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
+    else:
+        result = PropagatorResult(unitary=frames.final @ step(1)[0], step_count=steps, t_final=duration, _h_of_t=None)
     decomp = gauge_decompose(result, frames, energies)
     psi0 = _initial_vector(scenario, path)
     p0 = frames.projectors0[scenario.level]

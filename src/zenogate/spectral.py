@@ -53,7 +53,7 @@ class ParameterPath:
             raise ValueError("times must be strictly increasing")
         if np.any(a * a + b * b < CRITICAL_RADIUS_SQ):
             raise CriticalPoint("path touches the critical point (a, b) = (0, 0)")
-        for name, x in (("times", t), ("a", a), ("b", b), ("_theta", np.unwrap(np.arctan2(b, a)))):
+        for name, x in (("times", t), ("a", a), ("b", b), ("_theta", _unwrap(np.arctan2(b, a)))):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
 
@@ -71,6 +71,19 @@ class ParameterPath:
     def theta(self) -> np.ndarray:
         """Polar angle along the path, unwrapped assuming |dtheta| < pi per step (read-only)."""
         return self._theta
+
+
+def _unwrap(theta: np.ndarray) -> np.ndarray:
+    """np.unwrap(theta) bit for bit, with its modulo taken only at the steps that reach pi (few on a sampled loop)."""
+    dd = np.diff(theta)
+    jumps = np.flatnonzero(np.abs(dd) >= np.pi)
+    ddmod = np.mod(dd[jumps] + np.pi, 2 * np.pi) - np.pi
+    ddmod[(ddmod == -np.pi) & (dd[jumps] > 0)] = np.pi
+    correction = np.zeros_like(dd)
+    correction[jumps] = ddmod - dd[jumps]
+    out = theta.copy()
+    out[1:] += correction.cumsum()
+    return out
 
 
 def circle_path(

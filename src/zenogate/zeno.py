@@ -20,8 +20,9 @@ density matrices, which dephases any coherence across subspaces.
 Both run in the frame rotating with W, where the measured projectors are the
 constant P_n(0) and each interval is one factor F_k = W(t_{k+1})^dag U_0 W(t_k):
 `_interval_factors` (or `_RotationRun.factors`, from rotation angles) feeds the
-shared tails `_selective` and `_nonselective`.  `_fold`, the density-matrix
-tail, also ends every dissipative run.
+shared tails `_selective` and `_nonselective`, which take one matrix power
+instead when every F_k is the same.  `_fold`, the density-matrix tail, also ends
+every dissipative run.
 """
 
 from __future__ import annotations
@@ -151,9 +152,13 @@ def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial)
     return _selective(frames, q, _interval_factors(h0_of_t, frames, N, q), initial)
 
 
-def _selective(frames: FramePath, q: np.ndarray, factors: np.ndarray, initial) -> ZenoRun:
-    """The ZenoRun of V_N = W(T) Q prod_k (Q^dag F_k Q) Q^dag on `initial`; ZeroSurvival when nothing survives."""
-    v = frames.final @ q @ ordered_product(factors) @ q.conj().T
+def _selective(frames: FramePath, q: np.ndarray, factors: np.ndarray, initial, repeats=None) -> ZenoRun:
+    """The ZenoRun of V_N = W(T) Q prod_k (Q^dag F_k Q) Q^dag on `initial`; ZeroSurvival when nothing survives.
+
+    With `repeats` = N the (1, r, r) `factors` hold one block taken N times: the product is one matrix power.
+    """
+    product = ordered_product(factors) if repeats is None else np.linalg.matrix_power(factors[0], repeats)
+    v = frames.final @ q @ product @ q.conj().T
     amp = v @ np.asarray(initial, dtype=complex)
     p = float(np.linalg.norm(amp) ** 2)
     if p < 1e-15:
@@ -297,19 +302,25 @@ def _fold(frames: FramePath, rho0, steps: int, maps) -> MasterResult:
     return MasterResult(final=rho / tr, trace_drift=abs(tr - 1.0))
 
 
-def _nonselective(frames: FramePath, factors: np.ndarray, rho0) -> MasterResult:
+def _nonselective(frames: FramePath, factors: np.ndarray, rho0, repeats=None) -> MasterResult:
     """`_fold` of rho0 under unread measurements around the (N, d, d) interval factors F_k (Q = 1).
 
-    rho~ starts as the dephased rho0; step k acts on vec(rho~) as sum_n (P_n(0) F_k) x conj(P_n(0) F_k).
-    IncompleteResolution unless the P_n(0) sum to 1 and W(t_k) is unitary at every measurement time.
+    rho~ starts as the dephased rho0; step k acts on vec(rho~) as sum_n (P_n(0) F_k) x conj(P_n(0) F_k).  With
+    `repeats` = N the (1, d, d) `factors` hold one F taken N times: `_fold` gets one step, that map's N-th power.
+    IncompleteResolution unless the P_n(0) sum to 1 and the unitaries the run uses are unitary: W(t_k) at every
+    measurement time, or W(T) and F for a repeated factor (no frame stack is built).
     """
     dim = frames.dim
-    w = frames.frames[_measurement_indices(frames.times, len(factors))]
+    if repeats is None:
+        w = frames.frames[_measurement_indices(frames.times, len(factors))]
+    else:
+        w = np.stack([frames.final, factors[0]])
     _check_resolution(_small_matmul(w, w.conj().swapaxes(-1, -2)))
 
     def maps(start, stop):
         m = _small_matmul(frames.projectors0, factors[start:stop, None])  # P_n(0) F_k
-        return np.einsum("knil,knjm->kijlm", m, m.conj()).reshape(-1, dim * dim, dim * dim)
+        m = np.einsum("knil,knjm->kijlm", m, m.conj()).reshape(-1, dim * dim, dim * dim)
+        return m if repeats is None else np.linalg.matrix_power(m[0], repeats)[None]
 
     return _fold(frames, nonselective_step(rho0, frames.projectors0), len(factors), maps)
 

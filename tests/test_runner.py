@@ -538,14 +538,18 @@ class TestCentredCircle:
 
     def test_matches_the_exact_circle(self, monkeypatch):
         scenario = scenario_from_dict(SLOW_LOOP)
-        path, frames, _ = runner._frames_for(scenario, samples=2049)
-        closed = runner._centred_circle_propagator(scenario.path_spec, frames, scenario.steps)
+        path, _, _ = runner._frames_for(scenario, samples=2049)
+        propagated = []  # the PropagatorResult each run hands to gauge_decompose
+        monkeypatch.setattr(runner, "gauge_decompose",
+                            lambda result, *args: propagated.append(result) or adiabatic.gauge_decompose(result, *args))
+        record = run(scenario)
+        closed = propagated[0]
         assert closed.estimated_error == 0.0
         duration = scenario.path_spec["duration"]
         exact = adiabatic.propagate_exact(runner._model_hamiltonian(scenario, path), duration, 252000)
         assert spectral_norm(closed.unitary - exact.unitary) <= 1e-7
-        record = run(scenario)
-        monkeypatch.setattr(runner, "_centred_circle_propagator", lambda *args: exact)
+        monkeypatch.setattr(runner, "_constant_step", lambda *args: None)
+        monkeypatch.setattr(runner, "propagate_exact", lambda *args: exact)
         reference = run(scenario)
         for name in ("q_n", "fidelity", "phi_principal", "distance"):
             assert getattr(record, name) == pytest.approx(getattr(reference, name), abs=1e-6), name

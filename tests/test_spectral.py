@@ -10,6 +10,7 @@ from zenogate.spectral import (
     SpectrumStack,
     _circle_controls,
     _rotations,
+    _unwrap,
     circle_path,
     frame_path_analytic_three_level,
     frame_path_from_spectra,
@@ -339,6 +340,19 @@ class TestPathConstructors:
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
             ParameterPath(times=np.array([0.0, 0.0, 1.0]), a=np.ones(3), b=np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["angles", "walk", "half_turns"])
+    def test_unwrap_is_numpys_bit_for_bit(self, rng, kind):
+        """Steps of exactly +-pi, 2 pi and -0.0 included: the same floats, signed zeros too."""
+        for size in (2, 3, 17, 400):
+            if kind == "angles":
+                theta = np.arctan2(*rng.standard_normal((2, size)))
+            elif kind == "walk":
+                theta = np.cumsum(rng.uniform(-4.0, 4.0, size))
+            else:
+                theta = np.cumsum(rng.choice([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 1.0], size))
+            ours, numpys = _unwrap(theta), np.unwrap(theta)
+            assert np.array_equal(ours, numpys) and np.array_equal(np.signbit(ours), np.signbit(numpys))
 
     def test_closed_detection(self):
         assert circle_path(windings=1, samples=65).closed
