@@ -29,7 +29,7 @@ from .errors import (
     InsufficientSamples,
 )
 from .linalg import _checked_hermitian_stack, _compress, _range_basis, expm_hermitian_stack, spectral_norm
-from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _sample_stack, _small_matmul
+from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _sample_stack
 
 
 @dataclass(frozen=True)
@@ -69,23 +69,51 @@ class GaugeDecomposition:
     gauge_evolution: np.ndarray
 
 
+_CHUNK_FACTORS = 4096  # factors per entry-major copy in the first level of ordered_product
+
+
 def ordered_product(stack: np.ndarray) -> np.ndarray:
     """Product stack[K-1] @ ... @ stack[0] (later factors leftmost).
 
     Pairwise tree reduction: exact (associativity) and much faster than a
-    Python loop for long stacks of small matrices.  Elementwise for d <= 3,
-    where np.matmul's fixed cost per matrix dominates; measured on 63k
-    unitary factors with one BLAS thread on a 2-core x86 VM, elementwise
-    takes 11 ms against 18 ms at d = 3, np.matmul wins from d = 4 on
-    (18 ms against 25 ms).
+    Python loop for long stacks of small matrices.  np.matmul pays a fixed
+    cost per matrix, so for d <= 3 every level runs entry-major, on (d, d, K)
+    arrays: the view `three_level_propagators` returns as it is, any other
+    stack copied chunk by chunk for the first level (a full-size copy made
+    the allocator fault its pages in again on every call).  With one BLAS
+    thread on a 2-core x86 VM, the product of 63k 3 x 3 propagators takes
+    6-8 ms against 11.5-16 ms as (K, 3, 3) products; np.matmul wins from
+    d = 4 on.
     """
-    matmul = np.matmul if stack.shape[-1] > 3 else _small_matmul
-    m = stack
-    while m.shape[0] > 1:
-        even = m.shape[0] - m.shape[0] % 2
-        pairs = matmul(m[1:even:2], m[0:even:2])
-        m = np.concatenate([pairs, m[even:]]) if even < m.shape[0] else pairs
-    return m[0]
+    if stack.shape[-1] > 3:
+        m = stack
+        while m.shape[0] > 1:
+            k = m.shape[0]
+            pairs = np.matmul(m[1::2], m[0:k - 1:2])
+            m = np.concatenate([pairs, m[k - 1:]]) if k % 2 else pairs
+        return m[0]
+    m = stack.transpose(1, 2, 0)
+    if not m.flags.c_contiguous:
+        chunks = range(0, m.shape[-1], _CHUNK_FACTORS)
+        m = np.concatenate([_entry_major_level(np.ascontiguousarray(m[..., s:s + _CHUNK_FACTORS])) for s in chunks],
+                           axis=-1)
+    while m.shape[-1] > 1:
+        m = _entry_major_level(m)
+    return m[..., 0]
+
+
+def _entry_major_level(m: np.ndarray) -> np.ndarray:
+    """One tree level of a (d, d, k) entry-major stack: products m_{2j+1} m_{2j}, an odd last factor carried to the end.
+
+    Each product sums over ascending l; earlier[None, l], not earlier[l]: for d = 1 and one pair the shapes then
+    match, and numpy keeps the vector complex multiply of every other level (its scalar loop rounds differently).
+    """
+    k = m.shape[-1]
+    later, earlier = m[..., 1::2], m[..., 0:k - 1:2]
+    pairs = later[:, 0, None] * earlier[None, 0]
+    for l in range(1, m.shape[0]):
+        pairs += later[:, l, None] * earlier[None, l]
+    return np.concatenate([pairs, m[..., k - 1:]], axis=-1) if k % 2 else pairs
 
 
 def _midpoint_propagators(h_of_t, times: np.ndarray) -> np.ndarray:

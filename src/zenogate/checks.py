@@ -19,7 +19,6 @@ from .linalg import (
     projector_from_basis,
     random_hermitian,
     random_state,
-    spectral_norm,
 )
 from .spectral import (
     ParameterPath,
@@ -78,17 +77,19 @@ def _check_eig_round_trip(rng, cases):
 
 
 def _check_projector_invariants(rng, cases):
-    worst = 0.0
+    probes = []
     for _ in range(cases):
         dim = int(rng.integers(2, 9))
         count = int(rng.integers(1, dim + 1))
         vectors = [random_state(dim, rng) for _ in range(count)]
         try:
-            p = projector_from_basis(vectors)
+            probes.append((projector_from_basis(vectors), count))
         except DegenerateBasis:
             continue  # random degeneracy: rejection is the contract
-        trace = abs(float(np.trace(p).real) - count)
-        worst = max(worst, spectral_norm(p @ p - p), hermiticity_defect(p), trace)
+    worst = 0.0
+    for p, counts in _by_dimension(probes):
+        trace = float(np.abs(np.trace(p, axis1=-2, axis2=-1).real - counts).max())
+        worst = max(worst, float(_spectral_norms(p @ p - p).max()), hermiticity_defect(p), trace)
     return CheckResult("projector_from_basis invariants", worst <= 1e-8, 1e-8, worst)
 
 

@@ -382,6 +382,10 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over stacks with a small inner dimension, as that many elementwise products.
 
     np.matmul pays a fixed cost per matrix, which dominates for r x r blocks.
+    Unlike `adiabatic.ordered_product` it keeps the (K, r, r) layout: its
+    callers hand it (K, r, r) stacks and short prefix-product shifts, and an
+    entry-by-entry product over those strides measured slower (3 x 3 at
+    K = 128, one BLAS thread: 44 us against 29 us).
     """
     return sum(a[..., :, i, None] * b[..., None, i, :] for i in range(a.shape[-1]))
 
@@ -508,13 +512,20 @@ def three_level_propagators(a, b, dts) -> np.ndarray:
 
     Built from u directly, without the Hamiltonian stack:
     exp(-i H dts) = 1 + (e^{-2 i r dts} - 1) u u^T / 2.  CriticalPoint at (a, b) = (0, 0).
+    Each entry is one vector over the controls, (half u_i) u_j, stored
+    entry-major: the (..., 3, 3) result is a view of a contiguous (3, 3, ...)
+    array, which `adiabatic.ordered_product` multiplies without a copy.
     """
     a, b, r = _control_radius(a, b)
-    u = np.stack([np.ones_like(r), a / r, b / r], axis=-1)
+    u = (np.ones_like(r), a / r, b / r)
     half = 0.5 * (np.exp(-2j * r * dts) - 1.0)
-    out = (half[..., None] * u)[..., :, None] * u[..., None, :]
-    np.einsum("...ii->...i", out)[...] += 1.0
-    return out
+    hu = [half * ui for ui in u]
+    out = np.empty((3, 3) + np.shape(half), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            np.multiply(hu[i], u[j], out=out[i, j, ...])
+        out[i, i] += 1.0
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def three_level_eigenbasis(theta):
@@ -576,16 +587,23 @@ def _rotations(generator):
     return rotations
 
 
+# The three-level frame generator (it does not depend on theta_0), checked and closed over once.
+_FRAME_GENERATOR = three_level_generators().frame_generator
+_FRAME_GENERATOR.flags.writeable = False
+_FRAME_ROTATIONS = _rotations(_FRAME_GENERATOR)
+
+
 class _RotationFramePath(FramePath):
     """Frames exp(-i G phi_k) about one fixed Hermitian G (:func:`_rotations`): the stack is built on its first read.
 
     `final` comes from the last angle alone, equal bit for bit to the stack's
-    end.  Times, projectors and W(t_0) = 1 are checked at once.
+    end.  Times, projectors and W(t_0) = 1 are checked at once.  `rotations`
+    is `_rotations(generator)`, built here unless the caller has it already.
     """
 
-    def __init__(self, times, phi, generator, projectors0):
+    def __init__(self, times, phi, generator, projectors0, rotations=None):
         g = np.asarray(generator, dtype=complex)
-        object.__setattr__(self, "rotations", _rotations(g))
+        object.__setattr__(self, "rotations", _rotations(g) if rotations is None else rotations)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "projectors0", projectors0)
         self._set_times_and_projectors(np.shape(phi) + g.shape, lambda: self.rotations(phi[:1]))
@@ -608,5 +626,5 @@ def frame_path_analytic_three_level(path: ParameterPath) -> FramePath:
     (`final`) comes from theta alone.
     """
     theta = path.theta()
-    gens = three_level_generators(theta[0])
-    return _RotationFramePath(path.times, theta - theta[0], gens.frame_generator, three_level_projectors(theta[0]))
+    return _RotationFramePath(path.times, theta - theta[0], _FRAME_GENERATOR, three_level_projectors(theta[0]),
+                              _FRAME_ROTATIONS)

@@ -34,8 +34,8 @@ import numpy as np
 from .adiabatic import _midpoint_propagators, _subspace_generator, ordered_exp_from_samples, ordered_product
 from .errors import GridMismatch, IncompleteResolution, InsufficientSamples, NotASubspaceRotation, ZeroSurvival
 from .linalg import _compress, _range_basis, expm_hermitian_stack, spectral_norm
-from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath, _prefix_products, _rotations,
-                       _RotationFramePath, _small_matmul, three_level_generators)
+from .spectral import (_FRAME_GENERATOR, _FRAME_ROTATIONS, ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath,
+                       _prefix_products, _rotations, _RotationFramePath, _small_matmul)
 
 # Matrix entries per batch of d^2 x d^2 step maps in `_fold`: 256 of a three-level system.
 _CHUNK_ENTRIES = 256 * 3**4
@@ -94,8 +94,7 @@ def control_hamiltonian(config: ControlConfig, path: ParameterPath | None = None
             raise InsufficientSamples("alpha_frame angular speed needs at least 3 path samples")
         theta, times = path.theta(), path.times
         thdot = np.gradient(theta, times, edge_order=2)
-        g = three_level_generators(theta[0]).frame_generator
-        rotations = _rotations(g)
+        g, rotations = _FRAME_GENERATOR, _FRAME_ROTATIONS
 
         def turns(t, dts):
             return config.alpha * (np.interp(t + 0.5 * dts, times, theta) - np.interp(t - 0.5 * dts, times, theta))

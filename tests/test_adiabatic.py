@@ -28,6 +28,7 @@ from zenogate.spectral import (
     three_level_eigenbasis,
     three_level_hamiltonian,
     three_level_projectors,
+    three_level_propagators,
 )
 
 
@@ -339,9 +340,38 @@ def test_propagate_exact_samples_h_once_per_grid(recording):
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 1025])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
 def test_ordered_product_matches_left_fold(rng, dim, count):
-    """Tree reduction, elementwise up to d = 3 and np.matmul above, equals stack[K-1] @ ... @ stack[0]."""
+    """Tree reduction, entry-major up to d = 3 and np.matmul above, equals stack[K-1] @ ... @ stack[0]."""
     stack = np.linalg.qr(rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim)))[0]
     expected = stack[0]
     for factor in stack[1:]:
         expected = factor @ expected
     assert np.abs(ordered_product(stack) - expected).max() <= 1e-13
+
+
+def _elementwise_tree(stack):
+    """The (K, d, d) tree of ordered_product for d <= 3: pairs (2j + 1, 2j), any odd factor carried to the end,
+    each pair as sum over ascending l of elementwise products a[..., :, l] b[..., l, :]."""
+    m = stack
+    while m.shape[0] > 1:
+        even = m.shape[0] - m.shape[0] % 2
+        a, b = m[1:even:2], m[0:even:2]
+        pairs = sum(a[..., :, i, None] * b[..., None, i, :] for i in range(a.shape[-1]))
+        m = np.concatenate([pairs, m[even:]]) if even < m.shape[0] else pairs
+    return m[0]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 1025, 4097, 4098, 63000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_entry_major_product_is_the_elementwise_tree_bit_for_bit(rng, dim, count):
+    """Same pairing, association and ascending-l sums as the (K, d, d) tree, whatever the input's layout."""
+    stack = np.linalg.qr(rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim)))[0]
+    inputs = [stack, stack[::-1], np.asfortranarray(stack)]
+    if dim == 3:
+        theta = rng.uniform(-np.pi, np.pi, count)
+        inputs.append(three_level_propagators(np.cos(theta), np.sin(theta), rng.uniform(0.0, 0.5, count)))
+    for factors in inputs:
+        assert np.array_equal(ordered_product(factors), _elementwise_tree(factors))
+    real = np.linalg.qr(rng.normal(size=(count, dim, dim)))[0]
+    product = ordered_product(real)
+    assert product.dtype == np.float64 and product.shape == (dim, dim)
+    assert np.array_equal(product, _elementwise_tree(real))

@@ -65,6 +65,21 @@ class TestThreeLevelHamiltonian:
         reference = expm_hermitian_stack(three_level_hamiltonian(a, b), -1j * dts)
         assert np.abs(three_level_propagators(a, b, dts) - reference).max() <= 1e-14
 
+    @pytest.mark.parametrize("shape", [(), (257,), (5, 7)])
+    @pytest.mark.parametrize("scalar_dts", [True, False])
+    def test_entry_major_propagators_are_the_broadcast_formula_bit_for_bit(self, rng, shape, scalar_dts):
+        """The (3, 3, K) build gives the floats of 1 + (half u) u^T broadcast over (K, 3, 3), in that product order."""
+        a, b = rng.uniform(-2.0, 2.0, (2,) + shape)
+        dts = 0.37 if scalar_dts else rng.uniform(0.0, 0.5, shape)
+        r = np.sqrt(a * a + b * b)
+        u = np.stack([np.ones_like(r), a / r, b / r], axis=-1)
+        half = 0.5 * (np.exp(-2j * r * dts) - 1.0)
+        expected = (half[..., None] * u)[..., :, None] * u[..., None, :]
+        np.einsum("...ii->...i", expected)[...] += 1.0
+        out = three_level_propagators(a, b, dts)
+        assert out.shape == shape + (3, 3)
+        assert np.array_equal(out, expected)
+
 
 class TestThreeLevelEigenbasis:
     def test_theta_zero_vectors(self):
