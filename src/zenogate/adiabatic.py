@@ -28,7 +28,7 @@ from .errors import (
     InitialStateOutsideSubspace,
     InsufficientSamples,
 )
-from .linalg import _checked_hermitian_stack, _compress, _range_basis, expm_hermitian_stack, spectral_norm
+from .linalg import _checked_hermitian_stack, expm_hermitian_stack, spectral_norm
 from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _sample_stack
 
 
@@ -172,17 +172,6 @@ def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:
     """H_Z[n] = P_n(0) K P_n(0) on the frame grid with K from `rotating_generator`; H_G[n] if `h0_of_t` is None."""
     p0, k = frames.projectors0[level], rotating_generator(h0_of_t, frames)
     return OperatorPath(times=frames.times, operators=np.einsum("ij,kjl,lm->kim", p0, k, p0))
-
-
-def _level_gate(k: np.ndarray, frames: FramePath, level: int) -> np.ndarray:
-    """Gate Q U Q^dag + 1 - P_n(0) of P_n(0) K P_n(0), U the r x r ordered exponential of Q^dag K Q.
-
-    Q is an orthonormal basis of P_n(0); K is sampled on the frame grid, as by `rotating_generator`.
-    """
-    p0 = frames.projectors0[level]
-    q = _range_basis(p0)
-    u = _ordered_exp(frames.times, _compress(q, k))
-    return q @ u @ q.conj().T + (np.eye(frames.dim) - p0)
 
 
 def adiabatic_generator(frames: FramePath, level: int) -> OperatorPath:

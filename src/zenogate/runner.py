@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dissipative as dis
 from . import zeno as zn
-from .adiabatic import PropagatorResult, _level_gate, gauge_decompose, propagate_exact, rotating_generator
+from .adiabatic import PropagatorResult, gauge_decompose, propagate_exact, rotating_generator
 from .errors import AxisMismatch, InsufficientSamples, NotASubspaceRotation, ValidationError
 from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
 from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
@@ -168,8 +168,8 @@ def _record_angle(record: ResultRecord, scenario: Scenario, path, frames: FrameP
     record.phi_expected = _expected_holonomy(scenario, path)
 
 
-def _rotation_run(scenario: Scenario, frames: FramePath):
-    """The run in rotation-angle form (`zn._RotationRun`), or None for `zn._interval_factors` and `_level_gate`.
+def _route(scenario: Scenario, path, frames: FramePath):
+    """The run's route: rotation-angle form (`zn._RotationRun`) where it has one, else `zn._SampledRun`.
 
     Three-level runs with analytic frames and control none or alpha_frame have that form, and so have wagon-wheel
     runs: their frames turn about H_0 by phi = 2t, and H_0 = (1/2) dphi/dt H_0, so alpha = 1/2 and K = -H_0.
@@ -177,12 +177,13 @@ def _rotation_run(scenario: Scenario, frames: FramePath):
     if scenario.control.mode == "wagon_wheel":
         return zn._RotationRun(frames, 0.5)
     analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
-    if not analytic or scenario.control.mode not in ("none", "alpha_frame"):
-        return None
-    if frames.times.size < 3:
-        # Two samples of a closed loop coincide: the unwrapped angle would read phi(T) = 0 whatever the winding.
-        raise InsufficientSamples("the unwrapped frame angle needs at least 3 samples")
-    return zn._RotationRun(frames, scenario.control.alpha)
+    if analytic and scenario.control.mode in ("none", "alpha_frame"):
+        if frames.times.size < 3:
+            # Two samples of a closed loop coincide: the unwrapped angle would read phi(T) = 0 whatever the winding.
+            raise InsufficientSamples("the unwrapped frame angle needs at least 3 samples")
+        return zn._RotationRun(frames, scenario.control.alpha)
+    h0 = zn.control_hamiltonian(scenario.control, path)
+    return zn._SampledRun(h0, frames, rotating_generator(h0, frames))
 
 
 def _record_dephased_prediction(record: ResultRecord, gate_of, frames: FramePath, rho0, result: zn.MasterResult):
@@ -208,26 +209,21 @@ def _run_zeno(scenario: Scenario, record: ResultRecord):
     n, level = scenario.N, scenario.level
     path, frames, _ = _frames_for(scenario, samples=n + 1)
     psi0 = _initial_vector(scenario, path)
-    rotation = _rotation_run(scenario, frames)
-    step = _constant_step(scenario, frames, rotation)
+    route = _route(scenario, path, frames)
+    step = _constant_step(scenario, frames, route)
     repeats = None if step is None else n  # one step factor taken n times
-    if rotation is None:
-        h0 = zn.control_hamiltonian(scenario.control, path)
-        gate_of = partial(_level_gate, rotating_generator(h0, frames), frames)
-        factors = partial(zn._interval_factors, h0, frames, n)
-    else:
-        gate_of, factors = rotation.gate, partial(rotation.factors, n) if step is None else partial(step, n)
+    factors = partial(route.factors if step is None else step, n)
 
     if scenario.nonselective:
         rho0 = np.outer(psi0, psi0.conj())
         result = zn._nonselective(frames, factors(np.eye(frames.dim)), rho0, repeats)
-        _record_dephased_prediction(record, gate_of, frames, rho0, result)
+        _record_dephased_prediction(record, route.gate, frames, rho0, result)
         return
 
     q = _range_basis(frames.projectors0[level])
     zr = zn._selective(frames, q, factors(q), psi0, repeats)
     record.p_N = zr.survival_probability
-    limit = frames.final @ gate_of(level)  # W(T) U_Z, the lab-frame Zeno limit
+    limit = frames.final @ route.gate(level)  # W(T) U_Z, the lab-frame Zeno limit
     record.distance = spectral_norm(zr.final_operator - limit @ frames.projectors0[level])
     record.fidelity = float(abs((limit @ psi0).conj() @ zr.conditional_state) ** 2)
     _record_angle(record, scenario, path, frames, zr.final_operator, scenario.holonomy_tol)
@@ -247,17 +243,17 @@ def _step_count(scenario: Scenario, floor: int, estimate: float) -> int:
     return _bounded_count(max(float(floor), float(np.ceil(estimate))))
 
 
-def _constant_step(scenario: Scenario, frames: FramePath, rotation):
+def _constant_step(scenario: Scenario, frames: FramePath, route):
     """(n, basis=None) -> Q^dag exp(-i K T / n) Q, a (1, r, r) stack, when the rotating-frame generator K is constant.
 
-    K is constant for a wagon-wheel control (K = -H_0) and for a rotation-form run (`_rotation_run`) on a circle
+    K is constant for a wagon-wheel control (K = -H_0) and for a rotation-form run (`_route`) on a circle
     around the origin, where dtheta/dt = 2 pi windings / T.  A Zeno run turns about its frame generator G by
     (alpha - 1) phi(T) / n; an adiabatic run adds the model's H, K = 2 r P_+(theta_0) - (dtheta/dt) g, and turns
     about K by T / n.  Both go through `spectral._rotations`.  None for every other run (dissipative runs keep
     `dis.integrate_rotating` and do not ask), and for a Zeno grid of half-turn steps (N = 2 |windings| / odd) that
     the unwrapped angle reads forwards at one sample and backwards at another, so that its factors differ.
     """
-    if rotation is None:
+    if not isinstance(route, zn._RotationRun):
         return None
     spec = scenario.path_spec
     if scenario.control.mode != "wagon_wheel" and (spec["type"] != "circle" or spec["center"] != [0.0, 0.0]):
@@ -269,7 +265,7 @@ def _constant_step(scenario: Scenario, frames: FramePath, rotation):
     elif np.ptp(np.diff(frames.phi)) > np.pi:
         return None
     else:
-        rotations, angle = frames.rotations, (rotation.alpha - 1.0) * frames.phi[-1]
+        rotations, angle = frames.rotations, (route.alpha - 1.0) * frames.phi[-1]
     return lambda n, basis=None: rotations(np.array([angle / n]), basis)
 
 
@@ -290,8 +286,8 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
         r = path.radius()
         energies = np.column_stack([np.zeros_like(r), 2.0 * r])
 
-    rotation = _rotation_run(scenario, frames)
-    step = _constant_step(scenario, frames, rotation)
+    route = _route(scenario, path, frames)
+    step = _constant_step(scenario, frames, route)
     if step is None:
         result = propagate_exact(_model_hamiltonian(scenario, path), duration, steps)
     else:
@@ -301,8 +297,7 @@ def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     p0 = frames.projectors0[scenario.level]
     psi = decomp.gauge_evolution @ psi0
     record.q_n = float(np.real(psi.conj() @ (psi - p0 @ psi)))
-    gate_of = partial(_level_gate, rotating_generator(None, frames), frames) if rotation is None else rotation.gate
-    gate = p0 @ gate_of(scenario.level) @ p0
+    gate = p0 @ route.gate(scenario.level) @ p0
     evolved = decomp.gauge_evolution @ p0
     # |<G, U_G P>|^2 / (|G|^2 |U_G P|^2) with Frobenius products: at most 1 by
     # Cauchy-Schwarz, and leakage still lowers it because U_G is unitary.
@@ -334,14 +329,9 @@ def _run_dissipative(scenario: Scenario, record: ResultRecord):
     steps = _step_count(scenario, 512, needed)
     psi0 = _initial_vector(scenario, path)
     rho0 = np.outer(psi0, psi0.conj())
-    rotation = _rotation_run(scenario, frames)
-    if rotation is None:
-        generator = rotating_generator(zn.control_hamiltonian(scenario.control, path), frames)
-        gate_of = partial(_level_gate, generator, frames)
-    else:
-        generator, gate_of = rotation.rotating_generator(), rotation.gate
-    result = dis.integrate_rotating(generator, frames, scenario.gamma, alphas, rho0, steps)
-    _record_dephased_prediction(record, gate_of, frames, rho0, result)
+    route = _route(scenario, path, frames)
+    result = dis.integrate_rotating(route.rotating_generator(), frames, scenario.gamma, alphas, rho0, steps)
+    _record_dephased_prediction(record, route.gate, frames, rho0, result)
 
 
 _ENGINES = {"zeno": _run_zeno, "adiabatic": _run_adiabatic, "dissipative": _run_dissipative}

@@ -3,10 +3,11 @@
 A scenario is a YAML document (flat keys with nested sections) declaring the
 model, control path, engine, and numerical knobs of one experiment.  Unknown
 keys are rejected outright (ParseError) because a silently ignored typo can
-poison a whole physics sweep.  A key that the engine (``ENGINE_KEYS``,
-``UNREAD_SUBKEYS`` inside sections) or the control mode (``CONTROL_KEYS``)
-does not read, and every other constraint violation, raise ValidationError
-naming the offending field.
+poison a whole physics sweep; so is a key given twice in one mapping, which
+YAML would resolve silently to its last value.  A key that the engine
+(``ENGINE_KEYS``, ``UNREAD_SUBKEYS`` inside sections) or the control mode
+(``CONTROL_KEYS``) does not read, and every other constraint violation,
+raise ValidationError naming the offending field.
 
 Schema (defaults in parentheses; a key marked with engines is read by those
 engines only, the others by every engine)::
@@ -503,11 +504,26 @@ def _derived(base: Scenario, edits: dict) -> Scenario:
     return _assemble(data, fields, {**base._encoded, **{key: _canonical(value) for key, value in edits.items()}})
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """`yaml.SafeLoader` that refuses a scalar key given twice in one mapping; merge keys (<<) keep their meaning."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError("while constructing a mapping", node.start_mark,
+                                                            f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario YAML file."""
+    """Load and validate a scenario YAML file (ParseError for malformed YAML or a repeated key)."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(data, source=str(path))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import _midpoint_propagators, _subspace_generator, ordered_exp_from_samples, ordered_product
+from .adiabatic import _midpoint_propagators, _ordered_exp, _subspace_generator, ordered_exp_from_samples, ordered_product
 from .errors import GridMismatch, IncompleteResolution, InsufficientSamples, NotASubspaceRotation, ZeroSurvival
 from .linalg import _compress, _range_basis, expm_hermitian_stack, spectral_norm
 from .spectral import (_FRAME_GENERATOR, _FRAME_ROTATIONS, ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath,
@@ -184,7 +184,7 @@ class _RotationRun:
         return (self.alpha - 1.0) * dphi[:, None, None] * self.frames.generator
 
     def gate(self, level: int) -> np.ndarray:
-        """`adiabatic._level_gate` of K: exp(-i (alpha - 1) phi(T) Q^dag G Q) on P_n(0), the identity off it."""
+        """`_SampledRun.gate` in closed form: exp(-i (alpha - 1) phi(T) Q^dag G Q) on P_n(0), the identity off it."""
         p0 = self.frames.projectors0[level]
         q = _range_basis(p0)
         angle = (self.alpha - 1.0) * self.frames.phi[-1]
@@ -195,6 +195,28 @@ class _RotationRun:
         """:func:`_interval_factors` by angle: Q^dag exp(-i G psi_k) Q, psi_k = (alpha - 1)(phi_{k+1} - phi_k)."""
         psi = (self.alpha - 1.0) * np.diff(self.frames.phi[_measurement_indices(self.frames.times, N)])
         return self.frames.rotations(psi, q)
+
+
+@dataclass(frozen=True)
+class _SampledRun:
+    """The general route, the tests' reference for `_RotationRun`: K = `adiabatic.rotating_generator(h0, frames)`."""
+
+    h0: object  # the control's H_0 callable, None for none
+    frames: FramePath
+    k: np.ndarray
+
+    def rotating_generator(self) -> np.ndarray:
+        return self.k
+
+    def gate(self, level: int) -> np.ndarray:
+        """Gate Q U Q^dag + 1 - P_n(0) of P_n(0) K P_n(0), U the r x r ordered exponential of Q^dag K Q (Q: P_n(0))."""
+        p0 = self.frames.projectors0[level]
+        q = _range_basis(p0)
+        u = _ordered_exp(self.frames.times, _compress(q, self.k))
+        return q @ u @ q.conj().T + (np.eye(self.frames.dim) - p0)
+
+    def factors(self, N: int, q: np.ndarray) -> np.ndarray:
+        return _interval_factors(self.h0, self.frames, N, q)
 
 
 def zeno_hamiltonian(h0_of_t, frames: FramePath, level: int) -> OperatorPath:

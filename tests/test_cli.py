@@ -66,6 +66,12 @@ class TestRunCommand:
             assert cli.main(["run", scenario]) == 1
             assert f"unknown key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [GOOD + "N: 128\n", GOOD.replace("  windings: 1\n", "  windings: 1\n  windings: 2\n")],
+                             ids=["top_level", "section"])
+    def test_repeated_key_exit_1(self, tmp_path, capsys, text):
+        assert cli.main(["run", write_scenario(tmp_path, text)]) == 1
+        assert "found duplicate key" in capsys.readouterr().err
+
     def test_validation_error_exit_1(self, tmp_path):
         bad = GOOD.replace("windings: 1", "windings: 1\n  center: [3.0, 0.0]")
         scenario = write_scenario(tmp_path, bad)

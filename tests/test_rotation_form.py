@@ -9,7 +9,7 @@ import pytest
 from zenogate import dissipative as dis
 from zenogate import runner
 from zenogate import zeno as zn
-from zenogate.adiabatic import _level_gate, _midpoint_propagators, rotating_generator
+from zenogate.adiabatic import _midpoint_propagators, rotating_generator
 from zenogate.errors import InsufficientSamples
 from zenogate.linalg import (_range_basis, expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm,
                              trace_distance)
@@ -44,8 +44,12 @@ def _scenario(path, control, **overrides):
 
 def _general_record(monkeypatch, scenario):
     """The record of `scenario` with the rotation-angle form switched off."""
+    def sampled(scenario, path, frames):
+        h0 = control_hamiltonian(scenario.control, path)
+        return zn._SampledRun(h0, frames, rotating_generator(h0, frames))
+
     with monkeypatch.context() as m:
-        m.setattr(runner, "_rotation_run", lambda *args: None)
+        m.setattr(runner, "_route", sampled)
         return runner.run(scenario)
 
 
@@ -69,9 +73,16 @@ def _assert_second_order(gaps):
     assert ratios == pytest.approx(4.0, rel=0.05), ratios
 
 
+def _rotation_route(scenario, frames):
+    """The route `runner._route` picks for `scenario`, checked to be the rotation form."""
+    route = runner._route(scenario, None, frames)
+    assert isinstance(route, zn._RotationRun)
+    return route
+
+
 def _general_gate(scenario, path, frames, level):
-    k = rotating_generator(control_hamiltonian(scenario.control, path), frames)
-    return _level_gate(k, frames, level)
+    h0 = control_hamiltonian(scenario.control, path)
+    return zn._SampledRun(h0, frames, rotating_generator(h0, frames)).gate(level)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -82,8 +93,7 @@ def test_rotation_form_matches_general_path(monkeypatch, control, level, n, path
     scenario = _scenario(path, control, N=n, level=level,
                          initial_state={"name": "E_minus" if level == 0 else "E_plus"})
     path_, frames, _ = runner._frames_for(scenario, samples=n + 1)
-    rotation = runner._rotation_run(scenario, frames)
-    assert rotation is not None
+    rotation = _rotation_route(scenario, frames)
     h0 = control_hamiltonian(scenario.control, path_)
     for q in (_range_basis(frames.projectors0[level]), np.eye(3)):
         assert np.abs(rotation.factors(n, q) - zn._interval_factors(h0, frames, n, q)).max() <= 1e-12
@@ -102,7 +112,7 @@ def test_general_gate_converges_to_rotation_gate(control, path):
     for n in (64, 128, 256, 512):
         scenario = _scenario(path, control, N=n)
         path_, frames, _ = runner._frames_for(scenario, samples=n + 1)
-        gate = runner._rotation_run(scenario, frames).gate(0)
+        gate = _rotation_route(scenario, frames).gate(0)
         gaps.append(spectral_norm(gate - _general_gate(scenario, path_, frames, 0)))
     _assert_second_order(gaps)
 
@@ -146,7 +156,7 @@ def test_nonselective_rotation_form_matches_general_path(monkeypatch, control, p
     rec, ref = runner.run(scenario), _general_record(monkeypatch, scenario)
     _assert_records_match(rec, ref, 1e-10, EXACT_FIELDS)
     path_, frames, _ = runner._frames_for(scenario, samples=513)
-    rotation = runner._rotation_run(scenario, frames)
+    rotation = _rotation_route(scenario, frames)
     gates = [rotation.gate(n) - _general_gate(scenario, path_, frames, n) for n in (0, 1)]
     assert abs(rec.distance - ref.distance) <= sum(spectral_norm(g) for g in gates) + 1e-12
 
@@ -163,7 +173,7 @@ def test_dissipative_rotation_form_matches_general_path(monkeypatch, control, pa
     for samples in (2049, 4097, 8193, 16385):
         path_, frames, _ = runner._frames_for(scenario, samples=samples)
         general = rotating_generator(control_hamiltonian(scenario.control, path_), frames)
-        rotation = runner._rotation_run(scenario, frames).rotating_generator()
+        rotation = _rotation_route(scenario, frames).rotating_generator()
         rho = [dis.integrate_rotating(k, frames, 300.0, (0.0, 1.0), rho0, 512).final for k in (rotation, general)]
         gaps.append(np.abs(rho[0] - rho[1]).max())
     _assert_second_order(gaps)
@@ -180,7 +190,7 @@ def test_predicted_gate_is_free_of_n(name):
     for n in (16, 2**14):
         scenario = scenario_from_dict({**base.raw, "N": n})
         _, frames, _ = runner._frames_for(scenario, samples=n + 1)
-        rotation = runner._rotation_run(scenario, frames)
+        rotation = _rotation_route(scenario, frames)
         limits.append(frames.final @ rotation.gate(0) @ rotation.gate(1))
     assert spectral_norm(limits[0] - limits[1]) <= 1e-10
 
@@ -191,7 +201,7 @@ def test_wagon_wheel_gate_is_the_time_reversed_drive():
     _, frames, _ = runner._frames_for(scenario, samples=17)
     p0, h0 = frames.projectors0[0], scenario.control.hamiltonian
     reversed_gate = expm_hermitian(p0 @ h0 @ p0, 1j * frames.times[-1])
-    assert spectral_norm(runner._rotation_run(scenario, frames).gate(0) - reversed_gate) <= 1e-12
+    assert spectral_norm(_rotation_route(scenario, frames).gate(0) - reversed_gate) <= 1e-12
 
 
 def test_slow_loop_record_is_free_of_samples():
@@ -257,7 +267,9 @@ def test_batched_nonselective_matches_stepwise_loop(rng, case):
 
 
 def _count_calls(monkeypatch):
+    """Count the general route's builders; the list collects each route `runner._route` returns."""
     calls = {"rotating_generator": 0, "_interval_factors": 0}
+    routes, choose = [], runner._route
 
     def counted(name, fn):
         def wrapper(*args):
@@ -265,9 +277,14 @@ def _count_calls(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def route(*args):
+        routes.append(choose(*args))
+        return routes[-1]
+
     monkeypatch.setattr(runner, "rotating_generator", counted("rotating_generator", rotating_generator))
     monkeypatch.setattr(zn, "_interval_factors", counted("_interval_factors", zn._interval_factors))
-    return calls
+    monkeypatch.setattr(runner, "_route", route)
+    return calls, routes
 
 
 CUSTOM_CONTROL = [[0.3, 0.1, 0.0], [0.1, -0.2, [0.0, 0.4]], [0.0, [0.0, -0.4], 0.0]]
@@ -284,21 +301,32 @@ CUSTOM_CONTROL = [[0.3, 0.1, 0.0], [0.1, -0.2, [0.0, 0.4]], [0.0, [0.0, -0.4], 0
                          ids=["none", "alpha_frame", "nonselective", "dissipative", "adiabatic", "wagon_wheel",
                               "wagon_wheel_nonselective", "wagon_wheel_dissipative"])
 def test_rotation_form_skips_the_general_path(monkeypatch, overrides):
-    calls = _count_calls(monkeypatch)
+    calls, routes = _count_calls(monkeypatch)
     data = {"engine": "zeno", "path": {"type": "circle", "windings": 1},
             "initial_state": {"name": "E_minus"}, **overrides}
     runner.run(scenario_from_dict(data))
     assert calls == {"rotating_generator": 0, "_interval_factors": 0}
+    assert [type(route) for route in routes] == [zn._RotationRun]
 
 
-@pytest.mark.parametrize("overrides", [{"frame_method": "tracked"},
-                                       {"control": {"mode": "custom", "hamiltonian": CUSTOM_CONTROL}},
-                                       "custom_model"],
-                         ids=["tracked", "custom_control", "custom_model"])
-def test_other_runs_take_the_general_path(monkeypatch, overrides):
-    calls = _count_calls(monkeypatch)
-    data = {"engine": "zeno", "path": {"type": "circle", "windings": 1}, "N": 256,
-            "initial_state": {"name": "E_minus"}}
+ENGINE_DATA = {"zeno": {"N": 256}, "adiabatic": {}, "dissipative": {"gamma": 100.0, "alphas": [0.0, 1.0]}}
+# The custom model is the non-degenerate diag(0, 1, 3 + cos 2 pi t), which every engine tracks.
+GENERAL_RUNS = {"tracked": ("zeno", {"frame_method": "tracked"}),
+                "custom_control": ("zeno", {"control": {"mode": "custom", "hamiltonian": CUSTOM_CONTROL}}),
+                "custom_model": ("zeno", "custom_model"),
+                "adiabatic_tracked": ("adiabatic", {"frame_method": "tracked"}),
+                "adiabatic_custom_model": ("adiabatic", "custom_model"),
+                "dissipative_tracked": ("dissipative", {"frame_method": "tracked"}),
+                "dissipative_custom_control": ("dissipative",
+                                               {"control": {"mode": "custom", "hamiltonian": CUSTOM_CONTROL}})}
+
+
+@pytest.mark.parametrize("case", GENERAL_RUNS)
+def test_other_runs_take_the_general_path(monkeypatch, case):
+    engine, overrides = GENERAL_RUNS[case]
+    calls, routes = _count_calls(monkeypatch)
+    data = {"engine": engine, "path": {"type": "circle", "windings": 1},
+            "initial_state": {"name": "E_minus"}, **ENGINE_DATA[engine]}
     if overrides == "custom_model":
         hams = []
         for t in np.linspace(0.0, 1.0, 257):
@@ -309,4 +337,6 @@ def test_other_runs_take_the_general_path(monkeypatch, overrides):
     else:
         data.update(overrides)
     runner.run(scenario_from_dict(data))
-    assert calls == {"rotating_generator": 1, "_interval_factors": 1}
+    # Only Zeno runs multiply interval factors; the adiabatic and dissipative engines read K alone.
+    assert calls == {"rotating_generator": 1, "_interval_factors": 1 if engine == "zeno" else 0}
+    assert [type(route) for route in routes] == [zn._SampledRun]

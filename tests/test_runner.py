@@ -1,7 +1,6 @@
 import copy
 import time
 import warnings
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from zenogate import adiabatic, dissipative, runner, spectral, zeno
 from zenogate import scenario as scenario_module
-from zenogate.adiabatic import _level_gate, rotating_generator
+from zenogate.adiabatic import rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import ENGINE_KEYS, load_scenario, scenario_from_dict
@@ -426,8 +425,8 @@ def lab_frame_record(data):
                                                           dissipative.STIFFNESS_BUDGET))))
     result = dissipative.integrate_master(h0, diss, rho0, duration, steps)
     record = runner.ResultRecord(scenario_id=scenario.name, digest=scenario.digest, engine=scenario.engine)
-    runner._record_dephased_prediction(record, partial(_level_gate, rotating_generator(h0, frames), frames), frames,
-                                       rho0, result)
+    runner._record_dephased_prediction(record, zeno._SampledRun(h0, frames, rotating_generator(h0, frames)).gate,
+                                       frames, rho0, result)
     return record
 
 

@@ -72,6 +72,24 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_scenario(f)
 
+    @pytest.mark.parametrize("text, key, line", [
+        ("engine: zeno\nN: 64\nN: 128\npath:\n  windings: 1\ninitial_state:\n  name: E_minus\n", "N", 3),
+        ("engine: zeno\nN: 64\npath:\n  radius: 1.0\n  radius: 2.0\ninitial_state:\n  name: E_minus\n", "radius", 5),
+    ], ids=["top_level", "section"])
+    def test_repeated_key_is_refused(self, tmp_path, text, key, line):
+        """YAML keeps the last of two equal keys; a scenario file refuses them, naming the key and its line."""
+        f = tmp_path / "dup.yaml"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=rf"duplicate key '{key}'\n  in .*, line {line},"):
+            load_scenario(f)
+
+    def test_merge_keys_keep_their_meaning(self, tmp_path):
+        """An explicit key overrides the one a merge (<<) brings in, as in every YAML loader."""
+        f = tmp_path / "merge.yaml"
+        f.write_text("engine: zeno\nN: 64\npath: {<<: {windings: 1, radius: 1.0}, radius: 2.0}\n"
+                     "initial_state:\n  name: E_minus\n")
+        assert load_scenario(f).path_spec["radius"] == 2.0
+
 
 class TestValidation:
     def test_engine_required(self):

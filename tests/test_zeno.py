@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from zenogate.adiabatic import _level_gate, adiabatic_generator, rotating_generator
+from zenogate import zeno as zn
+from zenogate.adiabatic import adiabatic_generator, rotating_generator
 from zenogate.errors import (
     GridMismatch,
     IncompleteResolution,
@@ -247,7 +248,7 @@ class TestGatesOnTheLevelSupport:
         path, frames = loop_frames(1025)
         h0 = control_hamiltonian(control, path)
         full = zeno_unitary(zeno_hamiltonian(h0, frames, level))
-        assert spectral_norm(_level_gate(rotating_generator(h0, frames), frames, level) - full) <= 1e-12
+        assert spectral_norm(zn._SampledRun(h0, frames, rotating_generator(h0, frames)).gate(level) - full) <= 1e-12
 
     def test_rank_three_level_of_a_custom_model(self, rng):
         """d = 4 with a rank-3 level: its 3 x 3 blocks go through eigh, the rank-1 level is a phase."""
@@ -260,7 +261,7 @@ class TestGatesOnTheLevelSupport:
         h0 = control_hamiltonian(ControlConfig(mode="custom", hamiltonian=random_hermitian(4, rng, scale=0.5)))
         for level in (0, 1):
             full = zeno_unitary(zeno_hamiltonian(h0, frames, level))
-            assert spectral_norm(_level_gate(rotating_generator(h0, frames), frames, level) - full) <= 1e-12
+            assert spectral_norm(zn._SampledRun(h0, frames, rotating_generator(h0, frames)).gate(level) - full) <= 1e-12
 
     def test_decorated_control_keeps_its_closed_form(self, monkeypatch, recording):
         """A functools.wraps decorator (a call counter, say) must not send the control through eigh."""
