@@ -78,7 +78,8 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
     Pairwise tree reduction: exact (associativity) and much faster than a
     Python loop for long stacks of small matrices.  np.matmul pays a fixed
     cost per matrix, so for d <= 3 every level runs entry-major, on (d, d, K)
-    arrays: the view `three_level_propagators` returns as it is, any other
+    arrays: the views `three_level_propagators` and the closed form of
+    `spectral._rotations` return as they are, any other
     stack copied chunk by chunk for the first level (a full-size copy made
     the allocator fault its pages in again on every call).  With one BLAS
     thread on a 2-core x86 VM, the product of 63k 3 x 3 propagators takes

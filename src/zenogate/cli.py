@@ -20,6 +20,7 @@ error, 3 invariant-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .checks import run_checks
@@ -70,6 +71,7 @@ def _cmd_check(args) -> int:
     return 3 if failed else 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zenogate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -504,8 +504,11 @@ def _derived(base: Scenario, edits: dict) -> Scenario:
     return _assemble(data, fields, {**base._encoded, **{key: _canonical(value) for key, value in edits.items()}})
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """`yaml.SafeLoader` that refuses a scalar key given twice in one mapping; merge keys (<<) keep their meaning."""
+class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """Safe YAML loader, libyaml's when PyYAML has it, that refuses a scalar key given twice in one mapping.
+
+    Merge keys (<<) keep their meaning; the override names `SafeConstructor`, so it fits either base.
+    """
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -516,7 +519,7 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                     raise yaml.constructor.ConstructorError("while constructing a mapping", node.start_mark,
                                                             f"found duplicate key {key!r}", key_node.start_mark)
                 seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
 
 
 def load_scenario(path) -> Scenario:

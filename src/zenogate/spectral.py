@@ -568,16 +568,20 @@ def three_level_projectors(theta):
 def _rotations(generator):
     """(phis, basis=None) -> exp(-i G phi_k) about one fixed Hermitian G, or Q^dag exp(-i G phi_k) Q on a (d, r) basis.
 
-    G^3 = G (a plane rotation) takes the closed form 1 + (cos phi - 1) G^2 - i sin phi G; any other G one eigh of
-    the (d, d) matrix.  ValueError unless G is square and finite, NonHermitianInput unless it is Hermitian.
+    G^3 = G (a plane rotation) takes the closed form 1 + (cos phi - 1) G^2 - i sin phi G, written entry-major: the
+    (K, r, r) result is a view of a contiguous (r, r, K) array, which `adiabatic.ordered_product` multiplies without
+    a copy.  Any other G takes one eigh of the (d, d) matrix.  ValueError unless G is square and finite,
+    NonHermitianInput unless it is Hermitian.
     """
     g = _checked_hermitian_stack(np.asarray(generator)[None], what="rotation generator")[0]
-    g2 = g @ g
-    if np.abs(g2 @ g - g).max() <= 1e-14 * np.abs(g).max():  # eigenvalues 0, +-1 to rounding
+    scale = np.abs(g).max()  # G^3 = G has eigenvalues 0, +-1, so no entry above 1: a larger G is not squared
+    if scale <= 1.0 + 1e-12 and np.abs((g2 := g @ g) @ g - g).max() <= 1e-14 * scale:  # eigenvalues 0, +-1
         def rotations(phis, basis=None):
             g1, sq = (g, g2) if basis is None else _compress(basis, np.stack([g, g2]))
-            c, s = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
-            return np.eye(sq.shape[-1]) + (c - 1.0) * sq - 1j * s * g1
+            out = np.multiply.outer(sq, np.cos(phis) - 1.0)
+            out += np.eye(sq.shape[-1])[..., None]
+            out -= np.multiply.outer(g1, 1j * np.sin(phis))
+            return np.moveaxis(out, -1, 0)
         return rotations
     w, v = np.linalg.eigh(g)
 

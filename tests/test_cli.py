@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 
@@ -238,6 +239,20 @@ class TestCommandLine:
     def test_help_exit_0(self, capsys, argv):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: zenogate")
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """The parser is built once per process; each call still reads only its own arguments."""
+        assert cli.build_parser() is cli.build_parser()
+        scenario = write_scenario(tmp_path, GOOD)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["run", scenario, "--timing", "--out", str(a)]) == 0
+        assert cli.main(["run", scenario, "--out", str(b)]) == 0
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["sweep", scenario, "--axis", "N", "--values", "64,128"]) == 0
+        assert "loglog_slope[" in capsys.readouterr().out
+        (timed,), (untimed,) = (list(csv.DictReader(f.read_text().splitlines())) for f in (a, b))
+        assert timed["wall_ms"] != "" and untimed["wall_ms"] == ""
+        assert {k: v for k, v in timed.items() if k != "wall_ms"} == {k: v for k, v in untimed.items() if k != "wall_ms"}
 
 
 def test_console_entry_point(tmp_path):

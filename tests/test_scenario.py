@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from zenogate import cli, runner
+from zenogate import cli, runner, scenario
 from zenogate.errors import ParseError, ValidationError
 from zenogate.scenario import Scenario, load_scenario, scenario_digest, scenario_from_dict
 
@@ -89,6 +89,36 @@ class TestParsing:
         f.write_text("engine: zeno\nN: 64\npath: {<<: {windings: 1, radius: 1.0}, radius: 2.0}\n"
                      "initial_state:\n  name: E_minus\n")
         assert load_scenario(f).path_spec["radius"] == 2.0
+
+
+def _loader_on(base):
+    """The scenario loader's repeated-key override on another PyYAML base class."""
+    return type(f"UniqueKey{base.__name__}", (base,), {"construct_mapping": scenario._UniqueKeyLoader.construct_mapping})
+
+
+class TestLoaderBases:
+    """Scenario files load through libyaml when PyYAML has it, through the pure-Python parser otherwise."""
+
+    @pytest.fixture(autouse=True, params=[
+        "pure_python",
+        pytest.param("libyaml", marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")),
+    ])
+    def base(self, request, monkeypatch):
+        base = yaml.SafeLoader if request.param == "pure_python" else yaml.CSafeLoader
+        monkeypatch.setattr(scenario, "_UniqueKeyLoader", _loader_on(base))
+
+    test_repeated_key_is_refused = TestParsing.test_repeated_key_is_refused
+    test_merge_keys_keep_their_meaning = TestParsing.test_merge_keys_keep_their_meaning
+
+
+def test_loader_takes_libyaml_when_pyyaml_has_it():
+    assert issubclass(scenario._UniqueKeyLoader, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in SCENARIO_DIR.glob("*.yaml")))
+def test_shipped_scenarios_load_alike_on_both_bases(name):
+    text = (SCENARIO_DIR / name).read_text()
+    assert yaml.load(text, Loader=scenario._UniqueKeyLoader) == yaml.load(text, Loader=_loader_on(yaml.SafeLoader))
 
 
 class TestValidation:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from zenogate.errors import CriticalPoint, NonHermitianInput, OpenPath, SubspaceTrackingFailure
-from zenogate.linalg import expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm
+from zenogate.adiabatic import ordered_product
+from zenogate.linalg import _compress, _range_basis, expm_hermitian, expm_hermitian_stack, random_hermitian, spectral_norm
 from zenogate.spectral import (
     FramePath,
     OperatorPath,
@@ -266,6 +267,7 @@ class TestRotations:
         "subspace": lambda rng, gens: gens.subspace_generator,
         "tiny_plane": lambda rng, gens: 1e-15 * gens.frame_generator,  # G^3 = G only to an absolute 1e-15
         "random": lambda rng, gens: random_hermitian(4, rng, scale=2.0),
+        "huge_plane": lambda rng, gens: 1e200 * gens.frame_generator,  # G^2 would overflow: not a plane rotation
     }
 
     @pytest.mark.parametrize("name", GENERATORS)
@@ -278,7 +280,8 @@ class TestRotations:
         q = np.linalg.qr(rng.standard_normal((g.shape[0], 2)) + 1j * rng.standard_normal((g.shape[0], 2)))[0]
         assert np.abs(rotations(phis, q) - q.conj().T @ refs @ q).max() <= 1e-12
 
-    @pytest.mark.parametrize("name, decompositions", [("plane", 0), ("subspace", 0), ("tiny_plane", 1), ("random", 1)])
+    @pytest.mark.parametrize("name, decompositions", [("plane", 0), ("subspace", 0), ("tiny_plane", 1), ("random", 1),
+                                                      ("huge_plane", 1)])
     def test_decomposes_only_a_generator_without_closed_form(self, monkeypatch, recording, rng, gens, name,
                                                              decompositions):
         g = self.GENERATORS[name](rng, gens)
@@ -288,6 +291,21 @@ class TestRotations:
         rotations(np.linspace(0.0, 5.0, 100))
         rotations(np.linspace(0.0, 5.0, 100), np.eye(g.shape[0])[:, :2])
         assert eigh.shapes == [g.shape] * decompositions
+
+    @pytest.mark.parametrize("count", [1, 64, 4097])
+    @pytest.mark.parametrize("rank", [None, 2, 1], ids=["full", "rank2", "rank1"])
+    def test_closed_form_is_entry_major_and_the_broadcast_form_bit_for_bit(self, rng, gens, count, rank):
+        """The closed form fills a contiguous (r, r, K) array; its (K, r, r) view equals the broadcast form exactly."""
+        g = gens.frame_generator
+        basis = None if rank is None else _range_basis(three_level_projectors(0.7)[2 - rank])
+        g1, sq = (g, g @ g) if basis is None else _compress(basis, np.stack([g, g @ g]))
+        phis = rng.uniform(-7.0, 7.0, count)
+        c, s = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
+        broadcast = np.eye(sq.shape[-1]) + (c - 1.0) * sq - 1j * s * g1
+        stack = _rotations(g)(phis, basis)
+        assert stack.tobytes() == broadcast.tobytes()  # signed zeros too
+        assert stack.base.shape == sq.shape + (count,) and stack.base.flags.c_contiguous
+        assert ordered_product(stack).tobytes() == ordered_product(broadcast).tobytes()
 
     def test_rejects_what_is_not_hermitian(self):
         h = np.zeros((3, 3), dtype=complex)
