@@ -29,7 +29,7 @@ from .errors import (
     InsufficientSamples,
 )
 from .linalg import _checked_hermitian_stack, expm_hermitian_stack, spectral_norm
-from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _sample_stack
+from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _entry_major_matmul, _sample_stack
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,9 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
 
 
 def _entry_major_level(m: np.ndarray) -> np.ndarray:
-    """One tree level of a (d, d, k) entry-major stack: products m_{2j+1} m_{2j}, an odd last factor carried to the end.
-
-    Each product sums over ascending l; earlier[None, l], not earlier[l]: for d = 1 and one pair the shapes then
-    match, and numpy keeps the vector complex multiply of every other level (its scalar loop rounds differently).
-    """
+    """One tree level of a (d, d, k) entry-major stack: products m_{2j+1} m_{2j}, an odd last factor carried on."""
     k = m.shape[-1]
-    later, earlier = m[..., 1::2], m[..., 0:k - 1:2]
-    pairs = later[:, 0, None] * earlier[None, 0]
-    for l in range(1, m.shape[0]):
-        pairs += later[:, l, None] * earlier[None, l]
+    pairs = _entry_major_matmul(m[..., 1::2], m[..., 0:k - 1:2])
     return np.concatenate([pairs, m[..., k - 1:]], axis=-1) if k % 2 else pairs
 
 

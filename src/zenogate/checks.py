@@ -21,8 +21,10 @@ from .linalg import (
     random_state,
 )
 from .spectral import (
+    _FRAME_ROTATIONS,
+    FramePath,
     ParameterPath,
-    frame_path_analytic_three_level,
+    _unwrap,
     instantaneous_spectra,
     three_level_eigenbasis,
     three_level_hamiltonian,
@@ -115,24 +117,33 @@ def _check_three_level_spectrum(rng, cases):
     return CheckResult("three-level energies {0, 2r} with ranks {2, 1}", ok and worst <= 1e-9, 1e-9, worst)
 
 
-def _random_loop(rng, max_step=0.05):
+def _loop_controls(rng, max_step):
+    """(s, a, b, turns): a seeded loop of `turns` windings around the origin, sampled at the fractions s."""
     turns = int(rng.choice([-2, -1, 1, 2]))
     steps = max(int(np.ceil(2 * np.pi * abs(turns) / max_step)) + 1, 64)
     s = np.linspace(0.0, 1.0, steps)
     r = 1.0 + 0.3 * np.sin(2 * np.pi * s + float(rng.uniform(0, 2 * np.pi)))
     th = 2 * np.pi * turns * s
-    return ParameterPath(times=s, a=r * np.cos(th), b=r * np.sin(th)), turns
+    return s, r * np.cos(th), r * np.sin(th), turns
+
+
+def _random_loop(rng, max_step=0.05):
+    s, a, b, turns = _loop_controls(rng, max_step)
+    return ParameterPath(times=s, a=a, b=b), turns
 
 
 def _check_frame_intertwining(rng, cases):
-    defects = []
-    for _ in range(cases):
-        path, _ = _random_loop(rng)
-        spectra = instantaneous_spectra(three_level_hamiltonian(path.a, path.b))
-        frames, order = track_levels(path.times, spectra)
-        projectors = spectra.projectors()
-        ks = np.arange(0, frames.times.size, max(1, frames.times.size // 16))
-        defects += [frames.projector_path(n)[ks] - projectors[ks, order[ks, n]] for n in range(frames.nlevels)]
+    loops = [_random_loop(rng)[0] for _ in range(cases)]
+    spectra = instantaneous_spectra(np.concatenate([three_level_hamiltonian(path.a, path.b) for path in loops]))
+    defects, start = [], 0
+    for path in loops:
+        own = spectra.select(slice(start, start + path.times.size))
+        start += path.times.size
+        frames, order = track_levels(path.times, own)
+        ks = np.arange(0, path.times.size, max(1, path.times.size // 16))
+        probes = FramePath(times=path.times[ks], frames=frames.frames[ks], projectors0=frames.projectors0)
+        projectors, rows = own.select(ks).projectors(), np.arange(ks.size)
+        defects += [probes.projector_path(n) - projectors[rows, order[ks, n]] for n in range(frames.nlevels)]
     worst = float(_spectral_norms(np.concatenate(defects)).max())
     return CheckResult("tracked frame intertwining", worst <= 1e-8, 1e-8, worst)
 
@@ -163,13 +174,14 @@ def _check_eigenbasis_equations(rng, cases):
 
 
 def _check_analytic_frame_unitarity(rng, cases):
-    defects = []
+    phis = []
     for _ in range(cases):
-        path, _ = _random_loop(rng, max_step=0.3)
-        frames = frame_path_analytic_three_level(path)
-        w = frames.frames[int(rng.integers(0, frames.times.size))]
-        defects += [w.conj().T @ w - np.eye(3), frames.frames[0] - np.eye(3)]
-    worst = float(_spectral_norms(np.array(defects)).max())
+        s, a, b, _ = _loop_controls(rng, max_step=0.3)
+        theta = _unwrap(np.arctan2(b, a))  # the loop's ParameterPath.theta()
+        phis.append(theta[int(rng.integers(0, s.size))] - theta[0])
+    w = _FRAME_ROTATIONS(np.array(phis + [0.0]))  # the drawn frame of every case, then W(0)
+    defects = np.concatenate([w[:-1].conj().swapaxes(-1, -2) @ w[:-1] - np.eye(3), w[-1:] - np.eye(3)])
+    worst = float(_spectral_norms(defects).max())
     return CheckResult("analytic frame unitarity and W(0) = 1", worst <= 1e-12, 1e-12, worst)
 
 

@@ -154,9 +154,17 @@ def _canonical(value) -> str:
 
 
 def _digest(encoded: dict) -> str:
-    """sha256 of the canonical document whose top-level keys have the canonical JSON `encoded[key]`."""
-    canonical = "{" + ",".join(f"{_canonical(key)}:{encoded[key]}" for key in sorted(encoded)) + "}"
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """sha256 of the canonical document whose top-level keys have the canonical JSON `encoded[key]`.
+
+    The pieces go to the hash one by one: a custom model's encoding runs to hundreds of kB, and joining them
+    would copy it once more per derived scenario.
+    """
+    digest = hashlib.sha256(b"{")
+    for n, key in enumerate(sorted(encoded)):
+        digest.update(f"{',' if n else ''}{_canonical(key)}:".encode())
+        digest.update(encoded[key].encode())
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def scenario_digest(data: dict) -> str:

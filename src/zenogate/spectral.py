@@ -180,6 +180,10 @@ class SpectrumStack:
         columns, start = np.arange(self.vectors.shape[2]), self.offsets()[..., None]
         return (columns >= start) & (columns < start + self.ranks[..., None])
 
+    def select(self, index) -> "SpectrumStack":
+        """The spectra of the samples `index` (a slice or an index array)."""
+        return SpectrumStack(energies=self.energies[index], ranks=self.ranks[index], vectors=self.vectors[index])
+
     def projectors(self) -> np.ndarray:
         """(K, L, d, d) eigenprojectors: the symmetrized sum of v v^dag over each level's basis."""
         p = np.einsum("kac,klc,kbc->klab", self.vectors, self.members(), self.vectors.conj())
@@ -303,34 +307,41 @@ def _sample_stack(op_of_t, times: np.ndarray) -> np.ndarray:
     return np.broadcast_to(ops, (times.size,) + ops.shape[-2:])
 
 
-def _level_bases(vectors: np.ndarray, offsets: np.ndarray, levels: np.ndarray, width: int) -> np.ndarray:
-    """(K, d, width) first `width` basis columns of level levels[k] of every sample k."""
-    start = np.take_along_axis(offsets, levels[:, None], axis=1)
-    return np.take_along_axis(vectors, (start + np.arange(width))[:, None, :], axis=2)
+def _entry_major_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over entry-major stacks: a (r, s, ...) and b (s, t, ...) hold entry [i, j] of every matrix in a[i, j].
+
+    The s broadcast products a[:, l] b[l] are summed in ascending l, so numpy's inner loops run over the stack
+    (the trailing axes), not over the few entries of each matrix.  b[None, l], not b[l]: for s = 1 and one matrix
+    the shapes then match, and numpy keeps the vector complex multiply of larger stacks (its scalar loop rounds
+    differently).
+    """
+    out = a[:, 0, None] * b[None, 0]
+    for l in range(1, a.shape[1]):
+        out += a[:, l, None] * b[None, l]
+    return out
 
 
-def _overlaps(spectra: SpectrumStack) -> np.ndarray:
-    """overlaps[k - 1, i, j] = |P_j(k) P_i(k - 1)|_2 for every pair of consecutive samples.
+def _overlaps(spectra: SpectrumStack, m: np.ndarray) -> np.ndarray:
+    """overlaps[k - 1, i, j] = |P_j(k) P_i(k - 1)|_2 of consecutive samples, from m[..., k - 1] = V(k)^dag V(k - 1).
 
     This is the top singular value of the block Q_j(k)^dag Q_i(k - 1) of
     V(k)^dag V(k - 1): its Frobenius norm when either level has rank one,
     else taken from :func:`_polar` (indices past a level's rank are clamped,
     then masked out).
     """
-    v, ranks, offsets = spectra.vectors, spectra.ranks, spectra.offsets()
-    m = v[1:].conj().swapaxes(-1, -2) @ v[:-1]
-    members = spectra.members().astype(float)
-    top = _small_matmul(_small_matmul(members[:-1], np.abs(m).swapaxes(-1, -2) ** 2), members[1:].swapaxes(-1, -2))
+    ranks, offsets = spectra.ranks, spectra.offsets()
+    members = np.ascontiguousarray(spectra.members().transpose(1, 2, 0), dtype=float)  # (L, c, K)
+    top = _entry_major_matmul(_entry_major_matmul(members[..., :-1], (np.abs(m) ** 2).swapaxes(0, 1)),
+                              members[..., 1:].swapaxes(0, 1))
     k, i, j = np.nonzero((ranks[:-1, :, None] > 1) & (ranks[1:, None, :] > 1))
     if k.size:
-        width = np.arange(ranks.max())
-        rows, cols = offsets[k + 1, j][:, None] + width, offsets[k, i][:, None] + width
-        keep = (width < ranks[k + 1, j][:, None])[:, :, None] & (width < ranks[k, i][:, None])[:, None, :]
-        last = v.shape[2] - 1
-        block = np.where(keep, m[k[:, None, None], np.minimum(rows, last)[:, :, None],
-                                 np.minimum(cols, last)[:, None, :]], 0.0)
-        top[k, i, j] = _polar(block)[0][:, 0] ** 2
-    return np.sqrt(np.maximum(top, 0.0))
+        width = np.arange(ranks.max())[:, None]
+        rows, cols = offsets[k + 1, j] + width, offsets[k, i] + width  # (width, pairs)
+        keep = (width < ranks[k + 1, j])[:, None] & (width < ranks[k, i])[None]
+        last = m.shape[0] - 1
+        block = np.where(keep, m[np.minimum(rows, last)[:, None], np.minimum(cols, last)[None], k], 0.0)
+        top[i, j, k] = _polar(block)[0][0] ** 2
+    return np.sqrt(np.maximum(top, 0.0)).transpose(2, 0, 1)
 
 
 def _match_levels(spectra: SpectrumStack, overlaps: np.ndarray):
@@ -379,29 +390,30 @@ def _match_levels(spectra: SpectrumStack, overlaps: np.ndarray):
 
 
 def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks with a small inner dimension, as that many elementwise products.
+    """a @ b over (..., r, r) stacks with a small inner dimension, as that many elementwise products.
 
-    np.matmul pays a fixed cost per matrix, which dominates for r x r blocks.
-    Unlike `adiabatic.ordered_product` it keeps the (K, r, r) layout: its
-    callers hand it (K, r, r) stacks and short prefix-product shifts, and an
-    entry-by-entry product over those strides measured slower (3 x 3 at
-    K = 128, one BLAS thread: 44 us against 29 us).
+    np.matmul pays a fixed cost per matrix, which dominates for r x r blocks.  This keeps the stacks' layout, so
+    numpy's inner loops run over the r entries of a row; only the zeno engine, whose interval factors are
+    (N, r, r) stacks, still calls it.  On contiguous entry-major arrays :func:`_entry_major_matmul` is faster at
+    every size measured (3 x 3 complex, one BLAS thread, 2-core x86 VM, best of 200): 12-14 against 10 us at
+    K = 8, 34-36 against 15 us at K = 128 and 0.28-0.39 against 0.06 ms at K = 1024 (np.matmul: 5.5, 46 and
+    290-370 us).
     """
     return sum(a[..., :, i, None] * b[..., None, i, :] for i in range(a.shape[-1]))
 
 
 def _prefix_products(stack: np.ndarray) -> np.ndarray:
-    """out[k] = stack[k] @ ... @ stack[0], in log2(K) batched doubling steps."""
+    """out[..., k] = stack[..., k] @ ... @ stack[..., 0] of an entry-major (r, r, K) stack, in log2(K) doublings."""
     out = stack.copy()
     shift = 1
-    while shift < out.shape[0]:
-        out[shift:] = _small_matmul(out[shift:], out[:-shift])
+    while shift < out.shape[-1]:
+        out[..., shift:] = _entry_major_matmul(out[..., shift:], out[..., :-shift])
         shift *= 2
     return out
 
 
 def _polar(a: np.ndarray):
-    """(descending singular values, unitary polar factors) of a (K, r, r) stack.
+    """(descending singular values, unitary polar factors) of an entry-major (r, r, K) stack, as (r, K) and (r, r, K).
 
     Ranks 1 and 2 take closed forms instead of one LAPACK call per matrix:
     a 1 x 1 block is its modulus times its phase, and a 2 x 2 block
@@ -409,21 +421,21 @@ def _polar(a: np.ndarray):
     (s_1 +- s_2) U diag(1, +-1) V^dag, so both s_1 + s_2 and s_1 - s_2 come
     from a Frobenius norm, without cancellation.
     """
-    r = a.shape[-1]
+    r = a.shape[0]
     if r > 2:
-        u, s, vh = np.linalg.svd(a)
-        return s, u @ vh
-    det = a[..., 0, 0] if r == 1 else a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    phase = (det / np.where(det != 0, np.abs(det), 1.0))[..., None, None]
+        u, s, vh = np.linalg.svd(np.moveaxis(a, -1, 0))
+        return np.ascontiguousarray(s.T), np.ascontiguousarray(np.moveaxis(u @ vh, 0, -1))
+    det = a[0, 0] if r == 1 else a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    phase = det / np.where(det != 0, np.abs(det), 1.0)
     if r == 1:
-        return np.abs(det)[..., None], phase
-    adj_h = np.stack([a[..., 1, 1], -a[..., 1, 0], -a[..., 0, 1], a[..., 0, 0]], axis=-1).reshape(a.shape).conj()
+        return np.abs(det)[None], phase[None, None]
+    adj_h = np.stack([a[1, 1], -a[1, 0], -a[0, 1], a[0, 0]]).reshape(a.shape).conj()
     z = a + phase * adj_h
-    total = np.sqrt(0.5 * (np.abs(z) ** 2).sum(axis=(-1, -2)))  # s_1 + s_2
-    diff = np.sqrt(0.5 * (np.abs(a - phase * adj_h) ** 2).sum(axis=(-1, -2)))  # s_1 - s_2
+    total = np.sqrt(0.5 * (np.abs(z) ** 2).sum(axis=(0, 1)))  # s_1 + s_2
+    diff = np.sqrt(0.5 * (np.abs(a - phase * adj_h) ** 2).sum(axis=(0, 1)))  # s_1 - s_2
     top = 0.5 * (total + diff)
     bottom = np.abs(det) / np.where(top > 0, top, 1.0)
-    return np.stack([top, bottom], axis=-1), z / np.where(total > 0, total, 1.0)[..., None, None]
+    return np.stack([top, bottom]), z / np.where(total > 0, total, 1.0)
 
 
 def track_levels(times, spectra: SpectrumStack):
@@ -438,6 +450,9 @@ def track_levels(times, spectra: SpectrumStack):
     Raises SubspaceTrackingFailure, naming the first failing sample, when
     level counts/ranks change, the overlap drops to 1/2 or below (level
     crossing or too-coarse sampling) or a transported basis loses rank.
+    V(k)^dag V(k-1) is formed once; the overlaps and every level's blocks
+    Q_n(k)^dag Q_n(k-1) are read from it, and all products run entry-major,
+    on (r, r, K) arrays; the frames are the (K, d, d) view of a (d, d, K) one.
 
     Returns ``(frames, order)``: tracked level n is level ``order[k, n]``
     (energy order) of sample k.
@@ -445,13 +460,17 @@ def track_levels(times, spectra: SpectrumStack):
     times = np.asarray(times, dtype=float)
     if times.size != spectra.ranks.shape[0] or times.size < 1:
         raise ValueError("need one spectrum per time sample")
-    order, failure = _match_levels(spectra, _overlaps(spectra))
-    tracked = times.size if failure is None else failure[0]
-    vectors, offsets = spectra.vectors[:tracked], spectra.offsets()[:tracked]
+    vectors = np.ascontiguousarray(spectra.vectors.transpose(1, 2, 0))  # (d, c, K)
+    m = _entry_major_matmul(vectors[:, :, 1:].conj().swapaxes(0, 1), vectors[:, :, :-1])  # V(k)^dag V(k - 1)
+    order, failure = _match_levels(spectra, _overlaps(spectra, m))
+    tracked = order.shape[0]
     ranks = spectra.ranks[0, : order.shape[1]]
-    bases = [_level_bases(vectors, offsets, order[:tracked, n], rank) for n, rank in enumerate(ranks)]
-    steps = [_polar(_small_matmul(q[1:].conj().swapaxes(-1, -2), q[:-1])) for q in bases]
-    lost = [(int(k) + 1, n) for n, (s, _) in enumerate(steps) for k in np.flatnonzero(s[:, -1] <= 1e-12)[:1]]
+    starts = np.take_along_axis(spectra.offsets()[:tracked], order, axis=1).T  # (levels, tracked) first columns
+    span, steps = np.arange(tracked - 1), []
+    for start, r in zip(starts, ranks):  # polar factors of the level's blocks Q_n(k)^dag Q_n(k-1), read off m
+        width = np.arange(r)[:, None]
+        steps.append(_polar(m[(start[1:] + width)[:, None], (start[:-1] + width)[None], span]))
+    lost = [(int(k) + 1, n) for n, (s, _) in enumerate(steps) for k in np.flatnonzero(s[-1] <= 1e-12)[:1]]
     if lost:
         k, n = min(lost)
         raise SubspaceTrackingFailure(f"transported basis lost rank for level {n} at sample {k}")
@@ -459,16 +478,17 @@ def track_levels(times, spectra: SpectrumStack):
         raise SubspaceTrackingFailure(failure[1])
 
     dim = spectra.vectors.shape[1]
-    frames = np.zeros((times.size, dim, dim), dtype=complex)
-    for q, (_, factors) in zip(bases, steps):
-        rot = np.concatenate([np.eye(q.shape[2])[None], _prefix_products(factors)])
+    frames = np.zeros((dim, dim, times.size), dtype=complex)
+    for start, r, (_, factors) in zip(starts, ranks, steps):
+        q = np.take_along_axis(vectors, start + np.arange(r)[None, :, None], axis=1)  # (d, r, K) level basis
+        rot = np.concatenate([np.eye(r)[..., None], _prefix_products(factors)], axis=-1)
         # Each polar factor is unitary only to rounding, and products accumulate
         # the defect: one Newton-Schulz step takes it back to rounding.
-        rot = 1.5 * rot - 0.5 * _small_matmul(rot, _small_matmul(rot.conj().swapaxes(-1, -2), rot))
-        frames += _small_matmul(_small_matmul(q, rot), q[0].conj().T)
-    frames[0] = np.eye(dim)
-    first = SpectrumStack(energies=spectra.energies[:1], ranks=spectra.ranks[:1], vectors=spectra.vectors[:1])
-    return FramePath(times=times, frames=frames, projectors0=first.projectors()[0, : ranks.size]), order
+        rot = 1.5 * rot - 0.5 * _entry_major_matmul(rot, _entry_major_matmul(rot.conj().swapaxes(0, 1), rot))
+        frames += _entry_major_matmul(_entry_major_matmul(q, rot), q[..., :1].conj().swapaxes(0, 1))
+    frames[..., 0] = np.eye(dim)
+    projectors0 = spectra.select(slice(0, 1)).projectors()[0, : ranks.size]
+    return FramePath(times=times, frames=np.moveaxis(frames, -1, 0), projectors0=projectors0), order
 
 
 def frame_path_from_spectra(times, spectra: SpectrumStack) -> FramePath:

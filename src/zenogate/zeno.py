@@ -244,8 +244,9 @@ def effective_frame(h0_of_t, frames: FramePath) -> FramePath:
     if h0_of_t is None:
         return frames
     factors = _midpoint_propagators(h0_of_t, frames.times)
-    u = np.concatenate([np.eye(frames.dim, dtype=complex)[None], _prefix_products(factors)])
-    weff = np.matmul(u.conj().transpose(0, 2, 1), frames.frames)
+    u = np.concatenate([np.eye(frames.dim, dtype=complex)[..., None], _prefix_products(factors.transpose(1, 2, 0))],
+                       axis=-1)
+    weff = np.matmul(u.conj().transpose(2, 1, 0), frames.frames)
     return FramePath(times=frames.times, frames=weff, projectors0=frames.projectors0)
 
 

@@ -17,7 +17,7 @@ from zenogate.spectral import (
     three_level_hamiltonian,
     track_levels,
 )
-from zenogate.spectral import _match_levels, _overlaps, _polar
+from zenogate.spectral import _entry_major_matmul, _match_levels, _overlaps, _polar
 
 
 def reference_spectrum(h, cluster_tol=1e-8):
@@ -83,6 +83,11 @@ def reference_match_levels(spectra, overlaps):
             cur.append(j)
         order.append(cur)
     return np.array(order), None
+
+
+def overlaps_of(spectra):
+    v = np.ascontiguousarray(spectra.vectors.transpose(1, 2, 0))  # entry-major (d, c, K)
+    return _overlaps(spectra, _entry_major_matmul(v[:, :, 1:].conj().swapaxes(0, 1), v[:, :, :-1]))
 
 
 def assert_matches_the_reference(spectra, overlaps):
@@ -155,9 +160,9 @@ def test_closed_form_singular_values_near_a_tie(rng, gap):
     u = np.linalg.qr(rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2)))[0]
     v = np.linalg.qr(rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2)))[0]
     a = u @ np.diag([1.0, 1.0 - gap]) @ v.conj().swapaxes(-1, -2)
-    s, polar = _polar(a)
-    assert np.abs(s - [1.0, 1.0 - gap]).max() <= 1e-14
-    assert np.abs(polar - u @ v.conj().swapaxes(-1, -2)).max() <= 1e-13
+    s, polar = _polar(a.transpose(1, 2, 0))  # entry-major: (2, 2, 8) in, (2, 8) and (2, 2, 8) out
+    assert np.abs(s.T - [1.0, 1.0 - gap]).max() <= 1e-14
+    assert np.abs(polar.transpose(2, 0, 1) - u @ v.conj().swapaxes(-1, -2)).max() <= 1e-13
 
 
 class TestTrackLevels:
@@ -330,7 +335,7 @@ class TestMatchingIsThePerSampleGreedy:
     )
     def test_hand_built_spectra(self, sequence):
         stack = spectra_of(*sequence)
-        assert_matches_the_reference(stack, _overlaps(stack))
+        assert_matches_the_reference(stack, overlaps_of(stack))
 
     @settings(max_examples=30, deadline=None)
     @given(dim=st.integers(2, 5), cuts=st.sets(st.integers(1, 4), max_size=4), seed=st.integers(0, 2**32 - 1))
@@ -341,4 +346,140 @@ class TestMatchingIsThePerSampleGreedy:
         energies, slopes = rng.uniform(-2.0, 2.0, ranks.size), rng.uniform(-3.0, 3.0, ranks.size)
         hs, _, _ = rotating_family(dim, ranks, energies, slopes, random_hermitian(dim, rng), np.linspace(0.0, 1.0, 97))
         stack = instantaneous_spectra(hs)
-        assert_matches_the_reference(stack, _overlaps(stack))
+        assert_matches_the_reference(stack, overlaps_of(stack))
+
+
+def legacy_small_matmul(a, b):
+    return sum(a[..., :, i, None] * b[..., None, i, :] for i in range(a.shape[-1]))
+
+
+def legacy_prefix_products(stack):
+    out = stack.copy()
+    shift = 1
+    while shift < out.shape[0]:
+        out[shift:] = legacy_small_matmul(out[shift:], out[:-shift])
+        shift *= 2
+    return out
+
+
+def legacy_polar(a):
+    r = a.shape[-1]
+    if r > 2:
+        u, s, vh = np.linalg.svd(a)
+        return s, u @ vh
+    det = a[..., 0, 0] if r == 1 else a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    phase = (det / np.where(det != 0, np.abs(det), 1.0))[..., None, None]
+    if r == 1:
+        return np.abs(det)[..., None], phase
+    adj_h = np.stack([a[..., 1, 1], -a[..., 1, 0], -a[..., 0, 1], a[..., 0, 0]], axis=-1).reshape(a.shape).conj()
+    z = a + phase * adj_h
+    total = np.sqrt(0.5 * (np.abs(z) ** 2).sum(axis=(-1, -2)))
+    diff = np.sqrt(0.5 * (np.abs(a - phase * adj_h) ** 2).sum(axis=(-1, -2)))
+    top = 0.5 * (total + diff)
+    bottom = np.abs(det) / np.where(top > 0, top, 1.0)
+    return np.stack([top, bottom], axis=-1), z / np.where(total > 0, total, 1.0)[..., None, None]
+
+
+def legacy_overlaps(spectra):
+    v, ranks, offsets = spectra.vectors, spectra.ranks, spectra.offsets()
+    m = v[1:].conj().swapaxes(-1, -2) @ v[:-1]
+    members = spectra.members().astype(float)
+    top = legacy_small_matmul(legacy_small_matmul(members[:-1], np.abs(m).swapaxes(-1, -2) ** 2),
+                              members[1:].swapaxes(-1, -2))
+    k, i, j = np.nonzero((ranks[:-1, :, None] > 1) & (ranks[1:, None, :] > 1))
+    if k.size:
+        width = np.arange(ranks.max())
+        rows, cols = offsets[k + 1, j][:, None] + width, offsets[k, i][:, None] + width
+        keep = (width < ranks[k + 1, j][:, None])[:, :, None] & (width < ranks[k, i][:, None])[:, None, :]
+        last = v.shape[2] - 1
+        block = np.where(keep, m[k[:, None, None], np.minimum(rows, last)[:, :, None],
+                                 np.minimum(cols, last)[:, None, :]], 0.0)
+        top[k, i, j] = legacy_polar(block)[0][:, 0] ** 2
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def legacy_track_levels(times, spectra):
+    """`track_levels` as it ran on (K, r, r) stacks, kept as the bit-for-bit reference of the entry-major one."""
+    times = np.asarray(times, dtype=float)
+    order, failure = _match_levels(spectra, legacy_overlaps(spectra))
+    tracked = times.size if failure is None else failure[0]
+    vectors, offsets = spectra.vectors[:tracked], spectra.offsets()[:tracked]
+    ranks = spectra.ranks[0, : order.shape[1]]
+    bases = []
+    for n, rank in enumerate(ranks):
+        start = np.take_along_axis(offsets, order[:tracked, n][:, None], axis=1)
+        bases.append(np.take_along_axis(vectors, (start + np.arange(rank))[:, None, :], axis=2))
+    steps = [legacy_polar(legacy_small_matmul(q[1:].conj().swapaxes(-1, -2), q[:-1])) for q in bases]
+    lost = [(int(k) + 1, n) for n, (s, _) in enumerate(steps) for k in np.flatnonzero(s[:, -1] <= 1e-12)[:1]]
+    if lost:
+        k, n = min(lost)
+        raise SubspaceTrackingFailure(f"transported basis lost rank for level {n} at sample {k}")
+    if failure is not None:
+        raise SubspaceTrackingFailure(failure[1])
+    dim = spectra.vectors.shape[1]
+    frames = np.zeros((times.size, dim, dim), dtype=complex)
+    for q, (_, factors) in zip(bases, steps):
+        rot = np.concatenate([np.eye(q.shape[2])[None], legacy_prefix_products(factors)])
+        rot = 1.5 * rot - 0.5 * legacy_small_matmul(rot, legacy_small_matmul(rot.conj().swapaxes(-1, -2), rot))
+        frames += legacy_small_matmul(legacy_small_matmul(q, rot), q[0].conj().T)
+    frames[0] = np.eye(dim)
+    return frames, order
+
+
+def conjugated_loop(rng, samples, windings=1):
+    """The three-level loop (ranks 2 and 1) conjugated by a fixed random unitary, so every basis entry is complex."""
+    path = circle_path(windings=windings, radius=1.3, center=(0.2, 0.1), samples=samples)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    return path.times, u @ three_level_hamiltonian(path.a, path.b) @ u.conj().T
+
+
+class TestEntryMajorTrackingIsTheStackedOne:
+    """The entry-major tracker returns the frames and order of the (K, r, r) one, bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_the_legacy(times, spectra):
+        frames, order = track_levels(times, spectra)
+        expected, expected_order = legacy_track_levels(times, spectra)
+        assert frames.frames.shape == expected.shape and order.shape == expected_order.shape
+        assert np.array_equal(frames.frames, expected)
+        assert np.array_equal(order, expected_order)
+        return order
+
+    @pytest.mark.parametrize("samples", [1, 2, 129, 4097])
+    def test_conjugated_rank_two_one_loops(self, rng, samples):
+        times, hs = conjugated_loop(rng, max(samples, 2), windings=-2)
+        self.assert_equal_to_the_legacy(times[:samples], instantaneous_spectra(hs[:samples]))
+
+    @pytest.mark.parametrize(
+        "ranks, samples",
+        [([1, 1], 65), ([2], 33), ([2, 1], 97), ([2, 1, 1], 129), ([2, 2], 129), ([3, 2], 97), ([1, 2, 2], 161),
+         ([1, 1, 1, 1, 1], 97), ([4, 1], 2)],
+    )
+    def test_crossing_families(self, rng, ranks, samples):
+        times = np.linspace(0.0, 1.0, samples)
+        energies = np.linspace(-1.0, 1.0, len(ranks))
+        slopes = -np.sqrt(7.0) * energies * (1.0 + 0.3 * np.arange(len(ranks)))  # every pair crosses, one at a time
+        g = random_hermitian(sum(ranks), rng, scale=0.5)
+        hs, _, _ = rotating_family(sum(ranks), ranks, energies, slopes, g, times)
+        order = self.assert_equal_to_the_legacy(times, instantaneous_spectra(hs))
+        if len(ranks) > 1 and samples > 2:
+            assert (order != order[0]).any()
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            [TWO_PAIRS] * 2 + [(E4[:, :2], E4[:, 2], E4[:, 3])],
+            [tuple(E4.T)] * 3 + [tuple(HADAMARD.T)],
+            [(np.eye(3)[:, :2], np.eye(3)[:, 2])] * 2 + [(np.eye(3)[:, 0], np.eye(3)[:, 1:])],
+            [TWO_PAIRS] * 2 + [(E4[:, [0, 2]], E4[:, [1, 3]])],
+            [TWO_PAIRS] * 2 + [(E4[:, [0, 2]], E4[:, [1, 3]]), (E4[:, :2], E4[:, 2], E4[:, 3])],
+        ],
+        ids=["level_count", "overlap", "rank_change", "rank_loss", "rank_loss_before_level_count"],
+    )
+    def test_failures(self, sequence):
+        stack, times = spectra_of(*sequence), np.arange(len(sequence), dtype=float)
+        with pytest.raises(SubspaceTrackingFailure) as expected:
+            legacy_track_levels(times, stack)
+        with pytest.raises(SubspaceTrackingFailure) as err:
+            track_levels(times, stack)
+        assert str(err.value) == str(expected.value)
