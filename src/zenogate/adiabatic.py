@@ -78,13 +78,13 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
     Pairwise tree reduction: exact (associativity) and much faster than a
     Python loop for long stacks of small matrices.  np.matmul pays a fixed
     cost per matrix, so for d <= 3 every level runs entry-major, on (d, d, K)
-    arrays: the views `three_level_propagators` and the closed form of
-    `spectral._rotations` return as they are, any other
-    stack copied chunk by chunk for the first level (a full-size copy made
-    the allocator fault its pages in again on every call).  With one BLAS
-    thread on a 2-core x86 VM, the product of 63k 3 x 3 propagators takes
-    6-8 ms against 11.5-16 ms as (K, 3, 3) products; np.matmul wins from
-    d = 4 on.
+    arrays: the views `three_level_propagators`, the closed form of
+    `spectral._rotations` and `zeno._interval_factors` return as they are,
+    any other stack copied chunk by chunk for the first level (a full-size
+    copy made the allocator fault its pages in again on every call).  With
+    one BLAS thread on a 2-core x86 VM, the product of 63k 3 x 3 propagators
+    takes 6-8 ms against 11.5-16 ms as (K, 3, 3) products; np.matmul wins
+    from d = 4 on.
     """
     if stack.shape[-1] > 3:
         m = stack

@@ -26,7 +26,7 @@ from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
 from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, _circle_controls, _rotations,
                        frame_path_analytic_three_level, instantaneous_spectra, three_level_eigenbasis,
                        three_level_generators, three_level_hamiltonian, three_level_projectors, three_level_propagators,
-                       track_levels)
+                       track_levels, winding_number)
 
 CSV_COLUMNS = (
     "scenario_id", "engine", "axis", "axis_value", "p_N", "q_n", "fidelity",
@@ -108,9 +108,16 @@ def _frames_for(scenario: Scenario, samples: int):
 
     `path` is None for a custom model; `energies[k, n]` is the energy of
     tracked level n at sample k (None for closed-form frames).
-    Inputs that do not fit the model's levels or dimension raise ValidationError.
+    Inputs that do not fit the model's levels or dimension raise ValidationError; a circle whose grid unwraps to other
+    windings than its own, InsufficientSamples, unless it is a Zeno grid of half turns (`_constant_step`) or is
+    followed by wagon-wheel frames, which read no angle.
     """
     path = None if scenario.model_type == "custom" else scenario.build_path(samples=samples)
+    spec, windings = scenario.path_spec, scenario.path_spec.get("windings")
+    if path is not None and spec["type"] == "circle" and scenario.control.mode != "wagon_wheel":
+        half_turns = scenario.engine == "zeno" and spec["center"] == [0.0, 0.0] and samples - 1 == 2 * abs(windings)
+        if winding_number(path) != windings and not half_turns:
+            raise InsufficientSamples(f"{samples - 1} steps cannot follow {windings} windings: one is over a half turn")
     dim = 3 if path is not None else scenario.model_hamiltonians[0][1].shape[0]
     for where, m in (("initial_state.amplitudes", scenario.initial_amplitudes),
                      ("control.hamiltonian", scenario.control.hamiltonian)):
@@ -250,7 +257,7 @@ def _constant_step(scenario: Scenario, frames: FramePath, route):
     around the origin, where dtheta/dt = 2 pi windings / T.  A Zeno run turns about its frame generator G by
     (alpha - 1) phi(T) / n; an adiabatic run adds the model's H, K = 2 r P_+(theta_0) - (dtheta/dt) g, and turns
     about K by T / n.  Both go through `spectral._rotations`.  None for every other run (dissipative runs keep
-    `dis.integrate_rotating` and do not ask), and for a Zeno grid of half-turn steps (N = 2 |windings| / odd) that
+    `dis.integrate_rotating` and do not ask), and for a Zeno grid of half-turn steps (N = 2 |windings|) that
     the unwrapped angle reads forwards at one sample and backwards at another, so that its factors differ.
     """
     if not isinstance(route, zn._RotationRun):
@@ -395,6 +402,8 @@ def sweep(scenario: Scenario, axis: str, values) -> SweepSummary:
         raise AxisMismatch(f"unknown sweep axis {axis!r}")
     if AXIS_KEYS[axis] not in ENGINE_KEYS[scenario.engine]:
         raise AxisMismatch(f"axis {axis!r} does not apply to the {scenario.engine} engine")
+    if axis == "T" and scenario.model_type == "custom":
+        raise AxisMismatch("axis 'T' edits the path, and a custom model has none: its last sample time is T")
     if axis == "alpha" and scenario.control.mode != "alpha_frame":
         raise AxisMismatch("axis 'alpha' requires control.mode = alpha_frame")
     values = sorted(values)

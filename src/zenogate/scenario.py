@@ -67,7 +67,7 @@ import yaml
 
 from .errors import CriticalPoint, ParseError, ValidationError
 from .linalg import HERMITICITY_TOL, hermiticity_defect
-from .spectral import ParameterPath, circle_path, polyline_path, winding_number
+from .spectral import ParameterPath, _circle_controls, circle_path, polyline_path
 from .zeno import ControlConfig
 
 _SHARED_KEYS = {"engine", "name", "model", "path", "frame_method", "initial_state", "tolerances", "runtime_budget_s"}
@@ -313,6 +313,8 @@ def _parse_path(data, fields):
         if key in pspec:
             pspec[key] = _number(pspec[key], f"path.{key}", integral=key == "samples")
     _require(pspec.get("duration", 1.0) > 0, "path.duration must be positive")
+    _require(pspec.get("duration", 1.0) >= np.finfo(float).tiny, "path.duration must be at least 2.2e-308")
+    _require(pspec.get("samples", 2) >= 2, "path.samples must be at least 2")
     return {"path_spec": pspec}
 
 
@@ -466,14 +468,12 @@ def _assemble(data: dict, fields: dict, encoded: dict) -> Scenario:
     pspec = scenario.path_spec
     if scenario.model_type == "three_level":
         try:
-            path = scenario.build_path(samples=pspec.get("samples", 129))
+            if pspec["type"] == "circle":  # in closed form: windings and critical point, at any winding count
+                _circle_controls(pspec["center"], pspec["radius"], pspec["windings"])
+            else:
+                scenario.build_path(samples=pspec.get("samples", 129))
         except (ValueError, CriticalPoint) as exc:
             raise ValidationError(f"path: {exc}") from exc
-        if pspec["type"] == "circle" and path.closed:
-            _require(
-                winding_number(path) == pspec["windings"],
-                f"path.windings = {pspec['windings']} does not match the loop's actual winding",
-            )
     # A custom model's sampled times fix its duration, so a path would be silently ignored.
     if scenario.model_type == "custom":
         _require("path" not in data, "a custom model takes no path section")

@@ -109,15 +109,19 @@ def _circle_controls(center, radius: float, windings: int) -> Callable:
 
     The loop is center + radius (cos phi, sin phi) with phi = 2 pi turns s,
     turns = `windings` around the origin or one for a non-enclosing circle
-    (ValueError when `windings` says otherwise).
+    (ValueError when `windings` says otherwise or the controls overflow; CriticalPoint when it meets the origin).
     """
     ca, cb = float(center[0]), float(center[1])
-    encloses = np.hypot(ca, cb) < radius
-    if encloses and windings == 0:
+    if not np.isfinite(abs(ca) + abs(cb) + radius):  # Python floats: an overflow is inf, not a warning
+        raise ValueError("circle controls overflow: |center a| + |center b| + radius must be finite")
+    gap = float(np.hypot(ca, cb)) - radius  # the loop's signed distance from the origin
+    if gap * gap < CRITICAL_RADIUS_SQ:
+        raise CriticalPoint("circle passes through the critical point (a, b) = (0, 0)")
+    if gap < 0 and windings == 0:
         raise ValueError("circle encloses the origin; windings must be nonzero")
-    if not encloses and windings != 0:
+    if gap > 0 and windings != 0:
         raise ValueError("circle does not enclose the origin; windings must be 0")
-    turns = windings if encloses else 1
+    turns = windings if gap < 0 else 1
 
     def controls(s):
         phi = 2 * np.pi * turns * s
@@ -387,19 +391,6 @@ def _match_levels(spectra: SpectrumStack, overlaps: np.ndarray):
         last, start = cur, k
     order[start:] = last
     return order, None
-
-
-def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over (..., r, r) stacks with a small inner dimension, as that many elementwise products.
-
-    np.matmul pays a fixed cost per matrix, which dominates for r x r blocks.  This keeps the stacks' layout, so
-    numpy's inner loops run over the r entries of a row; only the zeno engine, whose interval factors are
-    (N, r, r) stacks, still calls it.  On contiguous entry-major arrays :func:`_entry_major_matmul` is faster at
-    every size measured (3 x 3 complex, one BLAS thread, 2-core x86 VM, best of 200): 12-14 against 10 us at
-    K = 8, 34-36 against 15 us at K = 128 and 0.28-0.39 against 0.06 ms at K = 1024 (np.matmul: 5.5, 46 and
-    290-370 us).
-    """
-    return sum(a[..., :, i, None] * b[..., None, i, :] for i in range(a.shape[-1]))
 
 
 def _prefix_products(stack: np.ndarray) -> np.ndarray:

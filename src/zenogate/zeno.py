@@ -35,7 +35,7 @@ from .adiabatic import _midpoint_propagators, _ordered_exp, _subspace_generator,
 from .errors import GridMismatch, IncompleteResolution, InsufficientSamples, NotASubspaceRotation, ZeroSurvival
 from .linalg import _compress, _range_basis, expm_hermitian_stack, spectral_norm
 from .spectral import (_FRAME_GENERATOR, _FRAME_ROTATIONS, ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath,
-                       _prefix_products, _rotations, _RotationFramePath, _small_matmul)
+                       _entry_major_matmul, _prefix_products, _rotations, _RotationFramePath)
 
 # Matrix entries per batch of d^2 x d^2 step maps in `_fold`: 256 of a three-level system.
 _CHUNK_ENTRIES = 256 * 3**4
@@ -132,13 +132,14 @@ def _interval_factors(h0_of_t, frames: FramePath, N: int, q: np.ndarray) -> np.n
     """The (N, r, r) blocks Q^dag F_k Q of F_k = W(t_{k+1})^dag U_0 W(t_k), Q a (d, r) basis, at times k*T/N.
 
     `h0_of_t` (None for no bare dynamics) is called once on all midpoint times: one midpoint factor per interval.
+    The blocks are the view of an entry-major (r, r, N) array, which `adiabatic.ordered_product` takes as it is.
     """
     idx = _measurement_indices(frames.times, N)
     wq = (frames.frames[idx].reshape(-1, frames.dim) @ q).reshape(idx.size, frames.dim, -1)  # W Q, one BLAS call
-    ahead = wq[1:]  # U_0^dag W(t_{k+1}) Q
-    if h0_of_t is not None:
-        ahead = _small_matmul(_midpoint_propagators(h0_of_t, frames.times[idx]).conj().swapaxes(-1, -2), ahead)
-    return _small_matmul(ahead.conj().swapaxes(-1, -2), wq[:-1])
+    wq = np.ascontiguousarray(wq.transpose(1, 2, 0))  # entry-major (d, r, N + 1)
+    u0_dag = None if h0_of_t is None else _midpoint_propagators(h0_of_t, frames.times[idx]).conj().transpose(2, 1, 0)
+    ahead = wq[..., 1:] if u0_dag is None else _entry_major_matmul(u0_dag, wq[..., 1:])  # U_0^dag W(t_{k+1}) Q
+    return _entry_major_matmul(ahead.conj().swapaxes(0, 1), wq[..., :-1]).transpose(2, 0, 1)
 
 
 def projected_evolution(h0_of_t, frames: FramePath, level: int, N: int, initial) -> ZenoRun:
@@ -329,19 +330,18 @@ def _nonselective(frames: FramePath, factors: np.ndarray, rho0, repeats=None) ->
 
     rho~ starts as the dephased rho0; step k acts on vec(rho~) as sum_n (P_n(0) F_k) x conj(P_n(0) F_k).  With
     `repeats` = N the (1, d, d) `factors` hold one F taken N times: `_fold` gets one step, that map's N-th power.
-    IncompleteResolution unless the P_n(0) sum to 1 and the unitaries the run uses are unitary: W(t_k) at every
-    measurement time, or W(T) and F for a repeated factor (no frame stack is built).
+    IncompleteResolution unless the P_n(0) sum to 1 and the unitaries the run uses, W(T) and every F_k, are
+    unitary: W(0) = 1, so a non-unitary W(t_k) shows in F_{k-1} or F_k.
     """
     dim = frames.dim
-    if repeats is None:
-        w = frames.frames[_measurement_indices(frames.times, len(factors))]
-    else:
-        w = np.stack([frames.final, factors[0]])
-    _check_resolution(_small_matmul(w, w.conj().swapaxes(-1, -2)))
+    f = factors.transpose(1, 2, 0)  # entry-major (d, d, N)
+    w = np.concatenate([frames.final[..., None], f], axis=-1)
+    _check_resolution(_entry_major_matmul(w, w.conj().swapaxes(0, 1)).transpose(2, 0, 1))
+    p0 = frames.projectors0.transpose(1, 2, 0)[..., None]  # (d, d, levels, 1)
 
     def maps(start, stop):
-        m = _small_matmul(frames.projectors0, factors[start:stop, None])  # P_n(0) F_k
-        m = np.einsum("knil,knjm->kijlm", m, m.conj()).reshape(-1, dim * dim, dim * dim)
+        m = _entry_major_matmul(p0, f[:, :, None, start:stop])  # P_n(0) F_k, (d, d, levels, k)
+        m = np.einsum("ilnk,jmnk->kijlm", m, m.conj()).reshape(-1, dim * dim, dim * dim)
         return m if repeats is None else np.linalg.matrix_power(m[0], repeats)[None]
 
     return _fold(frames, nonselective_step(rho0, frames.projectors0), len(factors), maps)

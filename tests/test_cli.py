@@ -131,7 +131,8 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "loglog_slope[survival_deficit]" in out
 
-    def test_custom_model_t_sweep_exit_1(self, tmp_path):
+    def test_custom_model_t_sweep_exit_2(self, tmp_path, capsys):
+        """A custom model has no path for the T axis to edit: an axis/engine mismatch, refused before any run."""
         rows = "[[1, 1, 0], [1, 1, 0], [0, 0, 0]]"
         text = (
             "engine: adiabatic\nsteps: 16\ninitial_state:\n  amplitudes: [1, -1, 0]\nmodel:\n  type: custom\n"
@@ -139,7 +140,10 @@ class TestSweepCommand:
         )
         scenario = write_scenario(tmp_path, text)
         assert cli.main(["run", scenario]) == 0
-        assert cli.main(["sweep", scenario, "--axis", "T", "--values", "1,2"]) == 1
+        capsys.readouterr()
+        assert cli.main(["sweep", scenario, "--axis", "T", "--values", "1,2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("engine error: axis 'T'")
 
     def test_t_axis_step_count_overflow_exit_1(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, ADIABATIC + "steps: 64\n")

@@ -164,12 +164,13 @@ def test_half_turn_grids_keep_their_factors(monkeypatch, windings, n):
     assert calls["steps"] == [None] and len(calls["rotation_factors"]) == 1
 
 
-def test_general_nonselective_run_still_checks_every_frame(monkeypatch):
-    """The off-centre route keeps its unitarity check on the whole (N + 1, d, d) frame stack."""
+@pytest.mark.parametrize("path", [OFF_CENTRE, POLYLINE, SAMPLES], ids=["off_centre", "polyline", "samples"])
+def test_n_factor_nonselective_run_reads_no_frame_stack(monkeypatch, path):
+    """An N-factor rotation-form run checks W(T) and its factors for unitarity, not the (N + 1, d, d) frame stack."""
     stacks = _count(monkeypatch, spectral._RotationFramePath.frames, "func")
-    runner.run(scenario_from_dict({"engine": "zeno", "path": OFF_CENTRE, "N": 64, "nonselective": True,
-                                   "initial_state": {"name": "E_minus"}}))
-    assert len(stacks) == 1
+    record = runner.run(scenario_from_dict({"engine": "zeno", "path": path, "N": 64, "nonselective": True,
+                                            "initial_state": {"name": "E_minus"}}))
+    assert stacks == [] and record.trace_drift <= 1e-12
 
 
 def random_unitary(dim, rng):
@@ -177,7 +178,7 @@ def random_unitary(dim, rng):
 
 
 class TestRepeatedFactorCheck:
-    """A repeated factor is checked on exactly the unitaries it uses: W(T) and the one step factor F."""
+    """A nonselective run is checked on exactly the unitaries it uses: W(T) and each factor F_k (one if repeated)."""
 
     @staticmethod
     def frames(final):
@@ -194,6 +195,13 @@ class TestRepeatedFactorCheck:
     def test_non_unitary_factor_is_refused(self, rng):
         with pytest.raises(IncompleteResolution):
             zn._nonselective(self.frames(random_unitary(3, rng)), 1.01 * random_unitary(3, rng)[None], np.eye(3), 7)
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_one_non_unitary_factor_of_n_is_refused(self, rng, k):
+        factors = np.stack([random_unitary(3, rng) for _ in range(7)])
+        factors[k] *= 1.01
+        with pytest.raises(IncompleteResolution):
+            zn._nonselective(self.frames(random_unitary(3, rng)), factors, np.eye(3))
 
     def test_non_unitary_final_frame_is_refused(self, rng):
         with pytest.raises(IncompleteResolution):

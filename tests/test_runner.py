@@ -675,7 +675,6 @@ class TestDerive:
             ("zeno_winding_one", "N", 0, "N must be a positive integer"),
             ("dissipative_gate", "gamma", -1.0, "gamma must be nonnegative"),
             ("adiabatic_slow_loop", "T", 0.0, "path.duration must be positive"),
-            ("custom_adiabatic", "T", 2.0, "a custom model takes no path section"),
             ("adiabatic_slow_loop", "T", 1e308, "the derived step count inf exceeds the bound 4194304"),
         ],
     )
@@ -741,8 +740,11 @@ class TestScenarioBoundary:
         with pytest.raises(ValidationError, match="positive duration"):
             scenario_from_dict(data)
 
-    def test_t_sweep_of_custom_model_rejected(self):
+    def test_t_sweep_of_custom_model_rejected(self, monkeypatch):
+        """The T axis edits the path, which a custom model has none of: AxisMismatch, before any derived run."""
         data = {"engine": "adiabatic", "model": custom_unit_loop(257), "steps": 64,
                 "initial_state": {"amplitudes": [1.0, -1.0, 0.0]}}
-        with pytest.raises(ValidationError, match="no path"):
-            sweep(scenario_from_dict(data), "T", [1.0, 2.0])
+        scenario = scenario_from_dict(data)
+        monkeypatch.setattr(runner, "_derive", lambda *args: pytest.fail("a value was derived"))
+        with pytest.raises(AxisMismatch, match="custom model"):
+            sweep(scenario, "T", [1.0, 2.0])

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from zenogate import cli, runner, scenario
-from zenogate.errors import ParseError, ValidationError
+from zenogate.errors import InsufficientSamples, ParseError, ValidationError
 from zenogate.scenario import Scenario, load_scenario, scenario_digest, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -137,6 +137,52 @@ class TestValidation:
         data["path"] = {"type": "circle", "windings": 0}
         with pytest.raises(ValidationError):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("windings, n", [(64, 2**18), (100, 2**18), (-100, 2**18), (64, 129), (-64, 129)])
+    def test_many_windings_validate_in_closed_form(self, windings, n):
+        """Circles are validated in closed form, not on a sampled loop, so no winding count outruns the samples;
+        a run grid of more than 2 |windings| steps then reads the declared windings."""
+        record = runner.run(scenario_from_dict(minimal_zeno(path={"type": "circle", "windings": windings}, N=n)))
+        assert record.phi_expected == pytest.approx(np.sqrt(2.0) * np.pi * windings, abs=1e-9)
+
+    @pytest.mark.parametrize("engine, path, extra", [
+        ("zeno", {"windings": 64}, {"N": 100}),  # a step of 0.64 turn would unwrap as -0.36
+        ("zeno", {"windings": -3}, {"N": 5}),
+        ("adiabatic", {"windings": 8, "samples": 16}, {}),  # the 15 steps would read -7 turns
+        ("adiabatic", {"windings": 8, "samples": 17}, {}),  # 16 half turns, read both ways: only Zeno keeps these
+        ("dissipative", {"windings": 2049}, {}),  # 4097 frame samples
+        # 8 steps for 3 windings, but the steps that pass near the origin exceed half a turn: they read -1
+        ("zeno", {"center": [0.5, 0.2], "radius": 1.0, "windings": -3}, {"N": 8}),
+        ("adiabatic", {"center": [0.5, 0.2], "radius": 1.0, "windings": -3, "samples": 9}, {}),
+    ])
+    def test_run_grid_must_resolve_the_windings(self, engine, path, extra):
+        """A grid whose unwrapped angle reads another winding count would run another loop: it is refused."""
+        s = scenario_from_dict({**ENGINE_BASES[engine], **extra, "path": {"type": "circle", **path}})
+        with pytest.raises(InsufficientSamples, match="cannot follow"):
+            runner.run(s)
+
+    @pytest.mark.parametrize("path, message", [
+        ({"type": "circle", "windings": 1, "duration": 1.0e-322}, "path.duration must be at least"),  # times collide
+        ({"type": "polyline", "points": [[1, 0], [0, 1]], "duration": 1.0e-320}, "path.duration must be at least"),
+        ({"type": "circle", "center": [1.5e308, 0.0], "radius": 1.0e308, "windings": 0}, "path: circle controls overflow"),
+    ], ids=["subnormal_duration", "subnormal_polyline_duration", "overflowing_controls"])
+    def test_unbuildable_run_path_is_a_validation_error(self, path, message):
+        """Refused at validation: the runner would meet colliding sample times or controls beyond the largest float."""
+        with pytest.raises(ValidationError, match=message):
+            scenario_from_dict(minimal_zeno(path=path))
+
+    @pytest.mark.parametrize("engine", ["zeno", "adiabatic", "dissipative"])
+    def test_circle_through_critical_point_off_the_samples(self, engine):
+        """The loop meets (0, 0) at phi = pi + 0.01, which no uniform sample of it hits."""
+        path = {"type": "circle", "center": [np.cos(0.01), np.sin(0.01)], "radius": 1.0, "windings": 0}
+        with pytest.raises(ValidationError, match="critical point"):
+            scenario_from_dict({**ENGINE_BASES[engine], "path": path})
+
+    @pytest.mark.parametrize("kind", ["circle", "polyline"])
+    def test_path_needs_two_samples(self, kind):
+        path = {"type": kind, "samples": 1, **({"points": [[1, 0], [0, 1]]} if kind == "polyline" else {})}
+        with pytest.raises(ValidationError, match="path.samples must be at least 2"):
+            scenario_from_dict({**ENGINE_BASES["adiabatic"], "path": path})
 
     def test_named_state_requires_builtin_model(self):
         data = minimal_zeno()

@@ -54,6 +54,35 @@ def constant_frames(projs0, samples=9, duration=1.0):
     )
 
 
+class TestIntervalFactors:
+    """`zeno._interval_factors` against the plain np.matmul composition Q^dag W(t_{k+1})^dag U_0 W(t_k) Q."""
+
+    @staticmethod
+    def random_frames(rng, dim=4, samples=9):
+        a = random_hermitian(dim, rng)
+        times = np.linspace(0.0, 1.3, samples)
+        frames = expm_hermitian_stack(np.broadcast_to(a, (samples, dim, dim)), -1j * times)
+        frames[0] = np.eye(dim)
+        u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+        return FramePath(times=times, frames=frames, projectors0=np.stack([np.outer(c, c.conj()) for c in u.T]))
+
+    @pytest.mark.parametrize("bare", [False, True], ids=["no_h0", "h0"])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_plain_matmul(self, rng, rank, bare):
+        frames = self.random_frames(rng)
+        q = np.linalg.qr(rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank)))[0]
+        h_a, h_b = random_hermitian(4, rng), random_hermitian(4, rng)
+        h0 = (lambda t: h_a + np.asarray(t)[..., None, None] * h_b) if bare else None
+        idx = np.arange(0, 9, 2)  # N = 4 measurements on the 8-interval grid
+        t, w = frames.times[idx], frames.frames[idx]
+        mids, dts = 0.5 * (t[1:] + t[:-1]), np.diff(t)
+        u0 = [expm_hermitian(h0(m), -1j * dt) if bare else np.eye(4) for m, dt in zip(mids, dts)]
+        want = np.stack([q.conj().T @ w[k + 1].conj().T @ u0[k] @ w[k] @ q for k in range(4)])
+        got = zn._interval_factors(h0, frames, 4, q)
+        assert got.shape == (4, rank, rank)
+        assert np.abs(got - want).max() <= 1e-14
+
+
 class TestProjectedEvolution:
     def test_static_frame_is_projection(self, projs0):
         frames = constant_frames(projs0)
