@@ -20,13 +20,13 @@ import numpy as np
 from . import dissipative as dis
 from . import zeno as zn
 from .adiabatic import PropagatorResult, gauge_decompose, propagate_exact, rotating_generator
-from .errors import AxisMismatch, InsufficientSamples, NotASubspaceRotation, ValidationError
+from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
 from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
-from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, _circle_controls, _rotations,
+from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, _circle_controls, _knot_controls, _rotations,
                        frame_path_analytic_three_level, instantaneous_spectra, three_level_eigenbasis,
                        three_level_generators, three_level_hamiltonian, three_level_projectors, three_level_propagators,
-                       track_levels, winding_number)
+                       track_levels)
 
 CSV_COLUMNS = (
     "scenario_id", "engine", "axis", "axis_value", "p_N", "q_n", "fidelity",
@@ -81,23 +81,22 @@ def _format_value(v) -> str:
 def _model_hamiltonian(scenario: Scenario, path):
     """The model's H(t) as a callable on a whole time grid.
 
-    A circle path is followed on the circle itself, at the fraction t / T of
-    the loop; polyline and samples paths interpolate (a, b) linearly between
-    path samples.
+    A built-in path is followed as declared, whatever grid `path` (read for
+    T alone) samples: a circle on the circle itself, at the fraction t / T
+    of the loop, and a polyline or samples path linearly between its knots.
     """
     if scenario.model_type == "custom":
         times, mats = zip(*scenario.model_hamiltonians)
         return OperatorPath(times=times, operators=np.stack(mats)).at
 
     spec = scenario.path_spec
-    if spec["type"] == "circle":
+    if scenario._knots is not None:
+        controls = _knot_controls(scenario._knots, path.duration)
+    else:
         on_circle = _circle_controls(spec["center"], spec["radius"], spec["windings"])
 
         def controls(t):
             return on_circle(np.asarray(t) / spec["duration"])
-    else:
-        def controls(t):
-            return np.interp(t, path.times, path.a), np.interp(t, path.times, path.b)
 
     return ClosedFormHamiltonian(lambda t: three_level_hamiltonian(*controls(t)),
                                  lambda t, dts: three_level_propagators(*controls(t), dts))
@@ -108,16 +107,9 @@ def _frames_for(scenario: Scenario, samples: int):
 
     `path` is None for a custom model; `energies[k, n]` is the energy of
     tracked level n at sample k (None for closed-form frames).
-    Inputs that do not fit the model's levels or dimension raise ValidationError; a circle whose grid unwraps to other
-    windings than its own, InsufficientSamples, unless it is a Zeno grid of half turns (`_constant_step`) or is
-    followed by wagon-wheel frames, which read no angle.
+    Inputs that do not fit the model's levels or dimension raise ValidationError.
     """
     path = None if scenario.model_type == "custom" else scenario.build_path(samples=samples)
-    spec, windings = scenario.path_spec, scenario.path_spec.get("windings")
-    if path is not None and spec["type"] == "circle" and scenario.control.mode != "wagon_wheel":
-        half_turns = scenario.engine == "zeno" and spec["center"] == [0.0, 0.0] and samples - 1 == 2 * abs(windings)
-        if winding_number(path) != windings and not half_turns:
-            raise InsufficientSamples(f"{samples - 1} steps cannot follow {windings} windings: one is over a half turn")
     dim = 3 if path is not None else scenario.model_hamiltonians[0][1].shape[0]
     for where, m in (("initial_state.amplitudes", scenario.initial_amplitudes),
                      ("control.hamiltonian", scenario.control.hamiltonian)):
@@ -185,9 +177,6 @@ def _route(scenario: Scenario, path, frames: FramePath):
         return zn._RotationRun(frames, 0.5)
     analytic = scenario.model_type == "three_level" and scenario.frame_method == "analytic"
     if analytic and scenario.control.mode in ("none", "alpha_frame"):
-        if frames.times.size < 3:
-            # Two samples of a closed loop coincide: the unwrapped angle would read phi(T) = 0 whatever the winding.
-            raise InsufficientSamples("the unwrapped frame angle needs at least 3 samples")
         return zn._RotationRun(frames, scenario.control.alpha)
     h0 = zn.control_hamiltonian(scenario.control, path)
     return zn._SampledRun(h0, frames, rotating_generator(h0, frames))
@@ -257,8 +246,7 @@ def _constant_step(scenario: Scenario, frames: FramePath, route):
     around the origin, where dtheta/dt = 2 pi windings / T.  A Zeno run turns about its frame generator G by
     (alpha - 1) phi(T) / n; an adiabatic run adds the model's H, K = 2 r P_+(theta_0) - (dtheta/dt) g, and turns
     about K by T / n.  Both go through `spectral._rotations`.  None for every other run (dissipative runs keep
-    `dis.integrate_rotating` and do not ask), and for a Zeno grid of half-turn steps (N = 2 |windings|) that
-    the unwrapped angle reads forwards at one sample and backwards at another, so that its factors differ.
+    `dis.integrate_rotating` and do not ask).
     """
     if not isinstance(route, zn._RotationRun):
         return None
@@ -269,8 +257,6 @@ def _constant_step(scenario: Scenario, frames: FramePath, route):
         theta_dot = 2.0 * np.pi * spec["windings"] / spec["duration"]
         k = 2.0 * spec["radius"] * frames.projectors0[1] - theta_dot * frames.generator  # level 1 has energy 2r
         rotations, angle = _rotations(k), spec["duration"]
-    elif np.ptp(np.diff(frames.phi)) > np.pi:
-        return None
     else:
         rotations, angle = frames.rotations, (route.alpha - 1.0) * frames.phi[-1]
     return lambda n, basis=None: rotations(np.array([angle / n]), basis)
@@ -279,12 +265,11 @@ def _constant_step(scenario: Scenario, frames: FramePath, route):
 def _run_adiabatic(scenario: Scenario, record: ResultRecord):
     """Propagate H(t), then strip the frame and the dynamical phases (`gauge_decompose`).
 
-    Three routes: a circle around the origin with analytic frames in closed
+    Two routes: a circle around the origin with analytic frames in closed
     form, U(T) = W(T) exp(-i K T) (`_constant_step`), exact whatever `steps`
-    (only recorded) is, with `estimated_error` 0.0; any other circle with
-    analytic frames by `propagate_exact` on the circle itself; polyline and
-    samples paths, tracked frames and custom models by `propagate_exact` on
-    the model's H(t) (`_model_hamiltonian`).
+    (only recorded) is, with `estimated_error` 0.0; every other run by
+    `propagate_exact` on the model's H(t) (`_model_hamiltonian`), which
+    follows the declared loop: `path.samples` places only the frame samples.
     """
     path, frames, energies = _frames_for(scenario, samples=scenario.path_spec.get("samples") or 2049)
     duration = float(frames.times[-1])

@@ -67,7 +67,7 @@ import yaml
 
 from .errors import CriticalPoint, ParseError, ValidationError
 from .linalg import HERMITICITY_TOL, hermiticity_defect
-from .spectral import ParameterPath, _circle_controls, circle_path, polyline_path
+from .spectral import ParameterPath, _circle_controls, _knot_path, _polyline_knots, _resampled, circle_path
 from .zeno import ControlConfig
 
 _SHARED_KEYS = {"engine", "name", "model", "path", "frame_method", "initial_state", "tolerances", "runtime_budget_s"}
@@ -203,28 +203,19 @@ class Scenario:
     holonomy_tol: float
     raw: dict
     _encoded: dict = field(default_factory=dict, repr=False, compare=False)  # canonical JSON of each key of `raw`
+    _knots: ParameterPath | None = field(default=None, repr=False, compare=False)  # of a polyline or samples path
 
     def build_path(self, samples: int) -> ParameterPath:
         """Materialize the declared parameter path on `samples` uniform times.
 
-        A `samples` path is piecewise linear between its knots: (a, b) are
-        interpolated onto the uniform grid, and its times are rescaled to
-        `duration` when one is given.
+        A polyline or `samples` path is piecewise linear between its knots,
+        checked once at validation: (a, b) are interpolated onto the uniform
+        grid, and a `samples` path's times are rescaled to `duration` when one is given.
         """
         spec = self.path_spec
-        kind = spec["type"]
-        if kind == "circle":
-            return circle_path(
-                center=spec["center"], radius=spec["radius"], windings=spec["windings"],
-                duration=spec["duration"], samples=samples,
-            )
-        if kind == "polyline":
-            return polyline_path(spec["points"], duration=spec["duration"], samples=samples)
-        knots = ParameterPath(times=spec["times"], a=spec["a"], b=spec["b"])
-        u = np.linspace(0.0, 1.0, samples)
-        at = knots.duration * u  # hits knots at T * linspace(0, 1, K) bit for bit
-        return ParameterPath(times=spec.get("duration", knots.duration) * u,
-                             a=np.interp(at, knots.times, knots.a), b=np.interp(at, knots.times, knots.b))
+        if spec["type"] == "circle":
+            return circle_path(spec["center"], spec["radius"], spec["windings"], spec["duration"], samples)
+        return _resampled(self._knots, samples, spec.get("duration", self._knots.duration))
 
 
 def _require(condition: bool, message: str):
@@ -315,7 +306,18 @@ def _parse_path(data, fields):
     _require(pspec.get("duration", 1.0) > 0, "path.duration must be positive")
     _require(pspec.get("duration", 1.0) >= np.finfo(float).tiny, "path.duration must be at least 2.2e-308")
     _require(pspec.get("samples", 2) >= 2, "path.samples must be at least 2")
-    return {"path_spec": pspec}
+    knots = None
+    if fields["model_type"] == "three_level":
+        try:  # in closed form, once per parsed path: no critical point between samples either
+            if ptype == "circle":
+                _circle_controls(pspec["center"], pspec["radius"], pspec["windings"])
+            elif ptype == "polyline":
+                knots = _polyline_knots(pspec["points"])
+            else:
+                knots = _knot_path(pspec["times"], pspec["a"], pspec["b"])
+        except (ValueError, CriticalPoint) as exc:
+            raise ValidationError(f"path: {exc}") from exc
+    return {"path_spec": pspec, "_knots": knots}
 
 
 def _parse_n(data, fields):
@@ -462,18 +464,6 @@ def _assemble(data: dict, fields: dict, encoded: dict) -> Scenario:
     digest = _digest(encoded)
     scenario = Scenario(**{**fields, "name": str(data.get("name", "")) or digest[:12], "digest": digest,
                            "raw": data, "_encoded": encoded})
-
-    # The declared path must actually be constructible (winding/enclosure
-    # consistency, no critical point) before the runner ever sees it.
-    pspec = scenario.path_spec
-    if scenario.model_type == "three_level":
-        try:
-            if pspec["type"] == "circle":  # in closed form: windings and critical point, at any winding count
-                _circle_controls(pspec["center"], pspec["radius"], pspec["windings"])
-            else:
-                scenario.build_path(samples=pspec.get("samples", 129))
-        except (ValueError, CriticalPoint) as exc:
-            raise ValidationError(f"path: {exc}") from exc
     # A custom model's sampled times fix its duration, so a path would be silently ignored.
     if scenario.model_type == "custom":
         _require("path" not in data, "a custom model takes no path section")

@@ -18,7 +18,7 @@ control radius; its frames have the closed form implemented in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -33,14 +33,15 @@ MIN_TRACKING_OVERLAP = 0.5
 
 @dataclass(frozen=True)
 class ParameterPath:
-    """Discretized control path (a(t), b(t)), piecewise linear between samples (read-only; theta unwrapped once)."""
+    """Discretized control path (a(t), b(t)), piecewise linear between samples (read-only; theta fixed once)."""
 
     times: np.ndarray
     a: np.ndarray
     b: np.ndarray
     _theta: np.ndarray = field(init=False, repr=False, compare=False)
+    _near: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _near):
         t, a, b = (np.array(x, dtype=float) for x in (self.times, self.a, self.b))
         if not (t.shape == a.shape == b.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("times, a, b must be equal-length 1-d arrays with >= 2 samples")
@@ -53,7 +54,10 @@ class ParameterPath:
             raise ValueError("times must be strictly increasing")
         if np.any(a * a + b * b < CRITICAL_RADIUS_SQ):
             raise CriticalPoint("path touches the critical point (a, b) = (0, 0)")
-        for name, x in (("times", t), ("a", a), ("b", b), ("_theta", _unwrap(np.arctan2(b, a)))):
+        raw = np.arctan2(b, a)
+        turns = None if _near is None else np.round((_near - raw) / (2 * np.pi))
+        theta = _unwrap(raw) if turns is None else raw + 2 * np.pi * (turns - turns[0])
+        for name, x in (("times", t), ("a", a), ("b", b), ("_theta", theta)):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
 
@@ -69,7 +73,8 @@ class ParameterPath:
         return np.hypot(self.a, self.b)
 
     def theta(self) -> np.ndarray:
-        """Polar angle along the path, unwrapped assuming |dtheta| < pi per step (read-only)."""
+        """Polar angle (read-only): arctan2 on the turn of `_near`, an angle a builder knows to within pi/2, shifted
+        to start at arctan2; unwrapped assuming |dtheta| < pi per step on a path built without one."""
         return self._theta
 
 
@@ -98,10 +103,12 @@ def circle_path(
     `windings` counts signed loops around the origin: a circle enclosing the
     origin is traversed `windings` times (negative = clockwise), while a
     non-enclosing circle must declare ``windings=0`` and is traversed once.
+    Its angle lies within pi/2 of phi = 2 pi windings s around the origin, of arg(center) off it.
     """
     s = np.linspace(0.0, 1.0, samples)
     a, b = _circle_controls(center, radius, windings)(s)
-    return ParameterPath(times=duration * s, a=a, b=b)
+    near = 2 * np.pi * windings * s if windings else np.arctan2(center[1], center[0])
+    return ParameterPath(times=duration * s, a=a, b=b, _near=near)
 
 
 def _circle_controls(center, radius: float, windings: int) -> Callable:
@@ -131,14 +138,41 @@ def _circle_controls(center, radius: float, windings: int) -> Callable:
 
 
 def polyline_path(points, duration: float = 1.0, samples: int = 1025) -> ParameterPath:
-    """Path linearly interpolating the given (a, b) corner points, uniform speed in index."""
+    """Path linearly interpolating the given (a, b) corner points, uniform speed in index (CriticalPoint where a side
+    meets (0, 0))."""
+    return _resampled(_polyline_knots(points), samples, duration)
+
+
+def _polyline_knots(points) -> ParameterPath:
+    """The corners of a polyline as :func:`_knot_path` at times 0, 1, ..., n - 1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("polyline needs >= 2 points of shape (n, 2)")
-    u = np.linspace(0.0, pts.shape[0] - 1.0, samples)
-    a = np.interp(u, np.arange(pts.shape[0]), pts[:, 0])
-    b = np.interp(u, np.arange(pts.shape[0]), pts[:, 1])
-    return ParameterPath(times=duration * np.linspace(0.0, 1.0, samples), a=a, b=b)
+    return _knot_path(np.arange(pts.shape[0], dtype=float), pts[:, 0], pts[:, 1])
+
+
+def _knot_path(times, a, b) -> ParameterPath:
+    """Knots of a path linear between them; CriticalPoint where a segment meets (0, 0), so each subtends under pi."""
+    knots = ParameterPath(times=times, a=a, b=b)
+    a, b, da, db = knots.a[:-1], knots.b[:-1], np.diff(knots.a), np.diff(knots.b)
+    s = np.clip(-(a * da + b * db) / np.maximum(da * da + db * db, np.finfo(float).tiny), 0.0, 1.0)  # nearest point
+    if np.any((a + s * da) ** 2 + (b + s * db) ** 2 < CRITICAL_RADIUS_SQ):
+        raise CriticalPoint("a segment between knots passes through the critical point (a, b) = (0, 0)")
+    return knots
+
+
+def _knot_controls(knots: ParameterPath, duration: float) -> Callable:
+    """t -> (a, b) on the path linear between `knots`, their times rescaled to `duration` (any array of t)."""
+    times = knots.times * (duration / knots.duration)
+    return lambda t: (np.interp(t, times, knots.a), np.interp(t, times, knots.b))
+
+
+def _resampled(knots: ParameterPath, samples: int, duration: float) -> ParameterPath:
+    """The path linear between `knots` on `samples` uniform times over `duration`, on its segments' mid-angle turns."""
+    u = np.linspace(0.0, 1.0, samples)
+    k = np.clip(np.searchsorted(knots.times, knots.duration * u, side="right") - 1, 0, knots.times.size - 2)
+    mid = 0.5 * (knots.theta()[:-1] + knots.theta()[1:])
+    return ParameterPath(duration * u, *_knot_controls(knots, duration)(duration * u), _near=mid[k])
 
 
 def winding_number(path: ParameterPath) -> int:

@@ -56,9 +56,8 @@ def test_power_matches_the_ordered_product(monkeypatch, control, nonselective, n
     scenario = _covered(control, n, nonselective)
     rec, ref = _run(monkeypatch, scenario), _run(monkeypatch, scenario, power=False)
     if isinstance(ref, type):
-        # The unwrapped three-level angle needs 3 samples on both routes (wagon-wheel frames run at N = 1), and at
-        # N = 2 the clockwise loop's half-turn factors keep their route, where nothing survives.
-        assert rec is ref and n < 3 and not control.startswith("wagon_wheel")
+        # At N = 2 without control, each half turn of the clockwise loop maps E_minus onto E_plus on both routes.
+        assert rec is ref is ZeroSurvival and (control, n, nonselective) == ("none", 2, False)
         return
     for name in RECORD_FIELDS:
         a, b = getattr(rec, name), getattr(ref, name)
@@ -155,13 +154,29 @@ def test_other_runs_keep_their_routes(monkeypatch, document, route):
 
 
 @pytest.mark.parametrize("windings, n", [(-1, 2), (2, 4), (-3, 6)])
-def test_half_turn_grids_keep_their_factors(monkeypatch, windings, n):
-    """Half-turn steps read both ways by the unwrapped angle are not one repeated factor: they keep N factors."""
+def test_half_turn_grids_take_one_power(monkeypatch, windings, n):
+    """Every half-turn step is read on the circle's own turn, so the steps are one repeated factor."""
     calls = _route(monkeypatch)
     path = {**CENTRED, "windings": windings}
     runner.run(scenario_from_dict({"engine": "zeno", "path": path, "N": n, "nonselective": True,
                                    "initial_state": {"name": "E_minus"}}))
-    assert calls["steps"] == [None] and len(calls["rotation_factors"]) == 1
+    assert calls["steps"] != [None] and calls["rotation_factors"] == []
+
+
+@pytest.mark.parametrize("windings, n", [(-1, 2), (2, 4), (-2, 4), (-3, 6)])
+def test_half_turn_grids_follow_the_declared_loop(windings, n):
+    """At alpha = 1/2 the predicted angle is (1 - alpha) 2 pi windings / sqrt(2), and the lab-frame gate W(T) U_Z
+    is the same at N = 2 |windings| as at N = 2^14."""
+    gates = []
+    for count in (n, 2**14):
+        scenario = scenario_from_dict({"engine": "zeno", "path": {**CENTRED, "windings": windings}, "N": count,
+                                       "control": {"mode": "alpha_frame", "alpha": 0.5},
+                                       "initial_state": {"name": "E_minus"}})
+        record = runner.run(scenario)
+        assert record.phi_expected == pytest.approx(0.5 * 2 * np.pi * windings / np.sqrt(2.0), abs=1e-12)
+        path, frames, _ = runner._frames_for(scenario, samples=count + 1)
+        gates.append(frames.final @ runner._route(scenario, path, frames).gate(0))
+    assert np.abs(gates[0] - gates[1]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("path", [OFF_CENTRE, POLYLINE, SAMPLES], ids=["off_centre", "polyline", "samples"])

@@ -120,29 +120,31 @@ def test_general_gate_converges_to_rotation_gate(control, path):
 @pytest.mark.parametrize("nonselective", [False, True])
 @pytest.mark.parametrize("control", CONTROLS)
 def test_single_measurement_has_no_frame_derivative(monkeypatch, control, nonselective):
-    """At N = 1 the general route and the unwrapped three-level angle refuse; wagon-wheel frames read phi = 2t."""
+    """At N = 1 the general route refuses; the rotation form needs no derivative, only the angle phi(T)."""
     scenario = _scenario("circle_w1", control, N=1, nonselective=nonselective)
     with pytest.raises(InsufficientSamples):
         _general_record(monkeypatch, scenario)
-    if scenario.control.mode != "wagon_wheel":
-        with pytest.raises(InsufficientSamples):
-            runner.run(scenario)
-        return
     rec = runner.run(scenario)
-    # The one factor is F_0 = W(T)^dag exp(-i H_0 T) = exp(+i H_0 T), and the gate on level n is exp(+i T Q^dag H_0 Q).
+    # The one factor is F_0 = W(T)^dag exp(-i alpha phi(T) G) = exp(-i (alpha - 1) phi(T) G), and the gate on level n
+    # is exp(-i (alpha - 1) phi(T) Q^dag G Q).  Wagon-wheel frames have G = H_0, phi = 2t and alpha = 1/2; the
+    # three-level ones G = g, phi(T) = 2 pi (one winding) and the control's alpha.
     path_, frames, _ = runner._frames_for(scenario, samples=2)
-    h0, duration = scenario.control.hamiltonian, float(frames.times[-1])
+    if scenario.control.mode == "wagon_wheel":
+        g, phi, alpha = scenario.control.hamiltonian, 2.0 * float(frames.times[-1]), 0.5
+    else:
+        g, phi, alpha = frames.generator, 2.0 * np.pi, scenario.control.alpha
     psi0 = runner._initial_vector(scenario, path_)
-    factor = expm_hermitian(h0, 1j * duration)
+    wt, factor = expm_hermitian(g, -1j * phi), expm_hermitian(g, -1j * (alpha - 1.0) * phi)
+    qs = [_range_basis(p) for p in frames.projectors0]
+    gate = sum(q @ expm_hermitian(q.conj().T @ g @ q, -1j * (alpha - 1.0) * phi) @ q.conj().T for q in qs)
     if not nonselective:
-        q = _range_basis(frames.projectors0[0])
-        assert rec.p_N == pytest.approx(np.linalg.norm(q.conj().T @ factor @ q @ q.conj().T @ psi0) ** 2, abs=1e-12)
+        q = qs[0]
+        v = wt @ q @ q.conj().T @ factor @ q @ q.conj().T
+        assert rec.p_N == pytest.approx(np.linalg.norm(v @ psi0) ** 2, abs=1e-12)
+        assert rec.distance == pytest.approx(spectral_norm(v - wt @ gate @ frames.projectors0[0]), abs=1e-12)
         return
-    wt = expm_hermitian(h0, -2j * duration)
     dephased = zn.nonselective_step(np.outer(psi0, psi0.conj()), frames.projectors0)
     rho = wt @ zn.nonselective_step(factor @ dephased @ factor.conj().T, frames.projectors0) @ wt.conj().T
-    qs = [_range_basis(p) for p in frames.projectors0]
-    gate = sum(q @ expm_hermitian(q.conj().T @ h0 @ q, 1j * duration) @ q.conj().T for q in qs)
     pred = wt @ gate @ dephased @ gate.conj().T @ wt.conj().T
     assert rec.distance == pytest.approx(trace_distance(rho, pred), abs=1e-12)
     assert rec.trace_drift <= 1e-12

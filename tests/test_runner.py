@@ -570,6 +570,49 @@ class TestCentredCircle:
         assert offset[0].q_n != offset[1].q_n
 
 
+TRIANGLE = [[1, 0], [-0.5, 0.9], [-0.5, -0.9], [1, 0]]
+SQUARE = [[1.3, 0.2], [0.3, 1.2], [-0.7, 0.2], [0.3, -0.8], [1.3, 0.2]]  # off-centre: its corners are not symmetric
+NINE_KNOTS = {"type": "samples", "times": [0.0, 0.1, 0.25, 0.3, 0.5, 0.65, 0.7, 0.9, 1.0],
+              "a": [1.2, 0.8, -0.1, -0.9, -1.1, -0.4, 0.3, 0.9, 1.2],
+              "b": [0.1, 0.9, 1.3, 0.6, -0.2, -1.0, -0.8, -0.5, 0.1]}
+DECLARED_LOOPS = {"triangle": {"type": "polyline", "points": TRIANGLE},
+                  "square": {"type": "polyline", "points": SQUARE},
+                  "off_centre_circle": {"type": "circle", "center": [0.3, 0.1], "radius": 1.0, "windings": 1},
+                  "nine_knots": NINE_KNOTS}
+
+
+class TestDeclaredLoop:
+    """Built-in paths carry their own angle and the engines follow the declared loop, whatever grid samples it."""
+
+    @pytest.mark.parametrize("name", DECLARED_LOOPS)
+    def test_adiabatic_record_is_free_of_the_frame_grid(self, name):
+        """`path.samples` places only frame samples: the level-0 record is the same from 2 samples to 2049."""
+        fields = ("q_n", "distance", "fidelity", "phi_expected")
+        records = [run(scenario_from_dict({"engine": "adiabatic", "steps": 20000, "initial_state": {"name": "E_minus"},
+                                           "path": {**DECLARED_LOOPS[name], "duration": 200.0, "samples": samples}}))
+                   for samples in (2, 3, 5, 9, 2049)]
+        for record in records[1:]:
+            for field in fields:
+                assert getattr(record, field) == pytest.approx(getattr(records[0], field), abs=1e-12), field
+        assert records[0].phi_expected == pytest.approx(np.sqrt(2.0) * np.pi, abs=1e-12)
+        if name == "triangle":
+            assert records[0].distance == pytest.approx(0.0612669648, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    @pytest.mark.parametrize("name", DECLARED_LOOPS)
+    def test_zeno_angle_is_free_of_the_measurement_count(self, name, n):
+        """From one measurement on, the predicted angle is (1 - alpha) 2 pi / sqrt(2) for the one winding."""
+        scenario = scenario_from_dict({"engine": "zeno", "path": DECLARED_LOOPS[name], "N": n,
+                                       "initial_state": {"name": "E_minus"}})
+        path, _, _ = runner._frames_for(scenario, samples=n + 1)
+        assert runner._expected_holonomy(scenario, path) == pytest.approx(np.sqrt(2.0) * np.pi, abs=1e-12)
+
+    def test_square_at_two_measurements(self):
+        record = run(scenario_from_dict({"engine": "zeno", "path": {"type": "polyline", "points": SQUARE}, "N": 2,
+                                         "initial_state": {"name": "E_minus"}}))
+        assert record.phi_expected == pytest.approx(4.442882938158366, abs=1e-12)
+
+
 @pytest.mark.parametrize("document", [
     SCENARIO_DIR / "zeno_winding_one.yaml",
     SCENARIO_DIR / "zeno_alpha_half.yaml",

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from zenogate import cli, runner, scenario
-from zenogate.errors import InsufficientSamples, ParseError, ValidationError
+from zenogate.errors import ParseError, ValidationError, ZeroSurvival
 from zenogate.scenario import Scenario, load_scenario, scenario_digest, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -156,10 +156,18 @@ class TestValidation:
         ("adiabatic", {"center": [0.5, 0.2], "radius": 1.0, "windings": -3, "samples": 9}, {}),
     ])
     def test_run_grid_must_resolve_the_windings(self, engine, path, extra):
-        """A grid whose unwrapped angle reads another winding count would run another loop: it is refused."""
+        """Steps of half a turn or more, which an unwrap of the samples misreads, still run the declared loop."""
         s = scenario_from_dict({**ENGINE_BASES[engine], **extra, "path": {"type": "circle", **path}})
-        with pytest.raises(InsufficientSamples, match="cannot follow"):
-            runner.run(s)
+        expected = np.sqrt(2.0) * np.pi * path["windings"]  # (1 - alpha) 2 pi windings / sqrt(2) at alpha = 0
+        samples = {"zeno": s.N + 1, "adiabatic": path.get("samples"), "dissipative": 4097}[engine]
+        assert runner._expected_holonomy(s, runner._frames_for(s, samples)[0]) == pytest.approx(expected, abs=1e-9)
+        if engine == "dissipative":  # a dephased run reports no angle
+            assert 0.0 < runner.run(s).distance < 1.0
+        elif path["windings"] == 64:  # measurements 0.64 turn apart project E_minus away: nothing survives
+            with pytest.raises(ZeroSurvival):
+                runner.run(s)
+        else:
+            assert runner.run(s).phi_expected == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("path, message", [
         ({"type": "circle", "windings": 1, "duration": 1.0e-322}, "path.duration must be at least"),  # times collide
@@ -175,6 +183,16 @@ class TestValidation:
     def test_circle_through_critical_point_off_the_samples(self, engine):
         """The loop meets (0, 0) at phi = pi + 0.01, which no uniform sample of it hits."""
         path = {"type": "circle", "center": [np.cos(0.01), np.sin(0.01)], "radius": 1.0, "windings": 0}
+        with pytest.raises(ValidationError, match="critical point"):
+            scenario_from_dict({**ENGINE_BASES[engine], "path": path})
+
+    @pytest.mark.parametrize("path", [
+        {"type": "polyline", "points": [[1, 0], [-1, 0], [0, 1], [1, 0]]},
+        {"type": "samples", "times": [0.0, 0.4, 1.0], "a": [1.0, -1.0, 1.0], "b": [0.5, -0.5, 0.5]},
+    ], ids=["polyline", "samples"])
+    @pytest.mark.parametrize("engine", ["zeno", "adiabatic", "dissipative"])
+    def test_segment_through_critical_point_off_the_samples(self, engine, path):
+        """A side meets (0, 0) between its knots, at t = T / 6 or 0.2 T, where no uniform grid of 129 samples lies."""
         with pytest.raises(ValidationError, match="critical point"):
             scenario_from_dict({**ENGINE_BASES[engine], "path": path})
 

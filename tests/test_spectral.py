@@ -10,6 +10,8 @@ from zenogate.spectral import (
     ParameterPath,
     SpectrumStack,
     _circle_controls,
+    _knot_path,
+    _resampled,
     _rotations,
     _unwrap,
     circle_path,
@@ -369,6 +371,51 @@ class TestPathConstructors:
         assert path.a[0] == pytest.approx(1.0)
         assert path.b[-1] == pytest.approx(1.0)
         assert path.a[-1] == pytest.approx(2.0)
+
+    def test_polyline_side_through_the_critical_point(self):
+        """The side from (1, 0) to (-1, 0) meets (0, 0) between corners, where no sample need lie."""
+        with pytest.raises(CriticalPoint, match="segment"):
+            polyline_path([[1, 0], [-1, 0], [0, 1], [1, 0]], samples=129)
+
+    @pytest.mark.parametrize("samples", [2, 3, 4])
+    def test_coarse_grids_keep_the_declared_turns(self, samples):
+        """Steps of half a turn or more are read on the loop's own turn, not by unwrapping the samples."""
+        square = [[1.3, 0.2], [0.3, 1.2], [-0.7, 0.2], [0.3, -0.8], [1.3, 0.2]]
+        for path, turns in ((circle_path(windings=-1, samples=samples), -1), (circle_path(windings=3, samples=samples), 3),
+                            (polyline_path(square, samples=samples), 1)):
+            theta = path.theta()
+            assert theta[-1] - theta[0] == pytest.approx(2 * np.pi * turns, abs=1e-12)
+            assert winding_number(path) == turns
+
+    def test_builders_agree_with_the_unwrapped_samples(self, rng):
+        """Wherever every step is under half a turn, each builder's angle is the unwrapped arctan2 of its samples.
+
+        One winding at most: the unwrap adds one rounded correction per crossing of the branch cut, so on loops of
+        two or three windings the two lie up to 2 ulps (3.6e-15) apart, the builders' nearer to arctan2 + 2 pi k.
+        """
+        paths = []
+        for _ in range(60):
+            samples = int(rng.integers(2, 4097))
+            center, radius = rng.uniform(-1.5, 1.5, 2), float(rng.uniform(0.2, 2.0))
+            enclosing = np.hypot(*center) < radius
+            if abs(np.hypot(*center) - radius) > 1e-3:
+                paths.append(circle_path(center, radius, int(rng.choice([-1, 1])) if enclosing else 0,
+                                         float(rng.uniform(0.5, 3.0)), samples))
+            turns = int(rng.choice([-1, 0, 1]))
+            knots = int(rng.integers(3, 40))
+            angles = np.sort(rng.uniform(0.0, 2 * np.pi, knots)) * (turns or 0.3)
+            radii = rng.uniform(0.3, 2.0, knots)
+            points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]) + (2.5 if turns == 0 else 0.0)
+            paths.append(polyline_path(points, float(rng.uniform(0.5, 3.0)), samples))
+            times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, knots - 1))])
+            paths.append(_resampled(_knot_path(times, *points.T), samples, float(rng.uniform(0.5, 3.0))))
+        compared = 0
+        for path in paths:
+            unwrapped = _unwrap(np.arctan2(path.b, path.a))
+            if np.abs(np.diff(unwrapped)).max(initial=0.0) < np.pi - 1e-6:
+                assert np.abs(path.theta() - unwrapped).max() <= 2e-15
+                compared += 1
+        assert compared >= len(paths) // 2
 
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
