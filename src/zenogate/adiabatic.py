@@ -28,8 +28,8 @@ from .errors import (
     InitialStateOutsideSubspace,
     InsufficientSamples,
 )
-from .linalg import _checked_hermitian_stack, expm_hermitian_stack, spectral_norm
-from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _entry_major_matmul, _sample_stack
+from .linalg import _checked_hermitian_stack, _entry_major_matmul, expm_hermitian_stack, expm_stack, spectral_norm
+from .spectral import ClosedFormHamiltonian, FramePath, OperatorPath, _sample_stack
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class GaugeDecomposition:
 
 
 _CHUNK_FACTORS = 4096  # factors per entry-major copy in the first level of ordered_product
+_EXPM_CHUNK = 1024  # midpoint factors per expm_stack call: its temporaries stay small
 
 
 def ordered_product(stack: np.ndarray) -> np.ndarray:
@@ -116,7 +117,10 @@ def _midpoint_propagators(h_of_t, times: np.ndarray) -> np.ndarray:
     A ClosedFormHamiltonian, also behind functools.wraps decorators, gives them
     in closed form; else every sampled H must be finite and Hermitian
     (ValueError, NonHermitianInput), and the symmetrization only removes
-    rounding before the unchecked exponential.
+    rounding before exp(-i dt H) is taken by the Pade kernel `expm_stack`,
+    chunk by chunk: unitary to rounding unless dt |H|_1 exceeds 5.37 and it
+    squares.  The result is the (K, d, d) view of an entry-major (d, d, K)
+    array, which `ordered_product` multiplies without a copy.
     """
     dts = np.diff(times)
     mids = times[:-1] + 0.5 * dts
@@ -125,14 +129,18 @@ def _midpoint_propagators(h_of_t, times: np.ndarray) -> np.ndarray:
         return closed.propagators(mids, dts)
     hs = _checked_hermitian_stack(_sample_stack(h_of_t, mids), what="H(t) at a sampled midpoint")
     hs = 0.5 * (hs + hs.conj().transpose(0, 2, 1))
-    return expm_hermitian_stack(hs, -1j * dts)
+    bounds = range(_EXPM_CHUNK, dts.size, _EXPM_CHUNK)
+    factors = [expm_stack(-1j * dt[:, None, None] * h).transpose(1, 2, 0)
+               for dt, h in zip(np.split(dts, bounds), np.split(hs, bounds))]
+    return np.concatenate(factors, axis=-1).transpose(2, 0, 1)
 
 
 def propagate_exact(h_of_t, t_final: float, steps: int) -> PropagatorResult:
     """Time-ordered propagator of H(t) over [0, t_final] by the midpoint rule.
 
     `h_of_t` maps the array of midpoint times to a (K, d, d) stack (or one (d, d)
-    matrix); one exactly-unitary factor per step, second order in the step size.
+    matrix); one factor per step (`_midpoint_propagators`: Pade, unitary to
+    rounding when it does not square), second order in the step size.
     `estimated_error` compares against the half-resolution product (NaN when
     steps == 1); that product is built on the first read of the attribute.
     """
@@ -148,18 +156,20 @@ def rotating_generator(h0_of_t, frames: FramePath) -> np.ndarray:
     dW/dt takes central differences (one-sided at the ends); K keeps the
     skew part of the connection (exactly skew, unlike its finite difference)
     and the Hermitian part of W^dag H_0 W (`h0_of_t` called once on the grid;
-    None drops it).
+    None drops it).  Every product runs entry-major, on (d, d, K) arrays (the
+    layout tracked and rotation frames have), and K is the (K, d, d) view of one.
     """
     if frames.times.size < 3:
         raise InsufficientSamples("frame derivative needs at least 3 samples")
-    w = frames.frames
-    wh = w.conj().transpose(0, 2, 1)
-    a = np.gradient(wh, frames.times, axis=0, edge_order=2) @ w
-    k = 0.5j * (a - a.conj().transpose(0, 2, 1))
+    w = frames.frames.transpose(1, 2, 0)
+    wh = w.conj().swapaxes(0, 1)
+    a = _entry_major_matmul(np.gradient(wh, frames.times, axis=-1, edge_order=2), w)
+    k = 0.5j * (a - a.conj().swapaxes(0, 1))
     if h0_of_t is not None:
-        rotated = np.matmul(wh, np.matmul(_sample_stack(h0_of_t, frames.times), w))
-        k = k + 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
-    return k
+        h0 = _sample_stack(h0_of_t, frames.times).transpose(1, 2, 0)
+        rotated = _entry_major_matmul(wh, _entry_major_matmul(h0, w))
+        k = k + 0.5 * (rotated + rotated.conj().swapaxes(0, 1))
+    return k.transpose(2, 0, 1)
 
 
 def _subspace_generator(h0_of_t, frames: FramePath, level: int) -> OperatorPath:

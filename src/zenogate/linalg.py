@@ -5,8 +5,9 @@ for dimensions up to a few tens.  Exponentials of Hermitian matrices take a
 closed form for d <= 2 (a phase, or the SU(2) formula) and go through the
 eigendecomposition otherwise; both keep purely-imaginary-scale results
 unitary up to rounding.  `expm_stack` exponentiates general (non-normal)
-matrices by scaling and squaring.  Every function is pure;
-returned arrays are fresh and safe to share across threads.
+matrices by scaling and squaring, for n <= 3 on entry-major (n, n, K) arrays
+through `_entry_major_matmul`, the package's one small-matrix product kernel.
+Pure functions; returned arrays are fresh and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -84,6 +85,34 @@ def expm_hermitian_stack(hs: np.ndarray, scale) -> np.ndarray:
     return np.exp(s * c) * (np.cosh(z) * np.eye(2) + s * np.sinc(1j * z / np.pi) * traceless)
 
 
+def _entry_major_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over entry-major stacks: a (r, s, ...) and b (s, t, ...) hold entry [i, j] of every matrix in a[i, j].
+
+    The s broadcast products a[:, l] b[l] are summed in ascending l, so numpy's inner loops run over the stack
+    (the trailing axes), not over the few entries of each matrix.  b[None, l], not b[l]: for s = 1 and one matrix
+    the shapes then match, and numpy keeps the vector complex multiply of larger stacks (its scalar loop rounds
+    differently).
+    """
+    out = a[:, 0, None] * b[None, 0]
+    for l in range(1, a.shape[1]):
+        out += a[:, l, None] * b[None, l]
+    return out
+
+
+def _entry_major_solve(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """q^-1 p over entry-major (n, n, K) stacks with n <= 3, as adj(q) p / det(q) (Cramer's rule)."""
+    n = q.shape[0]
+    if n == 1:
+        return p / q
+    if n == 2:
+        adj = np.stack([q[1, 1], -q[0, 1], -q[1, 0], q[0, 0]]).reshape(q.shape)
+    else:  # cofactors: adj[i, j] = q[j+1, i+1] q[j+2, i+2] - q[j+1, i+2] q[j+2, i+1], indices mod 3
+        c = (1, 2, 0, 1)  # c[i], c[i + 1] = i + 1, i + 2 (mod 3)
+        adj = np.stack([q[c[j], c[i]] * q[c[j + 1], c[i + 1]] - q[c[j], c[i + 1]] * q[c[j + 1], c[i]]
+                        for i in range(3) for j in range(3)]).reshape(q.shape)
+    return _entry_major_matmul(adj, p) / (q[0] * adj[:, 0]).sum(axis=0)
+
+
 # Diagonal Pade degrees m with the largest 1-norm theta_m at which the
 # degree-m approximant of exp reaches double-precision unit roundoff
 # (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
@@ -91,23 +120,22 @@ _PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.50417
                (9, 2.097847961257068e0), (13, 5.371920351148152e0))
 
 
-def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    """Degree-m diagonal Pade approximant of exp over a (K, n, n) stack: (V - U)^-1 (V + U).
+def _pade(a: np.ndarray, m: int, mul, solve, eye) -> np.ndarray:
+    """Degree-m diagonal Pade approximant of exp over a stack: (V - U)^-1 (V + U), by the stack's `mul` and `solve`.
 
     U = a * sum_j b_{2j+1} a^{2j} and V = sum_j b_{2j} a^{2j} with the
     coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!).
     """
     f = math.factorial
     b = [f(2 * m - j) * f(m) / (f(2 * m) * f(j) * f(m - j)) for j in range(m + 1)]
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
+    a2 = mul(a, a)
     power, u, v = a2, b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2
     for j in range(2, m // 2 + 1):
-        power = power @ a2
+        power = mul(power, a2)
         u = u + b[2 * j + 1] * power
         v = v + b[2 * j] * power
-    u = a @ u
-    return np.linalg.solve(v - u, v + u)
+    u = mul(a, u)
+    return solve(v - u, v + u)
 
 
 def expm_stack(a: np.ndarray) -> np.ndarray:
@@ -117,19 +145,30 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     One degree and one number of squarings serve the whole stack; both are
     chosen from its largest 1-norm, so a stack should hold matrices of
     similar size.  Numpy only; raises ValueError on non-finite entries.
+    For n <= 3 the products, the solve (Cramer's rule) and the squarings run entry-major, on (n, n, K) arrays
+    (np.matmul pays per matrix), and the result is the (K, n, n) view of one, as `adiabatic.ordered_product`
+    takes it.  Without squarings, exp of a skew-Hermitian stack is unitary to rounding.
     """
     a = np.asarray(a, dtype=complex)
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     if not np.isfinite(norm):
         raise ValueError("matrix has non-finite entries")
-    for m, theta in _PADE_THETA[:-1]:
+    n = a.shape[-1]
+    if n <= 3:
+        a = np.ascontiguousarray(a.transpose(1, 2, 0))
+        kernel = (_entry_major_matmul, _entry_major_solve, np.eye(n)[..., None])
+    else:
+        kernel = (np.matmul, np.linalg.solve, np.eye(n))
+    squarings = 0
+    for m, theta in _PADE_THETA:
         if norm <= theta:
-            return _pade(a, m)
-    squarings = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[-1][1]))))
-    x = _pade(a / 2.0**squarings, 13)
+            break
+    else:
+        squarings = int(np.ceil(np.log2(norm / theta)))
+    x = _pade(a / 2.0**squarings if squarings else a, m, *kernel)
     for _ in range(squarings):
-        x = x @ x
-    return x
+        x = kernel[0](x, x)
+    return x.transpose(2, 0, 1) if n <= 3 else x
 
 
 def _spectral_norms(ms) -> np.ndarray:

@@ -23,7 +23,7 @@ from .adiabatic import PropagatorResult, gauge_decompose, propagate_exact, rotat
 from .errors import AxisMismatch, NotASubspaceRotation, ValidationError
 from .linalg import _range_basis, spectral_norm, state_fidelity, trace_distance
 from .scenario import ENGINE_KEYS, MAX_COUNT, Scenario, _derived, _number
-from .spectral import (ClosedFormHamiltonian, FramePath, OperatorPath, _circle_controls, _knot_controls, _rotations,
+from .spectral import (ClosedFormHamiltonian, FramePath, _circle_controls, _knot_controls, _rotations,
                        frame_path_analytic_three_level, instantaneous_spectra, three_level_eigenbasis,
                        three_level_generators, three_level_hamiltonian, three_level_projectors, three_level_propagators,
                        track_levels)
@@ -86,8 +86,7 @@ def _model_hamiltonian(scenario: Scenario, path):
     of the loop, and a polyline or samples path linearly between its knots.
     """
     if scenario.model_type == "custom":
-        times, mats = zip(*scenario.model_hamiltonians)
-        return OperatorPath(times=times, operators=np.stack(mats)).at
+        return scenario.model_hamiltonians.at
 
     spec = scenario.path_spec
     if scenario._knots is not None:
@@ -110,7 +109,7 @@ def _frames_for(scenario: Scenario, samples: int):
     Inputs that do not fit the model's levels or dimension raise ValidationError.
     """
     path = None if scenario.model_type == "custom" else scenario.build_path(samples=samples)
-    dim = 3 if path is not None else scenario.model_hamiltonians[0][1].shape[0]
+    dim = 3 if path is not None else scenario.model_hamiltonians.operators.shape[-1]
     for where, m in (("initial_state.amplitudes", scenario.initial_amplitudes),
                      ("control.hamiltonian", scenario.control.hamiltonian)):
         if m is not None and m.shape[0] != dim:
@@ -122,7 +121,7 @@ def _frames_for(scenario: Scenario, samples: int):
     elif scenario.frame_method == "analytic":
         frames = frame_path_analytic_three_level(path)
     else:
-        times = np.linspace(0.0, scenario.model_hamiltonians[-1][0], samples) if path is None else path.times
+        times = np.linspace(0.0, scenario.model_hamiltonians.times[-1], samples) if path is None else path.times
         spectra = instantaneous_spectra(_model_hamiltonian(scenario, path)(times), scenario.cluster_tol)
         frames, order = track_levels(times, spectra)
         energies = np.take_along_axis(spectra.energies, order, axis=1)
@@ -244,9 +243,9 @@ def _constant_step(scenario: Scenario, frames: FramePath, route):
 
     K is constant for a wagon-wheel control (K = -H_0) and for a rotation-form run (`_route`) on a circle
     around the origin, where dtheta/dt = 2 pi windings / T.  A Zeno run turns about its frame generator G by
-    (alpha - 1) phi(T) / n; an adiabatic run adds the model's H, K = 2 r P_+(theta_0) - (dtheta/dt) g, and turns
-    about K by T / n.  Both go through `spectral._rotations`.  None for every other run (dissipative runs keep
-    `dis.integrate_rotating` and do not ask).
+    (alpha - 1) phi(T) / n; an adiabatic run adds the model's H and turns about K T = 2 r T P_+(theta_0) -
+    2 pi windings g, formed without dtheta/dt (inf at tiny T), by 1 / n.  Both go through `spectral._rotations`.
+    None for every other run (dissipative runs keep `dis.integrate_rotating` and do not ask).
     """
     if not isinstance(route, zn._RotationRun):
         return None
@@ -254,9 +253,9 @@ def _constant_step(scenario: Scenario, frames: FramePath, route):
     if scenario.control.mode != "wagon_wheel" and (spec["type"] != "circle" or spec["center"] != [0.0, 0.0]):
         return None
     if scenario.engine == "adiabatic":
-        theta_dot = 2.0 * np.pi * spec["windings"] / spec["duration"]
-        k = 2.0 * spec["radius"] * frames.projectors0[1] - theta_dot * frames.generator  # level 1 has energy 2r
-        rotations, angle = _rotations(k), spec["duration"]
+        kt = (2.0 * spec["radius"] * spec["duration"] * frames.projectors0[1]  # level 1 has energy 2r
+              - 2.0 * np.pi * spec["windings"] * frames.generator)
+        rotations, angle = _rotations(kt), 1.0
     else:
         rotations, angle = frames.rotations, (route.alpha - 1.0) * frames.phi[-1]
     return lambda n, basis=None: rotations(np.array([angle / n]), basis)

@@ -67,7 +67,8 @@ import yaml
 
 from .errors import CriticalPoint, ParseError, ValidationError
 from .linalg import HERMITICITY_TOL, hermiticity_defect
-from .spectral import ParameterPath, _circle_controls, _knot_path, _polyline_knots, _resampled, circle_path
+from .spectral import (OperatorPath, ParameterPath, _circle_controls, _knot_path, _polyline_knots, _resampled,
+                       circle_path)
 from .zeno import ControlConfig
 
 _SHARED_KEYS = {"engine", "name", "model", "path", "frame_method", "initial_state", "tolerances", "runtime_budget_s"}
@@ -186,7 +187,7 @@ class Scenario:
     name: str
     digest: str
     model_type: str
-    model_hamiltonians: list  # [(t, matrix), ...]
+    model_hamiltonians: OperatorPath | None  # a custom model's sampled H(t); None for the three-level model
     path_spec: dict
     control: ControlConfig
     N: int
@@ -249,11 +250,11 @@ def _parse_model(data, fields):
     model = data.get("model", {})
     model_type = model.get("type", "three_level")
     _require(model_type in ("three_level", "custom"), f"model.type must be three_level or custom, got {model_type!r}")
-    model_hams = []
+    model_hams = None
     if model_type == "custom":
         samples = model.get("hamiltonians")
         _require(isinstance(samples, (list, tuple)) and samples, "model.hamiltonians must be a non-empty list")
-        dim = None
+        dim, pairs = None, []
         for i, item in enumerate(samples):
             if not isinstance(item, dict) or set(item) != {"t", "matrix"}:
                 raise ParseError(f"model.hamiltonians[{i}] must be a {{t, matrix}} mapping")
@@ -261,11 +262,13 @@ def _parse_model(data, fields):
             if dim is None:
                 dim = m.shape[0]
             _require(m.shape[0] == dim, "model.hamiltonians matrices must share one dimension")
-            model_hams.append((_number(item["t"], f"model.hamiltonians[{i}].t"), m))
-        model_hams.sort(key=lambda p: p[0])
-        _require(model_hams[0][0] == 0.0, "model.hamiltonians must start at t = 0")
-        _require(len({t for t, _ in model_hams}) == len(model_hams), "model.hamiltonians times must be distinct")
-        _require_hermitian(np.stack([m for _, m in model_hams]), "model.hamiltonians")
+            pairs.append((_number(item["t"], f"model.hamiltonians[{i}].t"), m))
+        pairs.sort(key=lambda p: p[0])
+        _require(pairs[0][0] == 0.0, "model.hamiltonians must start at t = 0")
+        _require(len({t for t, _ in pairs}) == len(pairs), "model.hamiltonians times must be distinct")
+        stack = np.stack([m for _, m in pairs])
+        _require_hermitian(stack, "model.hamiltonians")
+        model_hams = OperatorPath(times=[t for t, _ in pairs], operators=stack)
     return {"model_type": model_type, "model_hamiltonians": model_hams}
 
 
@@ -467,7 +470,7 @@ def _assemble(data: dict, fields: dict, encoded: dict) -> Scenario:
     # A custom model's sampled times fix its duration, so a path would be silently ignored.
     if scenario.model_type == "custom":
         _require("path" not in data, "a custom model takes no path section")
-        _require(scenario.model_hamiltonians[-1][0] > 0, "model.hamiltonians must span a positive duration")
+        _require(scenario.model_hamiltonians.times[-1] > 0, "model.hamiltonians must span a positive duration")
     return scenario
 
 

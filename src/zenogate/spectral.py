@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CriticalPoint, InsufficientSamples, OpenPath, SubspaceTrackingFailure
-from .linalg import CLUSTER_TOL, _checked_hermitian_stack, _compress
+from .linalg import CLUSTER_TOL, _checked_hermitian_stack, _compress, _entry_major_matmul
 
 CRITICAL_RADIUS_SQ = 1e-24
 MIN_TRACKING_OVERLAP = 0.5
@@ -116,11 +116,12 @@ def _circle_controls(center, radius: float, windings: int) -> Callable:
 
     The loop is center + radius (cos phi, sin phi) with phi = 2 pi turns s,
     turns = `windings` around the origin or one for a non-enclosing circle
-    (ValueError when `windings` says otherwise or the controls overflow; CriticalPoint when it meets the origin).
+    (ValueError when `windings` says otherwise or a^2 + b^2 may overflow; CriticalPoint when it meets the origin).
     """
     ca, cb = float(center[0]), float(center[1])
-    if not np.isfinite(abs(ca) + abs(cb) + radius):  # Python floats: an overflow is inf, not a warning
-        raise ValueError("circle controls overflow: |center a| + |center b| + radius must be finite")
+    span = abs(ca) + abs(cb) + float(radius)  # bounds |a + i b|; Python floats: an overflow is inf, not a warning
+    if not np.isfinite(span * span):
+        raise ValueError("circle controls overflow: (|center a| + |center b| + radius)^2 must be finite")
     gap = float(np.hypot(ca, cb)) - radius  # the loop's signed distance from the origin
     if gap * gap < CRITICAL_RADIUS_SQ:
         raise CriticalPoint("circle passes through the critical point (a, b) = (0, 0)")
@@ -152,10 +153,15 @@ def _polyline_knots(points) -> ParameterPath:
 
 
 def _knot_path(times, a, b) -> ParameterPath:
-    """Knots of a path linear between them; CriticalPoint where a segment meets (0, 0), so each subtends under pi."""
-    knots = ParameterPath(times=times, a=a, b=b)
-    a, b, da, db = knots.a[:-1], knots.b[:-1], np.diff(knots.a), np.diff(knots.b)
-    s = np.clip(-(a * da + b * db) / np.maximum(da * da + db * db, np.finfo(float).tiny), 0.0, 1.0)  # nearest point
+    """Knots of a path linear between them; CriticalPoint where a segment meets (0, 0), so each subtends under pi.
+    ValueError where a^2 + b^2 or a segment's nearest-point terms overflow: no point between the knots can then."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+        knots = ParameterPath(times=times, a=a, b=b)
+        a, b, da, db = knots.a[:-1], knots.b[:-1], np.diff(knots.a), np.diff(knots.b)
+        terms = (knots.a * knots.a + knots.b * knots.b, a * da + b * db, da * da + db * db)
+    if not all(np.isfinite(x).all() for x in terms):
+        raise ValueError("knot controls overflow: a^2 + b^2 and the segments' squared lengths must be finite")
+    s = np.clip(-terms[1] / np.maximum(terms[2], np.finfo(float).tiny), 0.0, 1.0)  # nearest point
     if np.any((a + s * da) ** 2 + (b + s * db) ** 2 < CRITICAL_RADIUS_SQ):
         raise CriticalPoint("a segment between knots passes through the critical point (a, b) = (0, 0)")
     return knots
@@ -343,20 +349,6 @@ def _sample_stack(op_of_t, times: np.ndarray) -> np.ndarray:
     """op_of_t evaluated once on the whole 1-d grid, as a (K, d, d) complex stack (a constant is broadcast)."""
     ops = np.asarray(op_of_t(times), dtype=complex)
     return np.broadcast_to(ops, (times.size,) + ops.shape[-2:])
-
-
-def _entry_major_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over entry-major stacks: a (r, s, ...) and b (s, t, ...) hold entry [i, j] of every matrix in a[i, j].
-
-    The s broadcast products a[:, l] b[l] are summed in ascending l, so numpy's inner loops run over the stack
-    (the trailing axes), not over the few entries of each matrix.  b[None, l], not b[l]: for s = 1 and one matrix
-    the shapes then match, and numpy keeps the vector complex multiply of larger stacks (its scalar loop rounds
-    differently).
-    """
-    out = a[:, 0, None] * b[None, 0]
-    for l in range(1, a.shape[1]):
-        out += a[:, l, None] * b[None, l]
-    return out
 
 
 def _overlaps(spectra: SpectrumStack, m: np.ndarray) -> np.ndarray:

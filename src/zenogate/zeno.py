@@ -33,9 +33,9 @@ import numpy as np
 
 from .adiabatic import _midpoint_propagators, _ordered_exp, _subspace_generator, ordered_exp_from_samples, ordered_product
 from .errors import GridMismatch, IncompleteResolution, InsufficientSamples, NotASubspaceRotation, ZeroSurvival
-from .linalg import _compress, _range_basis, expm_hermitian_stack, spectral_norm
+from .linalg import _compress, _entry_major_matmul, _range_basis, expm_hermitian_stack, spectral_norm
 from .spectral import (_FRAME_GENERATOR, _FRAME_ROTATIONS, ClosedFormHamiltonian, FramePath, OperatorPath, ParameterPath,
-                       _entry_major_matmul, _prefix_products, _rotations, _RotationFramePath)
+                       _prefix_products, _rotations, _RotationFramePath)
 
 # Matrix entries per batch of d^2 x d^2 step maps in `_fold`: 256 of a three-level system.
 _CHUNK_ENTRIES = 256 * 3**4

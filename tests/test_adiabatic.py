@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zenogate import adiabatic
 from zenogate.adiabatic import (
     _midpoint_propagators,
     adiabatic_evolve,
@@ -10,6 +11,7 @@ from zenogate.adiabatic import (
     ordered_exp_from_samples,
     ordered_product,
     propagate_exact,
+    rotating_generator,
 )
 from zenogate.errors import (
     GridMismatch,
@@ -17,7 +19,7 @@ from zenogate.errors import (
     InsufficientSamples,
     NonHermitianInput,
 )
-from zenogate.linalg import expm_hermitian, spectral_norm
+from zenogate.linalg import expm_hermitian, expm_stack, random_hermitian, spectral_norm
 from zenogate.zeno import zeno_hamiltonian, zeno_unitary
 from zenogate.spectral import (
     FramePath,
@@ -25,6 +27,8 @@ from zenogate.spectral import (
     ParameterPath,
     circle_path,
     frame_path_analytic_three_level,
+    frame_path_from_spectra,
+    instantaneous_spectra,
     three_level_eigenbasis,
     three_level_hamiltonian,
     three_level_projectors,
@@ -375,3 +379,53 @@ def test_entry_major_product_is_the_elementwise_tree_bit_for_bit(rng, dim, count
     product = ordered_product(real)
     assert product.dtype == np.float64 and product.shape == (dim, dim)
     assert np.array_equal(product, _elementwise_tree(real))
+
+
+@pytest.mark.parametrize("count", [1, adiabatic._EXPM_CHUNK - 1, adiabatic._EXPM_CHUNK, adiabatic._EXPM_CHUNK + 1, 7932])
+def test_sampled_midpoint_chunks_match_one_call(rng, count):
+    """Chunk by chunk, the sampled midpoint factors equal one `expm_stack` call over the whole stack (every
+    dt |H|_1 is 0.05, so each chunk takes the one Pade degree), as an entry-major view."""
+    hs = np.stack([random_hermitian(3, rng) for _ in range(count)])
+    times = np.linspace(0.0, 1.0, count + 1)
+    hs *= (0.05 / np.diff(times))[:, None, None] / np.abs(hs).sum(axis=-2).max(axis=-1)[:, None, None]
+    got = _midpoint_propagators(lambda t: hs, times)
+    assert np.abs(got - expm_stack(-1j * np.diff(times)[:, None, None] * hs)).max() <= 1e-16
+    assert got.shape == (count, 3, 3) and got.transpose(1, 2, 0).flags.c_contiguous
+
+
+def _matmul_generator(h0_of_t, frames):
+    """rotating_generator written with (K, d, d) np.matmul products: the reference of its entry-major form."""
+    w = frames.frames
+    wh = w.conj().transpose(0, 2, 1)
+    a = np.gradient(wh, frames.times, axis=0, edge_order=2) @ w
+    k = 0.5j * (a - a.conj().transpose(0, 2, 1))
+    if h0_of_t is not None:
+        rotated = wh @ (np.broadcast_to(h0_of_t(frames.times), w.shape) @ w)
+        k = k + 0.5 * (rotated + rotated.conj().transpose(0, 2, 1))
+    return k
+
+
+def _conjugated_loop_frames(rng, samples=257):
+    """Tracked frames of the unit loop conjugated by a random unitary: entry-major (d, d, K) underneath."""
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    loop = circle_path(center=(0.2, 0.1), radius=1.3, samples=samples)
+    hs = u @ three_level_hamiltonian(loop.a, loop.b) @ u.conj().T
+    return frame_path_from_spectra(loop.times, instantaneous_spectra(hs))
+
+
+@pytest.mark.parametrize("h0", ["none", "constant", "time_dependent"])
+@pytest.mark.parametrize("layout", ["tracked", "c_contiguous"])
+def test_rotating_generator_matches_the_matmul_form(rng, layout, h0):
+    frames = _conjugated_loop_frames(rng)
+    if layout == "c_contiguous":
+        frames = FramePath(times=frames.times, frames=np.ascontiguousarray(frames.frames),
+                           projectors0=frames.projectors0)
+        assert frames.frames.flags.c_contiguous
+    else:
+        assert frames.frames.transpose(1, 2, 0).flags.c_contiguous
+    h1, h2 = random_hermitian(3, rng), random_hermitian(3, rng)
+    h0_of_t = {"none": None, "constant": lambda t: h1,
+               "time_dependent": lambda t: np.cos(3.0 * t)[:, None, None] * h1 + h2}[h0]
+    got = rotating_generator(h0_of_t, frames)
+    assert got.shape == frames.frames.shape
+    assert np.abs(got - _matmul_generator(h0_of_t, frames)).max() <= 1e-14

@@ -1,6 +1,7 @@
 """Runs whose rotating-frame generator K is constant take one matrix power: against the ordered product of N factors,
 and the runs that keep their N-factor routes."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,3 +248,16 @@ def test_wagon_wheel_single_measurement_at_pi():
     with pytest.raises(ZeroSurvival):
         runner.run(scenario_from_dict({**raw, "N": 1}))
     assert runner.run(scenario_from_dict({**raw, "N": 1, "nonselective": True})).distance == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("duration", [2.3e-308, 1e-300, 1e-100])
+def test_adiabatic_closed_form_at_tiny_durations(duration):
+    """K T = 2 r T P_+(theta_0) - 2 pi windings g is formed without dtheta/dt = 2 pi windings / T, which overflows
+    below T of about 1e-307: the run ends as the sudden limit, U(T) = exp(2 pi i windings g) = 1, leaving nothing."""
+    data = load_scenario(SCENARIO_DIR / "adiabatic_slow_loop.yaml").raw
+    scenario = scenario_from_dict({**data, "path": {**data["path"], "duration": duration}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        record = runner.run(scenario)
+    assert all(np.isfinite(getattr(record, field)) for field in ("q_n", "fidelity", "distance"))
+    assert record.q_n <= 1e-12

@@ -527,6 +527,56 @@ def test_adiabatic_run_builds_one_product(monkeypatch, document):
     assert len(calls) == 1
 
 
+def eigh_midpoint_propagators(h_of_t, times):
+    """The midpoint factors of a sampled H by one eigendecomposition each: the reference of the Pade kernel."""
+    dts = np.diff(times)
+    hs = np.asarray(h_of_t(times[:-1] + 0.5 * dts), dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (hs + hs.conj().swapaxes(-1, -2)))
+    return (v * np.exp(-1j * dts[:, None] * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def conjugated_unit_loop(u, samples, duration):
+    """`custom_unit_loop` conjugated by the unitary `u`: every entry complex, as in a general custom model."""
+    model = custom_unit_loop(samples, duration)
+    for item in model["hamiltonians"]:
+        h = u @ np.asarray(item["matrix"]) @ u.conj().T
+        item["matrix"] = [[[z.real, z.imag] for z in row] for row in h]
+    return model
+
+
+class TestCustomModel:
+    """A custom model is stacked once at validation, and its midpoint factors come from the Pade kernel."""
+
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["unit_loop", "haar_conjugated"])
+    def test_adiabatic_record_matches_the_eigh_reference(self, monkeypatch, conjugated):
+        duration = 2 * np.pi * 2.25
+        u = np.eye(3)
+        if conjugated:
+            z = np.random.default_rng(5).normal(size=(3, 3)) + 1j * np.random.default_rng(6).normal(size=(3, 3))
+            q, r = np.linalg.qr(z)
+            u = q * (np.diag(r) / np.abs(np.diag(r)))
+        model = conjugated_unit_loop(u, 4097, duration) if conjugated else custom_unit_loop(4097, duration)
+        e_minus = u @ np.array([1.0, -1.0, 0.0])
+        scenario = scenario_from_dict({"engine": "adiabatic", "model": model, "steps": int(duration / 0.02),
+                                       "initial_state": {"amplitudes": [[z.real, z.imag] for z in e_minus]}})
+        got = run(scenario)
+        monkeypatch.setattr(adiabatic, "_midpoint_propagators", eigh_midpoint_propagators)
+        want = run(scenario)
+        for field in ("q_n", "fidelity", "distance"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-13), field
+        assert 0.0 < got.distance < 1.0
+
+    def test_derived_scenarios_share_the_parsed_model(self):
+        """A sweep re-parses only the edited key, and the runner interpolates the parsed stack as it is."""
+        scenario = scenario_from_dict(_custom_scenarios()["custom_zeno"])
+        assert isinstance(scenario.model_hamiltonians, OperatorPath)
+        assert scenario.model_hamiltonians.operators.shape == (65, 3, 3)
+        derived = runner._derive(scenario, "N", 128)
+        assert derived.model_hamiltonians is scenario.model_hamiltonians
+        assert runner._model_hamiltonian(derived, None).__self__ is scenario.model_hamiltonians
+        assert scenario_from_dict(SLOW_LOOP).model_hamiltonians is None
+
+
 class TestCentredCircle:
     """A circle around the origin with analytic frames: U(T) = W(T) exp(-i K T), K constant."""
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from zenogate.errors import ParseError, ValidationError, ZeroSurvival
 from zenogate.scenario import Scenario, load_scenario, scenario_digest, scenario_from_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+DIAMOND = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
 
 
 def minimal_zeno(**overrides):
@@ -178,6 +180,32 @@ class TestValidation:
         """Refused at validation: the runner would meet colliding sample times or controls beyond the largest float."""
         with pytest.raises(ValidationError, match=message):
             scenario_from_dict(minimal_zeno(path=path))
+
+    @pytest.mark.parametrize("engine", ["zeno", "adiabatic", "dissipative"])
+    @pytest.mark.parametrize("path, message", [
+        ({"type": "circle", "radius": 1.0e200}, "circle controls overflow"),
+        ({"type": "circle", "center": [0.0, 1.0e200], "radius": 1.0, "windings": 0}, "circle controls overflow"),
+        ({"type": "polyline", "points": (1.0e200 * np.array(DIAMOND)).tolist()}, "knot controls overflow"),
+        ({"type": "samples", "times": [0.0, 1.0, 2.0], "a": [1.0e200, -1.0, 1.0e200], "b": [0.0, 1.0, 0.0]},
+         "knot controls overflow"),
+        # a^2 + b^2 = 1.44e308 at every corner, but each side's squared length overflows
+        ({"type": "polyline", "points": (1.2e154 * np.array(DIAMOND)).tolist()}, "knot controls overflow"),
+    ], ids=["circle_radius", "circle_center", "polyline", "samples", "polyline_sides"])
+    def test_overflowing_controls_are_refused_without_a_warning(self, engine, path, message):
+        """Controls whose squares overflow are refused once, at validation, even with RuntimeWarning as an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=f"path: {message}"):
+                scenario_from_dict({**ENGINE_BASES[engine], "path": path})
+
+    @pytest.mark.parametrize("engine", ["zeno", "adiabatic", "dissipative"])
+    @pytest.mark.parametrize("scale", [1.0e100, 1.0e150])
+    def test_large_controls_still_run(self, engine, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            record = runner.run(scenario_from_dict({**ENGINE_BASES[engine], "path": {
+                "type": "polyline", "points": (scale * np.array(DIAMOND)).tolist()}}))
+        assert 0.0 <= record.distance < 1.0
 
     @pytest.mark.parametrize("engine", ["zeno", "adiabatic", "dissipative"])
     def test_circle_through_critical_point_off_the_samples(self, engine):
