@@ -13,9 +13,9 @@ in 1/gamma) to the nonselective Zeno result.
 
 `integrate_rotating` integrates in that rotating frame, where the dephaser
 is constant and every step is one exact exponential of a d^2 x d^2
-superoperator; it runs every dissipative scenario.  `integrate_master`
-integrates in the lab frame by RK4 and is kept only as the engine's
-independent oracle.
+superoperator, real in Hermitian coordinates; it runs every dissipative
+scenario.  `integrate_master` integrates in the lab frame by RK4 and is
+kept only as the engine's independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StiffnessBudgetExceeded
-from .linalg import _range_basis, expm_stack, trace_distance
+from .linalg import (_commutator_coordinates, _hermitian_coordinates, _hermitian_lift, _range_basis,
+                     _real_superoperator, expm_stack, trace_distance)
 from .spectral import FramePath, OperatorPath, _sample_stack
 from .zeno import MasterResult, _dephase, _fold
 
@@ -184,14 +185,20 @@ def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0,
     `adiabatic.rotating_generator`; linear between samples) and D_0 the
     constant `dephaser`.  Each of the `steps` uniform steps is one
     exponential exp(-i ad(integral of K over the step) + dt D_0), folded
-    onto rho~(0) = rho0 (W(0) = 1) by `zeno._fold`.  The exact integral
-    keeps a step that spans many frame samples accurate where K jumps (at
+    onto rho~(0) = rho0 (W(0) = 1) by `zeno._fold`.  Every such map takes
+    Hermitian matrices to Hermitian matrices, so it runs in the real
+    coordinates of `linalg._hermitian_coordinates` (the real Liouville
+    representation, Havel, J. Math. Phys. 44, 534 (2003)): -i ad kappa is
+    two gathers of kappa's d^2 coordinates (`linalg._commutator_coordinates`),
+    D_0 is converted once, and the maps are exponentiated and folded as
+    real d^2 x d^2 matrices, half the numbers of complex ones.  The exact
+    integral keeps a step that spans many frame samples accurate where K jumps (at
     the corners of a path).  The count must keep dt * gamma * max_gap^2
     within EXPONENTIAL_BUDGET (StiffnessBudgetExceeded otherwise).  No step
     renormalizes: `trace_drift` is |tr rho(T) - 1| before the one final
     division by the trace.  It is accumulated rounding and grows with
-    gamma: on the unit loop 6e-11 at gamma = 1e7 and 9.7e-10 at 1e8, where
-    budgets of 1e2, 3e2 and 1e4 give 5.8e-9, 2.0e-9 and 2.0e-9 instead.
+    gamma: on the unit loop 4.2e-11 at gamma = 1e7 and 2.6e-9 at 1e8 (1e5
+    steps), where 1e6 and 3.3e5 steps give 1.8e-9 and 6.0e-10 instead.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -201,19 +208,16 @@ def integrate_rotating(generator, frames: FramePath, gamma: float, alphas, rho0,
         raise StiffnessBudgetExceeded(
             f"dt*gamma*max_gap^2 = {needed * EXPONENTIAL_BUDGET / steps:.3g} > {EXPONENTIAL_BUDGET:g}; increase steps"
         )
-    dim = frames.dim
     integral = _running_integral(OperatorPath(times=frames.times, operators=generator))
-    d0 = dephaser(gamma, alphas, frames.projectors0)
-    eye = np.eye(dim)
+    d0 = _real_superoperator(dephaser(gamma, alphas, frames.projectors0))
     grid = np.linspace(t0, t1, steps + 1)
     dts = np.diff(grid)
 
     def maps(start, stop):
-        kdt = np.diff(integral(grid[start:stop + 1]), axis=0)  # integral of K over each step
-        ad = np.einsum("kil,jm->kijlm", kdt, eye) - np.einsum("il,kmj->kijlm", eye, kdt)
-        return expm_stack(-1j * ad.reshape(-1, dim * dim, dim * dim) + dts[start:stop, None, None] * d0)
+        kappa = _hermitian_coordinates(np.diff(integral(grid[start:stop + 1]), axis=0))  # of K integrated per step
+        return expm_stack(_commutator_coordinates(kappa) + dts[start:stop, None, None] * d0)
 
-    return _fold(frames, rho0, steps, maps)
+    return _fold(frames, _hermitian_coordinates(np.asarray(rho0, dtype=complex)), steps, maps, _hermitian_lift)
 
 
 def zeno_master_reference(hz_total: OperatorPath, projectors0, rho0) -> MasterResult:

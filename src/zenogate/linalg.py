@@ -6,12 +6,18 @@ closed form for d <= 2 (a phase, or the SU(2) formula) and go through the
 eigendecomposition otherwise; both keep purely-imaginary-scale results
 unitary up to rounding.  `expm_stack` exponentiates general (non-normal)
 matrices by scaling and squaring, for n <= 3 on entry-major (n, n, K) arrays
-through `_entry_major_matmul`, the package's one small-matrix product kernel.
-Pure functions; returned arrays are fresh and safe to share across threads.
+through `_entry_major_matmul`, the package's one small-matrix product kernel;
+a real stack stays real.  `_hermitian_coordinates` gives d x d Hermitian
+matrices d^2 real orthonormal coordinates, in which a superoperator that keeps
+matrices Hermitian is a real d^2 x d^2 matrix (`_real_superoperator`,
+`_commutator_coordinates`); the dissipative engine runs in them.
+Pure functions; returned arrays are fresh and safe to share across threads
+(the coordinates' index tables are cached per d, shared and read-only).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -139,17 +145,20 @@ def _pade(a: np.ndarray, m: int, mul, solve, eye) -> np.ndarray:
 
 
 def expm_stack(a: np.ndarray) -> np.ndarray:
-    """Batched exp(a) over a (K, n, n) stack of arbitrary (also non-normal) complex matrices.
+    """Batched exp(a) over a (K, n, n) stack of arbitrary (also non-normal) real or complex matrices.
 
     Scaling and squaring with a diagonal Pade approximant (Higham 2005).
     One degree and one number of squarings serve the whole stack; both are
     chosen from its largest 1-norm, so a stack should hold matrices of
     similar size.  Numpy only; raises ValueError on non-finite entries.
+    A real stack stays real (float64 in, float64 out, as scipy.linalg.expm);
+    anything complex runs in complex128.
     For n <= 3 the products, the solve (Cramer's rule) and the squarings run entry-major, on (n, n, K) arrays
     (np.matmul pays per matrix), and the result is the (K, n, n) view of one, as `adiabatic.ordered_product`
     takes it.  Without squarings, exp of a skew-Hermitian stack is unitary to rounding.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     if not np.isfinite(norm):
         raise ValueError("matrix has non-finite entries")
@@ -169,6 +178,81 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         x = kernel[0](x, x)
     return x.transpose(2, 0, 1) if n <= 3 else x
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(dim: int) -> tuple:
+    """The orthonormal Hermitian basis B_m of d x d matrices behind the real coordinates x_m = tr(B_m rho).
+
+    x = (rho_ii; sqrt(2) Re rho_ij; sqrt(2) Im rho_ij for i < j), so tr rho is the sum of x[:d].  x = Re(T vec(rho))
+    for the unitary (d^2, d^2) T with rows conj(vec(B_m)), vec row-major; each row has two slots, coef[m, s] at
+    vec position pos[m, s] (a diagonal's second coefficient is 0).  Each vec position p lies in the two slots
+    inv_m[p, u], whose conjugated coefficients inv_c[p, u] give rho = T^dag x there.
+    """
+    i, j = np.triu_indices(dim, 1)
+    diag, upper, lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
+    pos = np.stack([np.concatenate([diag, upper, upper]), np.concatenate([diag, lower, lower])], axis=1)
+    r = np.full(i.size, math.sqrt(0.5))
+    coef = np.stack([np.concatenate([np.ones(dim), r, -1j * r]), np.concatenate([np.zeros(dim), r, 1j * r])], axis=1)
+    slots = np.argsort(pos.ravel(), kind="stable").reshape(-1, 2)  # every vec position is in exactly two slots
+    return _frozen(pos, coef, slots // 2, coef.ravel()[slots].conj())
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, read-only: the cached tables are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _hermitian_coordinates(ms: np.ndarray) -> np.ndarray:
+    """The real (..., d^2) coordinates of a (..., d, d) stack's Hermitian parts (`_hermitian_basis`)."""
+    pos, coef, _, _ = _hermitian_basis(ms.shape[-1])
+    v = ms.reshape(*ms.shape[:-2], -1)
+    return (coef[:, 0] * v[..., pos[:, 0]] + coef[:, 1] * v[..., pos[:, 1]]).real
+
+
+def _hermitian_lift(x: np.ndarray) -> np.ndarray:
+    """The (..., d, d) Hermitian matrices of real coordinates x (..., d^2), inverse to `_hermitian_coordinates`."""
+    dim = math.isqrt(x.shape[-1])
+    _, _, inv_m, inv_c = _hermitian_basis(dim)
+    return (inv_c[:, 0] * x[..., inv_m[:, 0]] + inv_c[:, 1] * x[..., inv_m[:, 1]]).reshape(*x.shape[:-1], dim, dim)
+
+
+def _real_superoperator(s: np.ndarray) -> np.ndarray:
+    """Re(T S T^dag) of a (..., d^2, d^2) superoperator S on row-major vec(rho): S in Hermitian coordinates.
+
+    Where S keeps matrices Hermitian, T S T^dag is real and this is S exactly.  Two gathers of columns, then two
+    of rows: O(d^4) per map.
+    """
+    pos, coef, _, _ = _hermitian_basis(math.isqrt(s.shape[-1]))
+    cols = s[..., pos[:, 0]] * coef[:, 0].conj() + s[..., pos[:, 1]] * coef[:, 1].conj()  # S T^dag
+    return (coef[:, 0, None] * cols[..., pos[:, 0], :] + coef[:, 1, None] * cols[..., pos[:, 1], :]).real
+
+
+@functools.lru_cache(maxsize=None)
+def _commutator_gathers(dim: int) -> tuple:
+    """Index and weight arrays (2, d^2, d^2): -i ad(kappa) in Hermitian coordinates is w[0] x[idx[0]] + w[1] x[idx[1]].
+
+    x are the coordinates of kappa.  Entry [k, l] is tr(kappa (-i)[B_l, B_k]) = sum_m x_m (coordinate m of
+    -i[B_l, B_k]), and the commutator of two basis matrices spans at most two of them.  Formed one row k at a time
+    from the (d^2, d, d) basis: memory O(d^4), no (d^2, d^4) table.
+    """
+    n = dim * dim
+    idx, w = np.zeros((2, n, n), dtype=np.intp), np.zeros((2, n, n))
+    basis = _hermitian_lift(np.eye(n))
+    for k, b in enumerate(basis):
+        row = _hermitian_coordinates(-1j * (basis @ b - b @ basis))  # [l, m]: coordinate m of -i[B_l, B_k]
+        l, m = np.nonzero(np.abs(row) > 1e-12)
+        slot = np.concatenate([[0], l[1:] == l[:-1]]).astype(np.intp)  # an entry's second coordinate: slot 1
+        idx[slot, k, l], w[slot, k, l] = m, row[l, m]
+    return _frozen(idx, w)
+
+
+def _commutator_coordinates(x: np.ndarray) -> np.ndarray:
+    """-i ad(kappa) as a real (..., d^2, d^2) map on Hermitian coordinates, for kappa of coordinates x (..., d^2)."""
+    idx, w = _commutator_gathers(math.isqrt(x.shape[-1]))
+    return w[0] * x[..., idx[0]] + w[1] * x[..., idx[1]]
 
 
 def _spectral_norms(ms) -> np.ndarray:

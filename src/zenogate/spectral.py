@@ -52,7 +52,11 @@ class ParameterPath:
             raise ValueError("path must start at time 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(a * a + b * b < CRITICAL_RADIUS_SQ):
+        with np.errstate(over="ignore"):  # an overflow is refused here, not warned about
+            r2 = a * a + b * b
+        if not np.isfinite(r2).all():
+            raise ValueError("knot controls overflow: a^2 + b^2 must be finite")
+        if np.any(r2 < CRITICAL_RADIUS_SQ):
             raise CriticalPoint("path touches the critical point (a, b) = (0, 0)")
         raw = np.arctan2(b, a)
         turns = None if _near is None else np.round((_near - raw) / (2 * np.pi))
@@ -154,14 +158,15 @@ def _polyline_knots(points) -> ParameterPath:
 
 def _knot_path(times, a, b) -> ParameterPath:
     """Knots of a path linear between them; CriticalPoint where a segment meets (0, 0), so each subtends under pi.
-    ValueError where a^2 + b^2 or a segment's nearest-point terms overflow: no point between the knots can then."""
+    ValueError where a^2 + b^2 (`ParameterPath`) or a segment's nearest-point terms overflow: no point between the
+    knots can then."""
+    knots = ParameterPath(times=times, a=a, b=b)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
-        knots = ParameterPath(times=times, a=a, b=b)
         a, b, da, db = knots.a[:-1], knots.b[:-1], np.diff(knots.a), np.diff(knots.b)
-        terms = (knots.a * knots.a + knots.b * knots.b, a * da + b * db, da * da + db * db)
+        terms = (a * da + b * db, da * da + db * db)
     if not all(np.isfinite(x).all() for x in terms):
-        raise ValueError("knot controls overflow: a^2 + b^2 and the segments' squared lengths must be finite")
-    s = np.clip(-terms[1] / np.maximum(terms[2], np.finfo(float).tiny), 0.0, 1.0)  # nearest point
+        raise ValueError("knot controls overflow: the segments' squared lengths must be finite")
+    s = np.clip(-terms[0] / np.maximum(terms[1], np.finfo(float).tiny), 0.0, 1.0)  # nearest point
     if np.any((a + s * da) ** 2 + (b + s * db) ** 2 < CRITICAL_RADIUS_SQ):
         raise CriticalPoint("a segment between knots passes through the critical point (a, b) = (0, 0)")
     return knots

@@ -306,20 +306,20 @@ def nonselective_step(rho: np.ndarray, projectors) -> np.ndarray:
     return _dephase(rho, mats)
 
 
-def _fold(frames: FramePath, rho0, steps: int, maps) -> MasterResult:
-    """rho(T) = W(T) rho~(T) W(T)^dag with vec(rho~(T)) = M_{steps-1} ... M_0 vec(rho0), rho~(0) = rho0 (W(0) = 1).
+def _fold(frames: FramePath, x, steps: int, maps, lift) -> MasterResult:
+    """rho(T) = W(T) rho~(T) W(T)^dag with rho~(T) = lift(M_{steps-1} ... M_0 x), x the vector of rho~(0).
 
-    `maps(start, stop)` builds the (stop - start, d^2, d^2) step maps M_k acting on the row-major vec(rho~); they
-    are built and applied in fixed-size batches.  The result is re-Hermitized and divided by its trace once;
+    `lift` takes the (n,) vectors the maps act on to d x d matrices: nonselective runs pass the complex row-major
+    vec(rho~) and a reshape, dissipative runs real Hermitian coordinates and `linalg._hermitian_lift`.
+    `maps(start, stop)` builds the (stop - start, n, n) step maps M_k; they are built and applied in fixed-size
+    batches.  W(0) = 1, so no start conjugation.  The result is re-Hermitized and divided by its trace once;
     `trace_drift` is |tr rho(T) - 1| read before that division.
     """
-    dim = frames.dim
-    rho = np.asarray(rho0, dtype=complex).reshape(-1)
-    chunk = max(1, _CHUNK_ENTRIES // dim**4)
+    chunk = max(1, _CHUNK_ENTRIES // x.size**2)
     for start in range(0, steps, chunk):
-        rho = ordered_product(maps(start, min(start + chunk, steps))) @ rho
+        x = ordered_product(maps(start, min(start + chunk, steps))) @ x
     wt = frames.final
-    rho = wt @ rho.reshape(dim, dim) @ wt.conj().T
+    rho = wt @ lift(x) @ wt.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     return MasterResult(final=rho / tr, trace_drift=abs(tr - 1.0))
@@ -344,7 +344,8 @@ def _nonselective(frames: FramePath, factors: np.ndarray, rho0, repeats=None) ->
         m = np.einsum("ilnk,jmnk->kijlm", m, m.conj()).reshape(-1, dim * dim, dim * dim)
         return m if repeats is None else np.linalg.matrix_power(m[0], repeats)[None]
 
-    return _fold(frames, nonselective_step(rho0, frames.projectors0), len(factors), maps)
+    return _fold(frames, nonselective_step(rho0, frames.projectors0).reshape(-1), len(factors), maps,
+                 lambda x: x.reshape(dim, dim))
 
 
 def nonselective_zeno_evolution(h0_of_t, frames: FramePath, N: int, rho0) -> np.ndarray:

@@ -287,3 +287,59 @@ class TestEntryMajorExpm:
         want = np.linalg.solve(q, p)
         scale = np.linalg.cond(q) * np.abs(want).max(axis=(1, 2))
         assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-15 * scale).all()
+
+
+def hermitian_basis(dim):
+    """The (d^2, d, d) basis matrices B_m behind `linalg._hermitian_coordinates`: the lifts of the unit vectors."""
+    return linalg._hermitian_lift(np.eye(dim * dim))
+
+
+class TestHermitianCoordinates:
+    """Real coordinates x_m = tr(B_m rho) in an orthonormal basis of Hermitian matrices: the dissipative engine's."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_round_trip_real_orthonormal_and_trace(self, rng, dim):
+        basis = hermitian_basis(dim)
+        assert hermiticity_defect(basis) == 0.0
+        gram = np.einsum("mij,nji->mn", basis, basis)
+        assert np.abs(gram - np.eye(dim * dim)).max() <= 1e-15
+        rhos = np.stack([random_hermitian(dim, rng) for _ in range(8)])
+        x = linalg._hermitian_coordinates(rhos)
+        assert x.dtype == np.float64 and x.shape == (8, dim * dim)
+        assert np.abs(x - np.einsum("mij,kji->km", basis, rhos).real).max() <= 1e-14
+        assert np.abs(linalg._hermitian_lift(x) - rhos).max() <= 1e-15
+        y = rng.standard_normal((8, dim * dim))
+        assert np.abs(linalg._hermitian_coordinates(linalg._hermitian_lift(y)) - y).max() <= 1e-15
+        assert np.abs(x[:, :dim].sum(axis=1) - np.trace(rhos, axis1=1, axis2=2).real).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 10])
+    def test_commutator_gathers_match_the_dense_superoperator(self, rng, dim):
+        """Two gathers of kappa's coordinates give B (-i ad kappa) B^dag (B rows conj(vec(B_m))) to 1e-15 |kappa|,
+        from index tables of d^4 entries: nothing per run grows as d^6."""
+        b = hermitian_basis(dim).reshape(dim * dim, -1).conj()
+        eye = np.eye(dim)
+        for _ in range(3):
+            kappa = random_hermitian(dim, rng, scale=float(rng.uniform(0.1, 10.0)))
+            dense = b @ (-1j * (np.kron(kappa, eye) - np.kron(eye, kappa.T))) @ b.conj().T
+            got = linalg._commutator_coordinates(linalg._hermitian_coordinates(kappa))
+            assert got.dtype == np.float64
+            assert np.abs(got - dense).max() <= 1e-15 * np.abs(kappa).max()
+        idx, w = linalg._commutator_gathers(dim)
+        assert idx.shape == w.shape == (2, dim**2, dim**2)
+        s = rng.standard_normal((dim**2, dim**2)) + 1j * rng.standard_normal((dim**2, dim**2))
+        assert np.abs(linalg._real_superoperator(s) - (b @ s @ b.conj().T).real).max() <= 1e-14 * np.abs(s).max()
+
+    NORMS = TestEntryMajorExpm.NORMS
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
+    def test_expm_stack_keeps_real_stacks_real(self, rng, dim, norm):
+        """float64 in, float64 out, within 1e-15 max(1, |A|_1) of the complex route; the contractive stacks (skew
+        plus negative semidefinite, as a dephasing generator) keep the results bounded through the squarings."""
+        a = rng.standard_normal((40, dim, dim))
+        c = rng.standard_normal((40, dim, dim))
+        a = a - a.swapaxes(-1, -2) - 0.5 * c @ c.swapaxes(-1, -2)
+        a *= norm / np.abs(a).sum(axis=-2).max()
+        got = expm_stack(a)
+        assert got.dtype == np.float64
+        assert np.abs(got - expm_stack(a.astype(complex))).max() <= 1e-15 * max(1.0, norm)

@@ -12,7 +12,7 @@ from zenogate.adiabatic import rotating_generator
 from zenogate.errors import AxisMismatch, ValidationError
 from zenogate.runner import CSV_COLUMNS, emit, run, sweep
 from zenogate.scenario import ENGINE_KEYS, load_scenario, scenario_from_dict
-from zenogate.linalg import spectral_norm
+from zenogate.linalg import expm_stack, spectral_norm
 from zenogate.spectral import OperatorPath
 from zenogate.zeno import control_hamiltonian, unwrap_angle
 
@@ -442,8 +442,8 @@ def test_trace_drift_is_read_before_the_one_division(monkeypatch, engine):
     folds = []
     original = zeno._fold
 
-    def spy(frames, rho0, steps, maps):
-        folds.append((steps, original(frames, rho0, steps, lambda start, stop: (1.0 + 1e-6) * maps(start, stop))))
+    def spy(frames, x, steps, maps, lift):
+        folds.append((steps, original(frames, x, steps, lambda start, stop: (1.0 + 1e-6) * maps(start, stop), lift)))
         return folds[-1][1]
 
     monkeypatch.setattr(zeno, "_fold", spy)
@@ -485,6 +485,76 @@ class TestDissipativeEngine:
         fine = run(scenario_from_dict(dict(data, steps=4096)))
         assert derived.distance == pytest.approx(fine.distance, abs=2e-6)
         assert derived.fidelity == pytest.approx(fine.fidelity, abs=2e-6)
+
+
+def complex_integrate_rotating(generator, frames, gamma, alphas, rho0, steps):
+    """Complex reference for `dissipative.integrate_rotating`: the steps exp(-i ad(kappa_k) + dt D_0) as complex maps
+    on the row-major vec(rho~), the ad built by two einsums, folded by `zeno._fold`."""
+    dim = frames.dim
+    integral = dissipative._running_integral(OperatorPath(times=frames.times, operators=generator))
+    d0 = dissipative.dephaser(gamma, alphas, frames.projectors0)
+    eye = np.eye(dim)
+    grid = np.linspace(float(frames.times[0]), float(frames.times[-1]), steps + 1)
+    dts = np.diff(grid)
+
+    def maps(start, stop):
+        kdt = np.diff(integral(grid[start:stop + 1]), axis=0)
+        ad = np.einsum("kil,jm->kijlm", kdt, eye) - np.einsum("il,kmj->kijlm", eye, kdt)
+        return expm_stack(-1j * ad.reshape(-1, dim * dim, dim * dim) + dts[start:stop, None, None] * d0)
+
+    return zeno._fold(frames, np.asarray(rho0, dtype=complex).reshape(-1), steps, maps, lambda x: x.reshape(dim, dim))
+
+
+def vec_fold(frames, x, steps, maps, lift):
+    """Reference fold on the complex row-major vec(rho~), reshaped at the end whatever `lift` is passed."""
+    dim = frames.dim
+    rho = np.asarray(x, dtype=complex).reshape(-1)
+    chunk = max(1, zeno._CHUNK_ENTRIES // dim**4)
+    for start in range(0, steps, chunk):
+        rho = adiabatic.ordered_product(maps(start, min(start + chunk, steps))) @ rho
+    wt = frames.final
+    rho = wt @ rho.reshape(dim, dim) @ wt.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.trace(rho).real)
+    return zeno.MasterResult(final=rho / tr, trace_drift=abs(tr - 1.0))
+
+
+RECORD_FIELDS = ("p_N", "q_n", "fidelity", "phi_principal", "phi_expected", "distance", "trace_drift")
+
+
+class TestRealCoordinateEngine:
+    """The dissipative engine's real Hermitian coordinates against its complex vec(rho~) maps; nonselective Zeno runs
+    keep the complex maps and fold bit for bit as before."""
+
+    @pytest.mark.parametrize("data", [
+        *[{**load_scenario(SCENARIO_DIR / "dissipative_gate.yaml").raw, "gamma": g} for g in (10.0, 100.0, 1e3, 1e4)],
+        *[turning_dissipative(dim, 100.0) for dim in (2, 4, 6)],
+    ], ids=[f"dissipative_gate_gamma{g:g}" for g in (10, 100, 1e3, 1e4)] + [f"turning_d{d}" for d in (2, 4, 6)])
+    def test_records_match_the_complex_maps(self, monkeypatch, data):
+        scenario = scenario_from_dict(data)
+        real = run(scenario)
+        calls = []
+        monkeypatch.setattr(dissipative, "integrate_rotating",
+                            lambda *args: calls.append(1) or complex_integrate_rotating(*args))
+        old = run(scenario)
+        assert calls == [1]
+        assert real.distance == pytest.approx(old.distance, abs=1e-12)
+        assert real.fidelity == pytest.approx(old.fidelity, abs=1e-12)
+        assert max(real.trace_drift, old.trace_drift) <= 1e-12
+
+    @pytest.mark.parametrize("data", [
+        load_scenario(SCENARIO_DIR / "dephasing_superposition.yaml").raw,
+        {**load_scenario(SCENARIO_DIR / "zeno_no_winding.yaml").raw, "frame_method": "tracked", "nonselective": True},
+    ], ids=["dephasing_superposition", "tracked_nonselective_no_winding"])
+    def test_nonselective_records_are_bit_identical(self, monkeypatch, data):
+        scenario = scenario_from_dict(data)
+        new = run(scenario)
+        calls = []
+        monkeypatch.setattr(zeno, "_fold", lambda *args: calls.append(1) or vec_fold(*args))
+        old = run(scenario)
+        assert calls == [1]
+        assert [getattr(new, f) for f in RECORD_FIELDS] == [getattr(old, f) for f in RECORD_FIELDS]
+        assert new.trace_drift is not None
 
 
 def custom_unit_loop(samples=65, duration=1.0):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,16 @@ class TestPathConstructors:
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
             ParameterPath(times=np.array([0.0, 0.0, 1.0]), a=np.ones(3), b=np.zeros(3))
+
+    def test_overflowing_controls_are_refused_without_a_warning(self):
+        """Built directly, not through a scenario: a^2 + b^2 beyond the largest float is a ValueError, not an overflow
+        warning, and controls whose squares stay finite still build."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="controls overflow"):
+                ParameterPath(times=[0.0, 1.0], a=[1e200, 0.0], b=[0.0, 1e200])
+            path = ParameterPath(times=[0.0, 1.0], a=[1e100, 0.0], b=[0.0, 1e100])
+        assert path.theta()[-1] == pytest.approx(0.5 * np.pi)
 
     @pytest.mark.parametrize("kind", ["angles", "walk", "half_turns"])
     def test_unwrap_is_numpys_bit_for_bit(self, rng, kind):
